@@ -1,7 +1,7 @@
 """ddikit: drug-drug interaction event prediction from SMILES pairs plus
 knowledge-graph embeddings, built on a small numpy autodiff core."""
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 from .autodiff import Parameter, Tape, Tensor, backward, no_grad
 from .checkpoint import (CheckpointError, config_fingerprint, load_checkpoint,

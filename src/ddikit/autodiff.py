@@ -55,10 +55,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def assert_finite(self, what: str = "tensor"):
-        if not np.all(np.isfinite(self.data)):
-            raise FloatingPointError(f"non-finite values in {what}")
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -301,6 +297,49 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         return (out * (g - dot),)
 
     return _make(out, (a,), bwd)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+    """Fused masked scaled-dot-product attention, softmax(q k^T / sqrt(d_k)) v.
+
+    q, k: [..., n, d_k]; v: [..., n, d_v]; mask: boolean [batch, n] key
+    padding mask (True = real token) or None. Masked keys get a -1e9 score
+    bias; a sample with no real token gets all-zero output rows.
+
+    The scores are built and normalised in place in one [..., n, n] buffer,
+    and backward keeps only the softmax weights. The arithmetic, and its
+    order, is that of scale -> bias add -> softmax -> row-zero multiply ->
+    matmul recorded as separate ops, so outputs and gradients are the same
+    bits.
+    """
+    c = 1.0 / math.sqrt(q.data.shape[-1])
+    w = q.data @ np.swapaxes(k.data, -1, -2)
+    w *= c
+    row_ok = None
+    if mask is not None:
+        lead = (mask.shape[0],) + (1,) * (w.ndim - 2)
+        w += np.where(mask, 0.0, -1e9).astype(w.dtype).reshape(lead + (mask.shape[-1],))
+        has_token = mask.any(axis=-1)
+        if not has_token.all():
+            row_ok = has_token.astype(w.dtype).reshape(lead + (1,))
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    if row_ok is not None:
+        w *= row_ok
+    out = w @ v.data
+
+    def bwd(g):
+        ds = g @ np.swapaxes(v.data, -1, -2)
+        ds -= (ds * w).sum(axis=-1, keepdims=True)
+        ds *= w
+        ds *= c
+        dq = ds @ k.data
+        dk = np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2)
+        dv = np.swapaxes(w, -1, -2) @ g
+        return _unbroadcast(dq, q.shape), _unbroadcast(dk, k.shape), _unbroadcast(dv, v.shape)
+
+    return _make(out, (q, k, v), bwd)
 
 
 def cross_entropy_loss(logits: Tensor, targets) -> Tensor:

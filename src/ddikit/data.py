@@ -14,7 +14,7 @@ are train drugs, U1 when exactly one is a test drug, U2 when both are.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -11,7 +11,7 @@ two 400-wide tokens inside the KG self-attention block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -140,26 +140,10 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
     """softmax(q k^T / sqrt(d_k)) v with optional key padding mask.
 
     q, k: [..., n, d_k]; v: [..., n, d_v]; mask: boolean [batch, n] (True =
-    real token) or None. Fully-masked query rows yield zero output rows.
+    real token) or None. A sample whose key mask is all False gets all-zero
+    output rows.
     """
-    d_k = q.shape[-1]
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, _swap_last(k.ndim))), 1.0 / math.sqrt(d_k))
-    if mask is not None:
-        bias_arr = np.where(mask, 0.0, -1e9).astype(scores.dtype)
-        shape = [mask.shape[0]] + [1] * (scores.ndim - 2) + [mask.shape[-1]]
-        scores = ad.add(scores, ad.constant(bias_arr.reshape(shape), dtype=scores.dtype))
-    weights = ad.softmax(scores, axis=-1)
-    if mask is not None and not mask.all():
-        row_ok = mask.any(axis=-1).astype(weights.dtype)
-        shape = [mask.shape[0]] + [1] * (weights.ndim - 1)
-        weights = ad.mul(weights, ad.constant(row_ok.reshape(shape), dtype=weights.dtype))
-    return ad.matmul(weights, v)
-
-
-def _swap_last(ndim: int):
-    axes = list(range(ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return tuple(axes)
+    return ad.attention(q, k, v, mask)
 
 
 class MultiHeadAttention:

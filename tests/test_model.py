@@ -1,18 +1,21 @@
 """Attention/encoder/conv/fusion network tests: literal-formula oracles for
-the attention equations, structural probes (padding insensitivity, swap
+the attention equations, the fused attention primitive against the composed
+tape ops it replaces, structural probes (padding insensitivity, swap
 equivariance), and a full-model finite-difference gradient check."""
+
+import math
 
 import numpy as np
 import pytest
 
 from ddikit import autodiff as ad
-from ddikit.autodiff import Tape, Tensor, backward, no_grad
+from ddikit.autodiff import Parameter, Tape, Tensor, backward, no_grad
 from ddikit.model import (DdiModel, KgSelfAttention, ModelConfig,
                           MultiHeadAttention, ParamStore, PretrainModel,
                           scaled_dot_product_attention,
                           transfer_encoder_weights)
 
-from gradcheck import check_model_grads, rel_err
+from gradcheck import check_grads, check_model_grads, rel_err
 
 
 def attention_oracle(q, k, v, mask=None):
@@ -93,6 +96,86 @@ def test_attention_fully_masked_rows_are_zero():
         out = scaled_dot_product_attention(T(q), T(k), T(v), mask).data
     assert not out[0].any()
     assert out[1].any()
+
+
+def composed_attention(q, k, v, mask=None):
+    """Reference: attention as the separate tape ops scale -> bias add ->
+    softmax -> row-zero multiply that the fused primitive replaces."""
+    axes = list(range(k.ndim))
+    axes[-1], axes[-2] = axes[-2], axes[-1]
+    scores = ad.scale(ad.matmul(q, ad.transpose(k, tuple(axes))), 1.0 / math.sqrt(q.shape[-1]))
+    if mask is not None:
+        bias = np.where(mask, 0.0, -1e9).astype(scores.dtype)
+        shape = [mask.shape[0]] + [1] * (scores.ndim - 2) + [mask.shape[-1]]
+        scores = ad.add(scores, ad.constant(bias.reshape(shape), dtype=scores.dtype))
+    weights = ad.softmax(scores, axis=-1)
+    if mask is not None and not mask.all():
+        row_ok = mask.any(axis=-1).astype(weights.dtype)
+        shape = [mask.shape[0]] + [1] * (weights.ndim - 1)
+        weights = ad.mul(weights, ad.constant(row_ok.reshape(shape), dtype=weights.dtype))
+    return ad.matmul(weights, v)
+
+
+def _attention_with_grads(fn, q, k, v, mask, g):
+    leaves = [Parameter(a.copy(), name=n, dtype=a.dtype) for n, a in zip("qkv", (q, k, v))]
+    tape = Tape()
+    with tape:
+        out = fn(*leaves, mask)
+        loss = ad.tsum(ad.mul(out, ad.constant(g, dtype=g.dtype)))
+    backward(loss, tape)
+    return out.data, [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(3,), (3, 2)])
+@pytest.mark.parametrize("lengths", [None, (7, 3, 5), (7, 0, 2)])
+def test_fused_attention_bit_identical_to_composed_ops(dtype, lead, lengths):
+    rng = np.random.default_rng(len(lead) + (0 if lengths is None else sum(lengths)))
+    n = 7
+    # d_k = 3 makes the 1/sqrt(d_k) scale inexact, so operation order shows
+    q, k, v, g = (rng.standard_normal(lead + (n, d)).astype(dtype) for d in (3, 3, 5, 5))
+    mask = None if lengths is None else np.arange(n)[None, :] < np.array(lengths)[:, None]
+    want_out, want_grads = _attention_with_grads(composed_attention, q, k, v, mask, g)
+    got_out, got_grads = _attention_with_grads(scaled_dot_product_attention, q, k, v, mask, g)
+    assert got_out.dtype == dtype
+    assert np.array_equal(got_out, want_out)
+    for got, want in zip(got_grads, want_grads):
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fused_attention_gradients_match_finite_differences(seed):
+    rng = np.random.default_rng(seed)
+    arrays = {"q": rng.standard_normal((2, 2, 5, 3)), "k": rng.standard_normal((2, 2, 5, 3)),
+              "v": rng.standard_normal((2, 2, 5, 4)), "g": rng.standard_normal((2, 2, 5, 4))}
+    mask = np.array([[True] * 3 + [False] * 2, [True] * 5])
+
+    def build(t):
+        out = ad.attention(t["q"], t["k"], t["v"], mask)
+        return ad.tsum(ad.mul(out, t["g"]))
+
+    assert check_grads(build, arrays) < 1e-6
+
+
+def test_multi_head_attention_records_one_attention_entry():
+    b, n, h, d_k = 2, 5, 3, 4
+    store = ParamStore(np.random.default_rng(0), np.float64)
+    mha = MultiHeadAttention(store, "mha", d_model=h * d_k, n_heads=h)
+    x = np.random.default_rng(1).standard_normal((b, n, h * d_k))
+    mask = np.array([[True] * 3 + [False] * 2, [True] * 5])
+    tape = Tape()
+    with tape:
+        mha(T(x), mask)
+
+    def io_shapes(e):
+        return e.inputs[0].shape, e.output.shape
+
+    split, merge = ((b, n, h, d_k), (b, h, n, d_k)), ((b, h, n, d_k), (b, n, h, d_k))
+    last_split = max(i for i, e in enumerate(tape.entries) if io_shapes(e) == split)
+    merge_at = [i for i, e in enumerate(tape.entries) if io_shapes(e) == merge]
+    assert merge_at == [last_split + 2]
+    assert all(e.output.shape != (b, h, n, n) for e in tape.entries)
 
 
 def mha_oracle(x, p, prefix, n_heads):
