@@ -425,30 +425,24 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         running_var *= 1.0 - momentum
         # unbiased variance for the running estimate
         running_var += momentum * var.reshape(-1) * (n / max(n - 1, 1))
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mu) * inv
-        out = gam * xhat + bet
-
-        def bwd(g):
-            dgamma = (g * xhat).sum(axis=red_axes).astype(gamma.data.dtype)
-            dbeta = g.sum(axis=red_axes).astype(beta.data.dtype)
-            gx = g * gam
-            dx = inv * (gx - gx.mean(axis=red_axes, keepdims=True)
-                        - xhat * (gx * xhat).mean(axis=red_axes, keepdims=True))
-            return dx, dgamma, dbeta
-
-        return _make(out, (x, gamma, beta), bwd)
-
-    inv = 1.0 / np.sqrt(running_var.reshape(cshape) + eps)
-    xhat = (x.data - running_mean.reshape(cshape)) * inv
+    else:
+        mu = running_mean.reshape(cshape)
+        var = running_var.reshape(cshape)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mu) * inv
     out = gam * xhat + bet
 
-    def bwd_eval(g):
+    def bwd(g):
         dgamma = (g * xhat).sum(axis=red_axes).astype(gamma.data.dtype)
         dbeta = g.sum(axis=red_axes).astype(beta.data.dtype)
-        return g * gam * inv, dgamma, dbeta
+        gx = g * gam
+        if training:
+            # the batch statistics depend on x; in eval mode they are constants
+            gx = (gx - gx.mean(axis=red_axes, keepdims=True)
+                  - xhat * (gx * xhat).mean(axis=red_axes, keepdims=True))
+        return inv * gx, dgamma, dbeta
 
-    return _make(out, (x, gamma, beta), bwd_eval)
+    return _make(out, (x, gamma, beta), bwd)
 
 
 def _same_padding(length: int, kernel: int, stride: int) -> tuple[int, int]:

@@ -24,6 +24,7 @@ import struct
 
 import numpy as np
 
+from .atomic import atomic_open
 from .optim import AdamState
 
 MAGIC = b"DDKC"
@@ -92,7 +93,7 @@ def save_checkpoint(path, model, optimizer: AdamState | None = None,
             "step_count": optimizer.step_count,
         }
     header = json.dumps({"arrays": arrays, "meta": meta}, sort_keys=True).encode()
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IQ", VERSION, len(header)))
         fh.write(header)

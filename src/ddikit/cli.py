@@ -22,6 +22,7 @@ import time
 import numpy as np
 
 from . import __version__
+from .atomic import atomic_open
 from .checkpoint import (CheckpointError, config_fingerprint, load_checkpoint,
                          read_checkpoint, save_checkpoint)
 from .data import (DataError, SplitBundle, load_dataset, make_inductive_splits,
@@ -101,12 +102,19 @@ def _write_manifest(out_dir, subcommand, config, seed, inputs, outputs, t0):
         "wall_clock_seconds": round(time.time() - t0, 3),
     }
     path = os.path.join(out_dir, "manifest.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, path)
     return path
+
+
+def _write_csv(path, header: str, rows):
+    """One line per row; floats as ``.10g``, every other cell as ``str``."""
+    with atomic_open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{x:.10g}" if isinstance(x, float) else str(x)
+                              for x in row) + "\n")
 
 
 def _out(args, name):
@@ -167,10 +175,7 @@ def cmd_kg_train(args, cfg):
     idx_path = _out(args, "kg_table.index")
     save_table(table, bin_path, idx_path)
     loss_path = _out(args, "kg_loss.csv")
-    with open(loss_path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,loss\n")
-        for i, v in enumerate(history):
-            fh.write(f"{i},{v:.10g}\n")
+    _write_csv(loss_path, "epoch,loss", enumerate(history))
     return [args.triples], [bin_path, idx_path, loss_path]
 
 
@@ -181,7 +186,7 @@ def cmd_kg_export(args, cfg):
     out = _out(args, "drug_vectors.tsv")
     with open(args.drugs, encoding="utf-8") as fh:
         ids = [ln.split("\t")[0] for ln in fh if ln.strip()]
-    with open(out, "w", encoding="utf-8") as fh:
+    with atomic_open(out, "w") as fh:
         for d in ids:
             vec = embedder.entity_vector(d)
             fh.write(d + "\t" + " ".join(f"{x:.8g}" for x in vec) + "\n")
@@ -198,7 +203,7 @@ def cmd_split(args, cfg):
                                    n_folds=cfg.get("n_folds", 5))
     verify_split(bundle, events)
     out = _out(args, "splits.json")
-    with open(out, "w", encoding="utf-8") as fh:
+    with atomic_open(out, "w") as fh:
         fh.write(bundle.to_json())
         fh.write("\n")
     return [args.drugs, args.events, args.labels], [out]
@@ -217,10 +222,7 @@ def cmd_pretrain(args, cfg):
     ckpt = _out(args, "pretrained.ckpt")
     save_checkpoint(ckpt, model, epoch=pcfg.epochs)
     loss_path = _out(args, "pretrain_loss.csv")
-    with open(loss_path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,loss\n")
-        for i, v in enumerate(history):
-            fh.write(f"{i},{v:.10g}\n")
+    _write_csv(loss_path, "epoch,loss", enumerate(history))
     return [args.corpus, args.vocab], [ckpt, loss_path]
 
 
@@ -233,28 +235,35 @@ def _load_training_world(args):
     return drugs, events, label_map, bundle, vocab, table
 
 
-def _transfer_from(path, model: DdiModel, seed: int):
+def _load_model(path, model_cls, seed: int):
+    """Build ``model_cls`` with the architecture stored in the checkpoint at
+    ``path`` and load its weights into it."""
     meta, _ = read_checkpoint(path)
-    pcfg = ModelConfig(**meta["config"])
-    src = PretrainModel(pcfg, seed=seed)
-    load_checkpoint(path, src)
-    transfer_encoder_weights(src, model)
+    model = model_cls(ModelConfig(**meta["config"]), seed=seed)
+    load_checkpoint(path, model)
+    return model
+
+
+def _cv_fold(bundle: SplitBundle, k) -> tuple[list[int], list[int]]:
+    """(train, eval) event indices with cross-validation fold ``k`` held out."""
+    if type(k) is not int or not 0 <= k < len(bundle.folds):
+        raise ConfigError(f"fold {k!r} is not an integer in [0, {len(bundle.folds)})")
+    train = [i for f, fold in enumerate(bundle.folds) if f != k for i in fold]
+    return train, bundle.folds[k]
 
 
 def cmd_train(args, cfg):
     _reject_unknown(cfg, ModelConfig, FinetuneConfig,
                     extra={"eval_fold", "id_template"})
     drugs, events, label_map, bundle, vocab, table = _load_training_world(args)
+    train_idx, eval_idx = _cv_fold(bundle, cfg.get("eval_fold", 0))
     pair_vecs, embedder = _pair_vectors(events, table, cfg.get("id_template", "Compound::{id}"))
     fcfg = _take_fields(cfg, FinetuneConfig, seed=args.seed)
     mcfg, model = _build_model(cfg, len(vocab), len(label_map), 2 * table.dim, args.seed)
     if fcfg.max_len != mcfg.max_len:
         fcfg.max_len = mcfg.max_len
     if args.pretrained:
-        _transfer_from(args.pretrained, model, args.seed)
-    eval_fold = cfg.get("eval_fold", 0)
-    eval_idx = bundle.folds[eval_fold]
-    train_idx = [i for f, fold in enumerate(bundle.folds) if f != eval_fold for i in fold]
+        transfer_encoder_weights(_load_model(args.pretrained, PretrainModel, args.seed), model)
     ckpt = _out(args, "model.ckpt")
     history, best = finetune(model, train_idx, eval_idx, events, drugs, vocab,
                              pair_vecs, fcfg, checkpoint_path=ckpt,
@@ -262,10 +271,8 @@ def cmd_train(args, cfg):
                                  f"epoch {r.epoch}: loss {r.train_loss:.4f} "
                                  f"train_acc {r.train_accuracy:.3f} eval_acc {r.eval_accuracy:.3f}"))
     hist_path = _out(args, "history.csv")
-    with open(hist_path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,train_accuracy,eval_accuracy\n")
-        for r in history:
-            fh.write(f"{r.epoch},{r.train_loss:.10g},{r.train_accuracy:.10g},{r.eval_accuracy:.10g}\n")
+    _write_csv(hist_path, "epoch,train_loss,train_accuracy,eval_accuracy",
+               (dataclasses.astuple(r) for r in history))
     print(f"best eval accuracy {best:.4f}; kg miss rate {embedder.miss_rate:.3f}")
     inputs = [args.drugs, args.events, args.labels, args.splits, args.vocab,
               args.kg_table, args.kg_index]
@@ -275,32 +282,20 @@ def cmd_train(args, cfg):
 
 
 def _select_split(bundle: SplitBundle, name: str) -> list[int]:
-    if name == "train":
-        return bundle.train
-    if name == "u1":
-        return bundle.u1
-    if name == "u2":
-        return bundle.u2
+    if name in ("train", "u1", "u2"):
+        return getattr(bundle, name)
     if name.startswith("fold"):
-        return bundle.folds[int(name[4:])]
+        k = name[4:]
+        return _cv_fold(bundle, int(k) if k.isdecimal() else k)[1]
     raise ConfigError(f"unknown split {name!r} (use train, u1, u2 or foldK)")
-
-
-def _restore_model(path, seed: int) -> DdiModel:
-    meta, _ = read_checkpoint(path)
-    mcfg = ModelConfig(**meta["config"])
-    model = DdiModel(mcfg, seed=seed)
-    load_checkpoint(path, model)
-    model.eval()
-    return model
 
 
 def cmd_eval(args, cfg):
     _reject_unknown(cfg, extra={"id_template", "batch_size"})
     drugs, events, label_map, bundle, vocab, table = _load_training_world(args)
-    pair_vecs, _ = _pair_vectors(events, table, cfg.get("id_template", "Compound::{id}"))
-    model = _restore_model(args.checkpoint, args.seed)
     indices = _select_split(bundle, args.split)
+    pair_vecs, _ = _pair_vectors(events, table, cfg.get("id_template", "Compound::{id}"))
+    model = _load_model(args.checkpoint, DdiModel, args.seed)
     if not indices:
         raise DataError(f"split {args.split!r} is empty")
     scores = predict_scores(model, indices, events, drugs, vocab, pair_vecs,
@@ -309,16 +304,16 @@ def cmd_eval(args, cfg):
     truths = np.array([events[i].label for i in indices])
     report = evaluate(scores, truths, len(label_map))
     metrics_path = _out(args, "metrics.json")
-    with open(metrics_path, "w", encoding="utf-8") as fh:
+    with atomic_open(metrics_path, "w") as fh:
         fh.write(report.to_json())
         fh.write("\n")
     roc_pc, roc_micro = roc_auc(scores, truths)
     pr_pc, pr_micro = aupr(scores, truths)
     roc_path = _out(args, "roc.csv")
-    with open(roc_path, "w", encoding="utf-8") as fh:
+    with atomic_open(roc_path, "w") as fh:
         fh.write(curves_to_csv(roc_pc, roc_micro, "roc"))
     pr_path = _out(args, "pr.csv")
-    with open(pr_path, "w", encoding="utf-8") as fh:
+    with atomic_open(pr_path, "w") as fh:
         fh.write(curves_to_csv(pr_pc, pr_micro, "pr"))
     print(report.to_json())
     return ([args.checkpoint, args.drugs, args.events, args.labels, args.splits,
@@ -330,11 +325,11 @@ def cmd_sts(args, cfg):
     _reject_unknown(cfg, ModelConfig, FinetuneConfig,
                     extra={"eval_fold", "id_template", "min_class_count"})
     drugs, events, label_map, bundle, vocab, table = _load_training_world(args)
+    train_idx, eval_idx = _cv_fold(bundle, cfg.get("eval_fold", 0))
     pair_vecs, _ = _pair_vectors(events, table, cfg.get("id_template", "Compound::{id}"))
+    pretrained = (_load_model(args.pretrained, PretrainModel, args.seed)
+                  if args.pretrained else None)
     rng = np.random.default_rng(args.seed)
-    eval_fold = cfg.get("eval_fold", 0)
-    eval_idx = bundle.folds[eval_fold]
-    train_idx = [i for f, fold in enumerate(bundle.folds) if f != eval_fold for i in fold]
     series = sts_series(train_idx, events, rng,
                         min_class_count=cfg.get("min_class_count", 5))
     fcfg = _take_fields(cfg, FinetuneConfig, seed=args.seed)
@@ -343,8 +338,8 @@ def cmd_sts(args, cfg):
     for step, subset in enumerate(series):
         mcfg, model = _build_model(cfg, len(vocab), len(label_map), 2 * table.dim,
                                    args.seed + step)
-        if args.pretrained:
-            _transfer_from(args.pretrained, model, args.seed)
+        if pretrained is not None:
+            transfer_encoder_weights(pretrained, model)
         fcfg_step = dataclasses.replace(fcfg, max_len=mcfg.max_len)
         finetune(model, subset, [], events, drugs, vocab, pair_vecs, fcfg_step)
         accs = {}
@@ -360,11 +355,8 @@ def cmd_sts(args, cfg):
                      accs["eval"], accs["u1"], accs["u2"]))
         print(f"sts step {step}: size {len(subset)} eval {accs['eval']:.3f}")
     out = _out(args, "sts.csv")
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("step,train_fraction,train_size,eval_accuracy,u1_accuracy,u2_accuracy\n")
-        for row in rows:
-            fh.write(",".join(f"{x:.10g}" if isinstance(x, float) else str(x)
-                              for x in row) + "\n")
+    _write_csv(out, "step,train_fraction,train_size,eval_accuracy,u1_accuracy,u2_accuracy",
+               rows)
     inputs = [args.drugs, args.events, args.labels, args.splits, args.vocab,
               args.kg_table, args.kg_index]
     return inputs, [out]
@@ -373,21 +365,20 @@ def cmd_sts(args, cfg):
 def cmd_seqlen(args, cfg):
     _reject_unknown(cfg, extra={"id_template", "bin_width", "batch_size"})
     drugs, events, label_map, bundle, vocab, table = _load_training_world(args)
-    pair_vecs, _ = _pair_vectors(events, table, cfg.get("id_template", "Compound::{id}"))
-    model = _restore_model(args.checkpoint, args.seed)
     indices = _select_split(bundle, args.split)
+    pair_vecs, _ = _pair_vectors(events, table, cfg.get("id_template", "Compound::{id}"))
+    model = _load_model(args.checkpoint, DdiModel, args.seed)
     bins = seqlen_bins(indices, events, drugs, cfg.get("bin_width", 25),
                        max_len=model.cfg.max_len)
+    rows = []
+    for lo in sorted(bins):
+        idx = bins[lo]
+        scores = predict_scores(model, idx, events, drugs, vocab, pair_vecs,
+                                cfg.get("batch_size", 32), model.cfg.max_len)
+        truth = np.array([events[i].label for i in idx])
+        rows.append((lo, float((scores.argmax(axis=1) == truth).mean()), len(idx)))
     out = _out(args, "seqlen.csv")
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("bin_lo,mean_accuracy,count\n")
-        for lo in sorted(bins):
-            idx = bins[lo]
-            scores = predict_scores(model, idx, events, drugs, vocab, pair_vecs,
-                                    cfg.get("batch_size", 32), model.cfg.max_len)
-            truth = np.array([events[i].label for i in idx])
-            acc = float((scores.argmax(axis=1) == truth).mean())
-            fh.write(f"{lo},{acc:.10g},{len(idx)}\n")
+    _write_csv(out, "bin_lo,mean_accuracy,count", rows)
     return ([args.checkpoint, args.drugs, args.events, args.labels, args.splits,
              args.vocab, args.kg_table, args.kg_index], [out])
 

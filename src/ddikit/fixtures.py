@@ -7,6 +7,7 @@ import os
 
 import numpy as np
 
+from .atomic import atomic_open
 from .smiles import Atom, Bond, MolecularGraph, write_smiles
 
 _ELEMENTS = ["C", "C", "C", "C", "N", "O", "O", "S", "F", "Cl", "Br"]
@@ -65,12 +66,12 @@ def make_dataset_fixture(out_dir, n_drugs: int, n_events: int, n_classes: int,
     drug_ids = [f"D{i:04d}" for i in range(n_drugs)]
     smiles = random_smiles_corpus(n_drugs, rng)
     drugs_path = os.path.join(out_dir, "drugs.tsv")
-    with open(drugs_path, "w", encoding="utf-8") as fh:
+    with atomic_open(drugs_path, "w") as fh:
         for d, s in zip(drug_ids, smiles):
             fh.write(f"{d}\t{s}\n")
 
     labels_path = os.path.join(out_dir, "labels.txt")
-    with open(labels_path, "w", encoding="utf-8") as fh:
+    with atomic_open(labels_path, "w") as fh:
         for c in range(n_classes):
             fh.write(f"event_class_{c:02d}\n")
 
@@ -78,7 +79,7 @@ def make_dataset_fixture(out_dir, n_drugs: int, n_events: int, n_classes: int,
     drug_group = {d: int(rng.integers(n_classes)) for d in drug_ids}
     pairs = set()
     events_path = os.path.join(out_dir, "events.tsv")
-    with open(events_path, "w", encoding="utf-8") as fh:
+    with atomic_open(events_path, "w") as fh:
         written = 0
         while written < n_events:
             a, b = rng.choice(n_drugs, size=2, replace=False)
@@ -92,7 +93,7 @@ def make_dataset_fixture(out_dir, n_drugs: int, n_events: int, n_classes: int,
             written += 1
 
     corpus_path = os.path.join(out_dir, "corpus.txt")
-    with open(corpus_path, "w", encoding="utf-8") as fh:
+    with atomic_open(corpus_path, "w") as fh:
         for s in smiles:
             fh.write(s + "\n")
         for s in random_smiles_corpus(max(n_drugs // 2, 2), rng):
@@ -102,7 +103,7 @@ def make_dataset_fixture(out_dir, n_drugs: int, n_events: int, n_classes: int,
     genes = [f"Gene::G{i}" for i in range(max(n_drugs // 2, 4))]
     relations = ["targets", "binds", "upregulates"]
     triples = set()
-    with open(kg_path, "w", encoding="utf-8") as fh:
+    with atomic_open(kg_path, "w") as fh:
         for d in drug_ids:
             for _ in range(3):
                 gene = genes[int(rng.integers(len(genes)))]

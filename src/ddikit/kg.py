@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_open
+
 
 class TripleError(ValueError):
     pass
@@ -220,14 +222,14 @@ def save_table(table: EmbeddingTable, bin_path, index_path):
     names, one per line, in row order."""
     ent = np.ascontiguousarray(table.entities, dtype="<f8")
     rel = np.ascontiguousarray(table.relations, dtype="<f8")
-    with open(bin_path, "wb") as fh:
+    with atomic_open(bin_path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IQQQ", _VERSION, ent.shape[0], rel.shape[0], ent.shape[1]))
         fh.write(ent.tobytes())
         fh.write(rel.tobytes())
     ents = sorted(table.index.entities, key=table.index.entities.get)
     rels = sorted(table.index.relations, key=table.index.relations.get)
-    with open(index_path, "w", encoding="utf-8") as fh:
+    with atomic_open(index_path, "w") as fh:
         fh.write(f"entities\t{len(ents)}\n")
         for e in ents:
             fh.write(e + "\n")

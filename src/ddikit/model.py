@@ -291,24 +291,17 @@ class KgSelfAttention:
         return ad.reshape(out, (b, 2 * self.half))
 
 
-class DdiModel:
-    """Full network: logits = MLP2(concat(MLP1(conv(encoder(embed(seq)))),
-    kg_self_attention(pair_vec))). Softmax is applied by the loss/metrics
-    layer, not here."""
+class EncoderModel:
+    """Embedding stack + transformer encoder shared by both models. Subclasses
+    add their heads after this constructor, so ``embed.*`` and ``encoder.*``
+    come first in parameter order and RNG draws and transfer 1:1."""
 
-    def __init__(self, cfg: ModelConfig, seed: int = 0):
+    def __init__(self, cfg: ModelConfig, seed: int):
         self.cfg = cfg
-        rng = np.random.default_rng(seed)
-        self.store = ParamStore(rng, cfg.np_dtype)
+        self.store = ParamStore(np.random.default_rng(seed), cfg.np_dtype)
         self.rng = np.random.default_rng(seed + 1)  # dropout stream
         self.embeddings = EmbeddingStack(self.store, "embed", cfg)
         self.encoder = Encoder(self.store, "encoder", cfg)
-        self.conv = ConvModule(self.store, "conv", cfg)
-        conv_out = cfg.conv_out_len() * cfg.d_model
-        self.mlp1 = MlpModule(self.store, "mlp1", conv_out, cfg.mlp1_hidden, cfg.mlp1_out)
-        self.kg_attn = KgSelfAttention(self.store, "kg_attn", cfg)
-        self.mlp2 = MlpModule(self.store, "mlp2", cfg.mlp1_out + cfg.kg_dim,
-                              cfg.mlp2_hidden, cfg.n_classes)
         self.training = True
 
     def parameters(self) -> dict[str, Parameter]:
@@ -330,6 +323,21 @@ class DdiModel:
         x = self.embeddings(ids, segment_ids)
         return self.encoder(x, mask, self.rng, self.training)
 
+
+class DdiModel(EncoderModel):
+    """Full network: logits = MLP2(concat(MLP1(conv(encoder(embed(seq)))),
+    kg_self_attention(pair_vec))). Softmax is applied by the loss/metrics
+    layer, not here."""
+
+    def __init__(self, cfg: ModelConfig, seed: int = 0):
+        super().__init__(cfg, seed)
+        self.conv = ConvModule(self.store, "conv", cfg)
+        conv_out = cfg.conv_out_len() * cfg.d_model
+        self.mlp1 = MlpModule(self.store, "mlp1", conv_out, cfg.mlp1_hidden, cfg.mlp1_out)
+        self.kg_attn = KgSelfAttention(self.store, "kg_attn", cfg)
+        self.mlp2 = MlpModule(self.store, "mlp2", cfg.mlp1_out + cfg.kg_dim,
+                              cfg.mlp2_hidden, cfg.n_classes)
+
     def forward(self, ids: np.ndarray, segment_ids: np.ndarray, mask: np.ndarray,
                 pair_vec: np.ndarray) -> Tensor:
         """ids/segment_ids: int [batch, max_len]; mask: bool [batch, max_len];
@@ -341,36 +349,14 @@ class DdiModel:
         return self.mlp2(fused, self.training)
 
 
-class PretrainModel:
+class PretrainModel(EncoderModel):
     """Embedding stack + encoder + token-prediction head for masked-token
     pretraining. Shares the architecture (and parameter names) of the main
     model's encoder so weights transfer 1:1."""
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
-        self.cfg = cfg
-        rng = np.random.default_rng(seed)
-        self.store = ParamStore(rng, cfg.np_dtype)
-        self.rng = np.random.default_rng(seed + 1)
-        self.embeddings = EmbeddingStack(self.store, "embed", cfg)
-        self.encoder = Encoder(self.store, "encoder", cfg)
+        super().__init__(cfg, seed)
         self.lm_head = Linear(self.store, "lm_head", cfg.d_model, cfg.vocab_size)
-        self.training = True
-
-    def parameters(self) -> dict[str, Parameter]:
-        return self.store.params
-
-    def buffers(self) -> dict[str, np.ndarray]:
-        return self.store.buffers
-
-    def train(self):
-        self.training = True
-
-    def eval(self):
-        self.training = False
-
-    def encode(self, ids, segment_ids, mask) -> Tensor:
-        x = self.embeddings(ids, segment_ids)
-        return self.encoder(x, mask, self.rng, self.training)
 
     def masked_logits(self, ids, segment_ids, mask, flat_positions: np.ndarray) -> Tensor:
         """Logits only at the masked positions (flat indices into the

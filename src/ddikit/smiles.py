@@ -19,6 +19,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .atomic import atomic_open
+
 ORGANIC_UPPER = {"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"}
 ORGANIC_AROMATIC = {"b", "c", "n", "o", "p", "s"}
 BOND_CHARS = {"-": "single", "=": "double", "#": "triple", ":": "aromatic",
@@ -559,7 +561,7 @@ class Vocabulary:
         return cls(kept, counts)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, "w") as fh:
             for t in self.tokens:
                 fh.write(t + "\n")
 

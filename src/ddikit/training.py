@@ -98,19 +98,13 @@ def mlm_pretrain(model: PretrainModel, corpus: list[str], vocab: Vocabulary,
     opt = AdamState(learning_rate=cfg.learning_rate)
     history: list[float] = []
     n = len(corpus)
-    encoded_cache: dict[tuple[int, int], TokenSequence] = {}
     for epoch in range(cfg.epochs):
         pairs = make_pretrain_pairs(n, rng)
         order = rng.permutation(n)
         total, count = 0.0, 0
         for lo in range(0, n, cfg.batch_size):
             chunk = [pairs[k] for k in order[lo:lo + cfg.batch_size]]
-            seqs = []
-            for i, j in chunk:
-                key = (i, j)
-                if key not in encoded_cache:
-                    encoded_cache[key] = encode_pair(corpus[i], corpus[j], vocab, cfg.max_len)
-                seqs.append(encoded_cache[key])
+            seqs = [encode_pair(corpus[i], corpus[j], vocab, cfg.max_len) for i, j in chunk]
             masked_ids = []
             flat_positions = []
             targets = []
@@ -119,9 +113,8 @@ def mlm_pretrain(model: PretrainModel, corpus: list[str], vocab: Vocabulary,
                 masked_ids.append(mids)
                 flat_positions.append(plan.positions + row * cfg.max_len)
                 targets.append(plan.original_ids)
+            _, segs, mask = _stack(seqs)
             ids = np.stack(masked_ids)
-            segs = np.stack([s.segment_ids for s in seqs])
-            mask = np.stack([s.attention_mask for s in seqs])
             flat_positions = np.concatenate(flat_positions)
             targets = np.concatenate(targets)
             tape = Tape()

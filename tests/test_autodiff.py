@@ -167,8 +167,10 @@ def test_layer_norm_normalizes():
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("mode", ["2d", "3d"])
-def test_batch_norm_train_grads(seed, mode):
+@pytest.mark.parametrize("mode,training", [("2d", True), ("3d", True),
+                                           ("2d", False), ("3d", False)],
+                         ids=["2d", "3d", "2d-eval", "3d-eval"])
+def test_batch_norm_train_grads(seed, mode, training):
     rng = np.random.default_rng(seed)
     shape = (6, 4) if mode == "2d" else (3, 4, 5)
     arrays = {"x": r(rng, *shape), "g": 1.0 + 0.1 * r(rng, 4), "b": r(rng, 4)}
@@ -179,7 +181,7 @@ def test_batch_norm_train_grads(seed, mode):
     def build(t):
         rm = np.zeros(4)
         rv = np.ones(4)
-        y = ad.batch_norm(t["x"], t["g"], t["b"], rm, rv, training=True)
+        y = ad.batch_norm(t["x"], t["g"], t["b"], rm, rv, training=training)
         return ad.tsum(ad.mul(ad.mul(y, c), y))
 
     assert check_grads(build, arrays) < TOL

@@ -165,3 +165,30 @@ def test_malformed_data_exits_3(tmp_path, capsys):
              "--out-dir", tmp_path / "o")
     assert rc == 3
     assert "ddikit:error:data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub,bad", [
+    ("train", ["--set", "eval_fold=9"]),
+    ("train", ["--set", 'eval_fold="a"']),
+    ("train", ["--set", "eval_fold=-1"]),
+    ("train", ["--set", "eval_fold=true"]),
+    ("sts", ["--set", "eval_fold=-1"]),
+    ("eval", ["--split", "fold9"]),
+    ("eval", ["--split", "foldx"]),
+    ("eval", ["--split", "fold-1"]),
+    ("seqlen", ["--split", "fold5"]),
+], ids=["train-9", "train-str", "train-neg", "train-bool", "sts-neg",
+        "eval-fold9", "eval-foldx", "eval-fold-1", "seqlen-fold5"])
+def test_bad_fold_exits_2(world, capsys, sub, bad):
+    if sub in ("eval", "seqlen"):
+        if not (world / "run/model.ckpt").exists():
+            assert run("train", *dataset_args(world), "--out-dir", world / "run",
+                       "--seed", 0, "--config", world / "tiny.json") == 0
+        bad = ["--checkpoint", world / "run/model.ckpt", *bad]
+    else:
+        bad = ["--config", world / "tiny.json", *bad]
+    capsys.readouterr()
+    rc = run(sub, *dataset_args(world), "--out-dir", world / "badfold", *bad)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("ddikit:error:config: fold")
