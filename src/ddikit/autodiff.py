@@ -445,38 +445,32 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     return _make(out, (x, gamma, beta), bwd)
 
 
-def _same_padding(length: int, kernel: int, stride: int) -> tuple[int, int]:
-    out_len = -(-length // stride)
-    total = max((out_len - 1) * stride + kernel - length, 0)
-    left = total // 2
-    return left, total - left
-
-
-def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
-    """1-d convolution with zero "same" padding.
+def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Stride-1 1-d convolution with zero "same" padding: (kernel - 1) // 2
+    zeros on the left, the rest on the right.
 
     x: [batch, in_channels, length], w: [out_channels, in_channels, kernel],
-    b: [out_channels]. Output length is ceil(length / stride).
+    b: [out_channels]. Output length is length.
     """
     bsz, cin, length = x.data.shape
     cout, cin_w, kernel = w.data.shape
     if cin != cin_w:
         raise ShapeError(f"conv1d channel mismatch: input {cin} vs kernel {cin_w}")
-    pl, pr = _same_padding(length, kernel, stride)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pl, pr)))
-    cols = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=2)[:, :, ::stride, :]
+    pl = (kernel - 1) // 2
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pl, kernel - 1 - pl)))
+    cols = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=2)
     out = np.einsum("bilk,oik->bol", cols, w.data, optimize=True) + b.data[None, :, None]
     out = np.ascontiguousarray(out)
-    out_len = cols.shape[2]
-    starts = np.arange(out_len) * stride
-    positions = starts[:, None] + np.arange(kernel)[None, :]
 
     def bwd(g):
         dw = np.einsum("bilk,bol->oik", cols, g, optimize=True).astype(w.data.dtype)
         db = g.sum(axis=(0, 2)).astype(b.data.dtype)
-        dcols = np.einsum("oik,bol->bilk", w.data, g, optimize=True)
         dxp = np.zeros_like(xp)
-        np.add.at(dxp, (slice(None), slice(None), positions), dcols)
+        # Tap k of every output position lands on padded input k..k+length.
+        # Taps go in descending k, the order in which an np.add.at scatter
+        # of the window gradients accumulates, so the two agree bit for bit.
+        for k in reversed(range(kernel)):
+            dxp[:, :, k:k + length] += w.data[:, :, k].T @ g
         return dxp[:, :, pl:pl + length], dw, db
 
     return _make(out, (x, w, b), bwd)

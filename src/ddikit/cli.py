@@ -28,17 +28,23 @@ from .checkpoint import (CheckpointError, config_fingerprint, load_checkpoint,
 from .data import (DataError, SplitBundle, load_dataset, make_inductive_splits,
                    seqlen_bins, sts_series, verify_split)
 from .fixtures import make_dataset_fixture
-from .kg import (PairEmbedder, TransEConfig, TripleError, load_table,
+from .kg import (ID_TEMPLATE, PairEmbedder, TransEConfig, TripleError, load_table,
                  load_triples, save_table, train_transe)
 from .metrics import curves_to_csv, evaluate, roc_auc, aupr
 from .model import DdiModel, ModelConfig, PretrainModel, transfer_encoder_weights
 from .smiles import SmilesError, Vocabulary
-from .training import (FinetuneConfig, PretrainConfig, finetune, mlm_pretrain,
-                       predict_scores)
+from .training import (FinetuneConfig, PretrainConfig, accuracy, finetune,
+                       mlm_pretrain, predict_scores)
 
 
 class ConfigError(ValueError):
     pass
+
+
+# Every argument that names a file a subcommand reads; the manifest hashes
+# each one given on the command line.
+_INPUT_ARGS = ("checkpoint", "corpus", "triples", "table", "index", "drugs", "events",
+               "labels", "splits", "vocab", "kg_table", "kg_index", "pretrained")
 
 
 def _sha256(path) -> str:
@@ -90,22 +96,21 @@ def _reject_unknown(cfg: dict, *dc_types, extra: set[str] = frozenset()):
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
 
-def _write_manifest(out_dir, subcommand, config, seed, inputs, outputs, t0):
+def _write_manifest(args, config, outputs, t0):
+    inputs = [getattr(args, name, None) for name in _INPUT_ARGS]
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "version": __version__,
-        "seed": seed,
+        "seed": args.seed,
         "effective_config": config,
         "config_fingerprint": config_fingerprint(config),
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": {str(p): _sha256(p) for p in inputs if p},
         "outputs": [os.path.basename(str(p)) for p in outputs],
         "wall_clock_seconds": round(time.time() - t0, 3),
     }
-    path = os.path.join(out_dir, "manifest.json")
-    with atomic_open(path, "w") as fh:
+    with atomic_open(_out(args, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _write_csv(path, header: str, rows):
@@ -137,10 +142,9 @@ def _pair_vectors(events, table, id_template) -> tuple[np.ndarray, PairEmbedder]
 
 
 def _build_model(cfg: dict, vocab_size: int, n_classes: int, kg_dim: int,
-                 seed: int) -> tuple[ModelConfig, DdiModel]:
-    mcfg = _take_fields(cfg, ModelConfig, vocab_size=vocab_size,
-                        n_classes=n_classes, kg_dim=kg_dim)
-    return mcfg, DdiModel(mcfg, seed=seed)
+                 seed: int) -> DdiModel:
+    return DdiModel(_take_fields(cfg, ModelConfig, vocab_size=vocab_size,
+                                 n_classes=n_classes, kg_dim=kg_dim), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +153,15 @@ def _build_model(cfg: dict, vocab_size: int, n_classes: int, kg_dim: int,
 
 def cmd_make_fixture(args, cfg):
     _reject_unknown(cfg, extra={"n_drugs", "n_events", "n_classes"})
-    paths = make_dataset_fixture(args.out_dir,
-                                 n_drugs=cfg.get("n_drugs", 40),
-                                 n_events=cfg.get("n_events", 300),
-                                 n_classes=cfg.get("n_classes", 8),
-                                 seed=args.seed)
-    return [], list(paths.values())
+    try:
+        paths = make_dataset_fixture(args.out_dir,
+                                     n_drugs=cfg.get("n_drugs", 40),
+                                     n_events=cfg.get("n_events", 300),
+                                     n_classes=cfg.get("n_classes", 8),
+                                     seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return list(paths.values())
 
 
 def cmd_vocab(args, cfg):
@@ -163,7 +170,7 @@ def cmd_vocab(args, cfg):
     vocab = Vocabulary.build(corpus, min_count=cfg.get("min_count", 1))
     out = _out(args, "vocab.txt")
     vocab.save(out)
-    return [args.corpus], [out]
+    return [out]
 
 
 def cmd_kg_train(args, cfg):
@@ -176,13 +183,13 @@ def cmd_kg_train(args, cfg):
     save_table(table, bin_path, idx_path)
     loss_path = _out(args, "kg_loss.csv")
     _write_csv(loss_path, "epoch,loss", enumerate(history))
-    return [args.triples], [bin_path, idx_path, loss_path]
+    return [bin_path, idx_path, loss_path]
 
 
 def cmd_kg_export(args, cfg):
     _reject_unknown(cfg, extra={"id_template"})
     table = load_table(args.table, args.index)
-    embedder = PairEmbedder(table, id_template=cfg.get("id_template", "Compound::{id}"))
+    embedder = PairEmbedder(table, id_template=cfg.get("id_template", ID_TEMPLATE))
     out = _out(args, "drug_vectors.tsv")
     with open(args.drugs, encoding="utf-8") as fh:
         ids = [ln.split("\t")[0] for ln in fh if ln.strip()]
@@ -191,7 +198,7 @@ def cmd_kg_export(args, cfg):
             vec = embedder.entity_vector(d)
             fh.write(d + "\t" + " ".join(f"{x:.8g}" for x in vec) + "\n")
     print(f"exported {len(ids)} drugs, miss rate {embedder.miss_rate:.3f}")
-    return [args.table, args.index, args.drugs], [out]
+    return [out]
 
 
 def cmd_split(args, cfg):
@@ -206,7 +213,7 @@ def cmd_split(args, cfg):
     with atomic_open(out, "w") as fh:
         fh.write(bundle.to_json())
         fh.write("\n")
-    return [args.drugs, args.events, args.labels], [out]
+    return [out]
 
 
 def cmd_pretrain(args, cfg):
@@ -223,16 +230,20 @@ def cmd_pretrain(args, cfg):
     save_checkpoint(ckpt, model, epoch=pcfg.epochs)
     loss_path = _out(args, "pretrain_loss.csv")
     _write_csv(loss_path, "epoch,loss", enumerate(history))
-    return [args.corpus, args.vocab], [ckpt, loss_path]
+    return [ckpt, loss_path]
 
 
-def _load_training_world(args):
+def _load_training_world(args, cfg):
+    """The dataset, splits, vocabulary and per-event KG pair vectors that
+    train, eval, sts and seqlen share, plus the embedder that built the
+    vectors (for its miss rate)."""
     drugs, events, label_map = load_dataset(args.drugs, args.events, args.labels)
     with open(args.splits, encoding="utf-8") as fh:
         bundle = SplitBundle.from_json(fh.read())
     vocab = Vocabulary.load(args.vocab)
     table = load_table(args.kg_table, args.kg_index)
-    return drugs, events, label_map, bundle, vocab, table
+    pair_vecs, embedder = _pair_vectors(events, table, cfg.get("id_template", ID_TEMPLATE))
+    return drugs, events, label_map, bundle, vocab, pair_vecs, embedder
 
 
 def _load_model(path, model_cls, seed: int):
@@ -255,13 +266,11 @@ def _cv_fold(bundle: SplitBundle, k) -> tuple[list[int], list[int]]:
 def cmd_train(args, cfg):
     _reject_unknown(cfg, ModelConfig, FinetuneConfig,
                     extra={"eval_fold", "id_template"})
-    drugs, events, label_map, bundle, vocab, table = _load_training_world(args)
+    drugs, events, label_map, bundle, vocab, pair_vecs, embedder = \
+        _load_training_world(args, cfg)
     train_idx, eval_idx = _cv_fold(bundle, cfg.get("eval_fold", 0))
-    pair_vecs, embedder = _pair_vectors(events, table, cfg.get("id_template", "Compound::{id}"))
     fcfg = _take_fields(cfg, FinetuneConfig, seed=args.seed)
-    mcfg, model = _build_model(cfg, len(vocab), len(label_map), 2 * table.dim, args.seed)
-    if fcfg.max_len != mcfg.max_len:
-        fcfg.max_len = mcfg.max_len
+    model = _build_model(cfg, len(vocab), len(label_map), pair_vecs.shape[1], args.seed)
     if args.pretrained:
         transfer_encoder_weights(_load_model(args.pretrained, PretrainModel, args.seed), model)
     ckpt = _out(args, "model.ckpt")
@@ -274,11 +283,7 @@ def cmd_train(args, cfg):
     _write_csv(hist_path, "epoch,train_loss,train_accuracy,eval_accuracy",
                (dataclasses.astuple(r) for r in history))
     print(f"best eval accuracy {best:.4f}; kg miss rate {embedder.miss_rate:.3f}")
-    inputs = [args.drugs, args.events, args.labels, args.splits, args.vocab,
-              args.kg_table, args.kg_index]
-    if args.pretrained:
-        inputs.append(args.pretrained)
-    return inputs, [ckpt, hist_path]
+    return [ckpt, hist_path]
 
 
 def _select_split(bundle: SplitBundle, name: str) -> list[int]:
@@ -292,9 +297,8 @@ def _select_split(bundle: SplitBundle, name: str) -> list[int]:
 
 def cmd_eval(args, cfg):
     _reject_unknown(cfg, extra={"id_template", "batch_size"})
-    drugs, events, label_map, bundle, vocab, table = _load_training_world(args)
+    drugs, events, label_map, bundle, vocab, pair_vecs, _ = _load_training_world(args, cfg)
     indices = _select_split(bundle, args.split)
-    pair_vecs, _ = _pair_vectors(events, table, cfg.get("id_template", "Compound::{id}"))
     model = _load_model(args.checkpoint, DdiModel, args.seed)
     if not indices:
         raise DataError(f"split {args.split!r} is empty")
@@ -316,17 +320,14 @@ def cmd_eval(args, cfg):
     with atomic_open(pr_path, "w") as fh:
         fh.write(curves_to_csv(pr_pc, pr_micro, "pr"))
     print(report.to_json())
-    return ([args.checkpoint, args.drugs, args.events, args.labels, args.splits,
-             args.vocab, args.kg_table, args.kg_index],
-            [metrics_path, roc_path, pr_path])
+    return [metrics_path, roc_path, pr_path]
 
 
 def cmd_sts(args, cfg):
     _reject_unknown(cfg, ModelConfig, FinetuneConfig,
                     extra={"eval_fold", "id_template", "min_class_count"})
-    drugs, events, label_map, bundle, vocab, table = _load_training_world(args)
+    drugs, events, label_map, bundle, vocab, pair_vecs, _ = _load_training_world(args, cfg)
     train_idx, eval_idx = _cv_fold(bundle, cfg.get("eval_fold", 0))
-    pair_vecs, _ = _pair_vectors(events, table, cfg.get("id_template", "Compound::{id}"))
     pretrained = (_load_model(args.pretrained, PretrainModel, args.seed)
                   if args.pretrained else None)
     rng = np.random.default_rng(args.seed)
@@ -336,51 +337,36 @@ def cmd_sts(args, cfg):
     rows = []
     start = len(series[0])
     for step, subset in enumerate(series):
-        mcfg, model = _build_model(cfg, len(vocab), len(label_map), 2 * table.dim,
-                                   args.seed + step)
+        model = _build_model(cfg, len(vocab), len(label_map), pair_vecs.shape[1],
+                             args.seed + step)
         if pretrained is not None:
             transfer_encoder_weights(pretrained, model)
-        fcfg_step = dataclasses.replace(fcfg, max_len=mcfg.max_len)
-        finetune(model, subset, [], events, drugs, vocab, pair_vecs, fcfg_step)
-        accs = {}
-        for name, idx in (("eval", eval_idx), ("u1", bundle.u1), ("u2", bundle.u2)):
-            if not idx:
-                accs[name] = float("nan")
-                continue
-            scores = predict_scores(model, idx, events, drugs, vocab, pair_vecs,
-                                    fcfg.batch_size, mcfg.max_len)
-            truth = np.array([events[i].label for i in idx])
-            accs[name] = float((scores.argmax(axis=1) == truth).mean())
+        finetune(model, subset, [], events, drugs, vocab, pair_vecs, fcfg)
+        accs = {name: accuracy(model, idx, events, drugs, vocab, pair_vecs, fcfg.batch_size)
+                if idx else float("nan")
+                for name, idx in (("eval", eval_idx), ("u1", bundle.u1), ("u2", bundle.u2))}
         rows.append((step, len(subset) / start, len(subset),
                      accs["eval"], accs["u1"], accs["u2"]))
         print(f"sts step {step}: size {len(subset)} eval {accs['eval']:.3f}")
     out = _out(args, "sts.csv")
     _write_csv(out, "step,train_fraction,train_size,eval_accuracy,u1_accuracy,u2_accuracy",
                rows)
-    inputs = [args.drugs, args.events, args.labels, args.splits, args.vocab,
-              args.kg_table, args.kg_index]
-    return inputs, [out]
+    return [out]
 
 
 def cmd_seqlen(args, cfg):
     _reject_unknown(cfg, extra={"id_template", "bin_width", "batch_size"})
-    drugs, events, label_map, bundle, vocab, table = _load_training_world(args)
+    drugs, events, _, bundle, vocab, pair_vecs, _ = _load_training_world(args, cfg)
     indices = _select_split(bundle, args.split)
-    pair_vecs, _ = _pair_vectors(events, table, cfg.get("id_template", "Compound::{id}"))
     model = _load_model(args.checkpoint, DdiModel, args.seed)
     bins = seqlen_bins(indices, events, drugs, cfg.get("bin_width", 25),
                        max_len=model.cfg.max_len)
-    rows = []
-    for lo in sorted(bins):
-        idx = bins[lo]
-        scores = predict_scores(model, idx, events, drugs, vocab, pair_vecs,
-                                cfg.get("batch_size", 32), model.cfg.max_len)
-        truth = np.array([events[i].label for i in idx])
-        rows.append((lo, float((scores.argmax(axis=1) == truth).mean()), len(idx)))
+    batch_size = cfg.get("batch_size", 32)
+    rows = [(lo, accuracy(model, idx, events, drugs, vocab, pair_vecs, batch_size), len(idx))
+            for lo, idx in sorted(bins.items())]
     out = _out(args, "seqlen.csv")
     _write_csv(out, "bin_lo,mean_accuracy,count", rows)
-    return ([args.checkpoint, args.drugs, args.events, args.labels, args.splits,
-             args.vocab, args.kg_table, args.kg_index], [out])
+    return [out]
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +379,6 @@ def _add_common(p):
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a config key")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=int, default=1)
 
 
 def _add_dataset_args(p):
@@ -479,16 +464,11 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
     t0 = time.time()
     try:
         cfg = _load_config(args)
-        inputs, outputs = _HANDLERS[args.subcommand](args, cfg)
-        os.makedirs(args.out_dir, exist_ok=True)
-        _write_manifest(args.out_dir, args.subcommand, cfg, args.seed,
-                        inputs, outputs, t0)
+        outputs = _HANDLERS[args.subcommand](args, cfg)
+        _write_manifest(args, cfg, outputs, t0)
         return 0
     except ConfigError as exc:
         print(f"ddikit:error:config: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smiles import parse_smiles, tokenize, SmilesError, Vocabulary
+from .smiles import parse_smiles, tokenize, SmilesError
 
 
 class DataError(ValueError):

@@ -17,6 +17,10 @@ import numpy as np
 from .atomic import atomic_open
 
 
+# How a dataset drug id is named in the knowledge graph.
+ID_TEMPLATE = "Compound::{id}"
+
+
 class TripleError(ValueError):
     pass
 
@@ -185,7 +189,7 @@ class PairEmbedder:
     """Maps dataset drug ids to concatenated KG vectors of length 2*dim."""
 
     table: EmbeddingTable
-    id_template: str = "Compound::{id}"
+    id_template: str = ID_TEMPLATE
     miss_count: int = field(default=0)
     hit_count: int = field(default=0)
 

@@ -125,14 +125,13 @@ class BatchNorm1d:
 
 class Conv1d:
     def __init__(self, store: ParamStore, name: str, c_in: int, c_out: int,
-                 kernel: int, stride: int = 1):
+                 kernel: int):
         std = 1.0 / math.sqrt(c_in * kernel)
         self.w = store.param(f"{name}.w", (c_out, c_in, kernel), std=std)
         self.b = store.param(f"{name}.b", (c_out,), init="zeros")
-        self.stride = stride
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.conv1d(x, self.w, self.b, stride=self.stride)
+        return ad.conv1d(x, self.w, self.b)
 
 
 def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,

@@ -20,7 +20,7 @@ from .checkpoint import save_checkpoint
 from .data import DdiEvent, DrugRecord
 from .model import DdiModel, PretrainModel
 from .optim import AdamState, adam_step, zero_grads
-from .smiles import (MASK, PAD, SEP, TokenSequence, Vocabulary, encode_pair,
+from .smiles import (MASK, SEP, TokenSequence, Vocabulary, encode_pair,
                      randomize_smiles)
 
 
@@ -186,6 +186,16 @@ def predict_scores(model: DdiModel, indices, events, drugs, vocab,
     return np.concatenate(rows, axis=0)
 
 
+def accuracy(model: DdiModel, indices, events, drugs, vocab, pair_vecs: np.ndarray,
+             batch_size: int) -> float:
+    """Share of the events at ``indices`` whose highest-scoring class is
+    their label."""
+    scores = predict_scores(model, indices, events, drugs, vocab, pair_vecs,
+                            batch_size, model.cfg.max_len)
+    truth = np.array([events[i].label for i in indices])
+    return float((scores.argmax(axis=1) == truth).mean())
+
+
 def finetune(model: DdiModel, train_indices: list[int], eval_indices: list[int],
              events: list[DdiEvent], drugs: dict[str, DrugRecord],
              vocab: Vocabulary, pair_vecs: np.ndarray, cfg: FinetuneConfig,
@@ -228,13 +238,8 @@ def finetune(model: DdiModel, train_indices: list[int], eval_indices: list[int],
             seen += len(chunk)
         train_loss = total / seen
         train_acc = correct / seen
-        if eval_indices:
-            scores = predict_scores(model, eval_indices, events, drugs, vocab,
-                                    pair_vecs, cfg.batch_size, cfg.max_len)
-            truth = np.array([events[i].label for i in eval_indices])
-            eval_acc = float((scores.argmax(axis=1) == truth).mean())
-        else:
-            eval_acc = train_acc
+        eval_acc = (accuracy(model, eval_indices, events, drugs, vocab, pair_vecs,
+                             cfg.batch_size) if eval_indices else train_acc)
         history.append(EpochRecord(epoch, train_loss, train_acc, eval_acc))
         if progress:
             progress(history[-1])

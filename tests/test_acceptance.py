@@ -477,9 +477,9 @@ def run_pipeline(root, tag):
             "--kg-table", out / "kg/kg_table.bin", "--kg-index",
             out / "kg/kg_table.index"]
     run("train", *data, "--pretrained", out / "pre/pretrained.ckpt",
-        "--out-dir", out / "run", "--seed", 0, "--config", cfg, "--threads", 1)
+        "--out-dir", out / "run", "--seed", 0, "--config", cfg)
     run("eval", "--checkpoint", out / "run/model.ckpt", "--split", "u1",
-        *data, "--out-dir", out / "ev", "--seed", 0, "--threads", 1)
+        *data, "--out-dir", out / "ev", "--seed", 0)
     return (out / "ev/metrics.json").read_bytes()
 
 

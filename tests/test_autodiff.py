@@ -240,6 +240,40 @@ def test_conv1d_same_padding_matches_manual():
     assert np.abs(y[0, 0] - want).max() < 1e-12
 
 
+def _scatter_conv1d_dx(x, w, g):
+    """Input gradient of a same-padded stride-1 conv1d via an np.add.at
+    scatter of the per-window gradients (the reference formulation)."""
+    kernel, length = w.shape[2], x.shape[2]
+    pl = (kernel - 1) // 2
+    dxp = np.zeros((*x.shape[:2], length + kernel - 1), dtype=x.dtype)
+    positions = np.arange(length)[:, None] + np.arange(kernel)[None, :]
+    dcols = np.einsum("oik,bol->bilk", w, g, optimize=True)
+    np.add.at(dxp, (slice(None), slice(None), positions), dcols)
+    return dxp[:, :, pl:pl + length]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(2, 3, 7, 3), (4, 8, 17, 5), (2, 4, 9, 4),
+                                   (3, 5, 6, 1), (16, 32, 96, 3), (4, 64, 125, 3)])
+def test_conv1d_input_grad_matches_scatter(dtype, shape):
+    bsz, c, length, kernel = shape
+    rng = np.random.default_rng(sum(shape))
+    x, w, g = (rng.standard_normal(s).astype(dtype)
+               for s in ((bsz, c, length), (c + 1, c, kernel), (bsz, c + 1, length)))
+    tape = Tape()
+    with tape:
+        ad.conv1d(Tensor(x, requires_grad=True, dtype=dtype),
+                  Tensor(w, requires_grad=True, dtype=dtype),
+                  Tensor(np.zeros(c + 1), requires_grad=True, dtype=dtype))
+    dx = tape.entries[-1].backward_fn(g)[0]
+    want = _scatter_conv1d_dx(x, w, g)
+    assert dx.dtype == want.dtype
+    if dtype == np.float32:
+        assert np.array_equal(dx, want)
+    else:
+        assert np.abs(dx - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_max_pool_ceil_mode():
     x = Tensor(np.arange(5, dtype=np.float64).reshape(1, 1, 5))
     with no_grad():

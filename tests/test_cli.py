@@ -3,10 +3,14 @@ files, and rerun determinism. Commands run in process through cli.main."""
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ddikit
 from ddikit.cli import main
 
 TINY = {"d_model": 8, "n_layers": 1, "n_heads": 2, "d_ff": 8, "max_len": 32,
@@ -48,6 +52,25 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def trained(world):
+    """Path of the fine-tuned checkpoint, training it on first use."""
+    ckpt = world / "run/model.ckpt"
+    if not ckpt.exists():
+        assert run("train", *dataset_args(world), "--out-dir", world / "run",
+                   "--seed", 0, "--config", world / "tiny.json") == 0
+    return ckpt
+
+
+def pretrained(world):
+    """Path of the pretrained checkpoint, pretraining it on first use."""
+    ckpt = world / "pre/pretrained.ckpt"
+    if not ckpt.exists():
+        assert run("pretrain", "--corpus", world / "fix/corpus.txt", "--vocab",
+                   world / "vocab/vocab.txt", "--out-dir", world / "pre",
+                   "--seed", 0, "--config", world / "tiny.json") == 0
+    return ckpt
+
+
 def test_every_run_writes_a_manifest(world):
     for sub in ("fix", "vocab", "kg", "split"):
         m = json.loads((world / sub / "manifest.json").read_text())
@@ -83,11 +106,8 @@ def test_train_eval_roundtrip(world):
 
 
 def test_eval_is_deterministic(world):
-    if not (world / "run/model.ckpt").exists():
-        assert run("train", *dataset_args(world), "--out-dir", world / "run",
-                   "--seed", 0, "--config", world / "tiny.json") == 0
     for d in ("ev_a", "ev_b"):
-        assert run("eval", "--checkpoint", world / "run/model.ckpt", "--split",
+        assert run("eval", "--checkpoint", trained(world), "--split",
                    "train", *dataset_args(world), "--out-dir", world / d,
                    "--seed", 0) == 0
     a = (world / "ev_a/metrics.json").read_bytes()
@@ -96,10 +116,7 @@ def test_eval_is_deterministic(world):
 
 
 def test_seqlen_command(world):
-    if not (world / "run/model.ckpt").exists():
-        assert run("train", *dataset_args(world), "--out-dir", world / "run",
-                   "--seed", 0, "--config", world / "tiny.json") == 0
-    rc = run("seqlen", "--checkpoint", world / "run/model.ckpt", "--split",
+    rc = run("seqlen", "--checkpoint", trained(world), "--split",
              "train", *dataset_args(world), "--out-dir", world / "sl",
              "--seed", 0, "--set", "bin_width=8")
     assert rc == 0
@@ -181,10 +198,7 @@ def test_malformed_data_exits_3(tmp_path, capsys):
         "eval-fold9", "eval-foldx", "eval-fold-1", "seqlen-fold5"])
 def test_bad_fold_exits_2(world, capsys, sub, bad):
     if sub in ("eval", "seqlen"):
-        if not (world / "run/model.ckpt").exists():
-            assert run("train", *dataset_args(world), "--out-dir", world / "run",
-                       "--seed", 0, "--config", world / "tiny.json") == 0
-        bad = ["--checkpoint", world / "run/model.ckpt", *bad]
+        bad = ["--checkpoint", trained(world), *bad]
     else:
         bad = ["--config", world / "tiny.json", *bad]
     capsys.readouterr()
@@ -192,3 +206,61 @@ def test_bad_fold_exits_2(world, capsys, sub, bad):
     err = capsys.readouterr().err.splitlines()
     assert rc == 2
     assert len(err) == 1 and err[0].startswith("ddikit:error:config: fold")
+
+
+def _manifest_case(world, case):
+    """(subcommand, file arguments, other arguments) for one manifest case."""
+    fix, tiny, data = world / "fix", ["--config", world / "tiny.json"], dataset_args(world)
+    sub = case.split("+")[0]
+    files, other = {
+        "make-fixture": ([], ["--set", "n_drugs=4", "--set", "n_events=3"]),
+        "vocab": (["--corpus", fix / "corpus.txt"], []),
+        "kg-train": (["--triples", fix / "kg.tsv"], ["--set", "dim=4", "--set", "epochs=1"]),
+        "kg-export": (["--table", world / "kg/kg_table.bin", "--index",
+                       world / "kg/kg_table.index", "--drugs", fix / "drugs.tsv"], []),
+        "split": (data[:6], []),
+        "pretrain": (["--corpus", fix / "corpus.txt", "--vocab", world / "vocab/vocab.txt"],
+                     tiny),
+        "train": (data, tiny),
+        "sts": (data, tiny),
+        "eval": (["--checkpoint", trained(world), *data], ["--split", "u1"]),
+        "seqlen": (["--checkpoint", trained(world), *data], ["--split", "train"]),
+    }[sub]
+    if case.endswith("+pretrained"):
+        files = files + ["--pretrained", pretrained(world)]
+    return sub, files, other
+
+
+@pytest.mark.parametrize("case", ["make-fixture", "vocab", "kg-train", "kg-export", "split",
+                                  "pretrain", "train", "train+pretrained", "eval", "sts",
+                                  "sts+pretrained", "seqlen"])
+def test_manifest_inputs_are_the_given_files(world, case):
+    sub, files, other = _manifest_case(world, case)
+    out = world / "inputs" / case
+    assert run(sub, *files, *other, "--out-dir", out, "--seed", 0) == 0
+    m = json.loads((out / "manifest.json").read_text())
+    assert set(m["inputs"]) == {str(p) for p in files[1::2]}
+
+
+@pytest.mark.parametrize("sets", [
+    ["n_drugs=1"],
+    ["n_classes=0"],
+    ["n_drugs=3", "n_events=10"],
+    ["n_drugs=3", "n_events=0"],
+    ["n_drugs=true"],
+    ["n_events=2.5"],
+    ['n_classes="4"'],
+], ids=["one-drug", "no-class", "too-many-events", "no-event", "bool", "float", "str"])
+def test_bad_fixture_size_exits_2(tmp_path, sets):
+    # A subprocess with a timeout, so a generator that never ends fails the
+    # test instead of hanging the suite.
+    argv = [sys.executable, "-m", "ddikit.cli", "make-fixture", "--out-dir", str(tmp_path)]
+    for item in sets:
+        argv += ["--set", item]
+    src = str(Path(ddikit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=30)
+    err = proc.stderr.splitlines()
+    assert proc.returncode == 2
+    assert len(err) == 1 and err[0].startswith("ddikit:error:config:")
