@@ -6,6 +6,7 @@ ones, (b) entity norms stay inside the unit ball, and (c) entities cluster
 by their graph role.
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -28,11 +29,11 @@ def build_graph() -> str:
 
 
 def main():
-    with tempfile.NamedTemporaryFile("w", suffix=".tsv", delete=False) as fh:
-        fh.write(build_graph())
-        path = fh.name
-
-    triples, index = load_triples(path)
+    with tempfile.TemporaryDirectory(prefix="ddikit_demo_") as tmp:
+        path = os.path.join(tmp, "kg.tsv")
+        with open(path, "w") as fh:
+            fh.write(build_graph())
+        triples, index = load_triples(path)
     print(f"{len(triples)} triples, {len(index.entities)} entities, "
           f"{len(index.relations)} relations")
 

@@ -2,8 +2,9 @@
 
 Generates a synthetic dataset, builds the vocabulary and knowledge-graph
 table, splits the events, trains a small classifier for a few epochs, and
-evaluates it on the unseen-drug (U1) split. Everything lands in a temp
-directory; the printed manifest shows what each stage recorded.
+evaluates it on the unseen-drug (U1) split. Everything lands in a temporary
+directory that is removed at the end; the printed manifest shows what each
+stage recorded.
 """
 
 import json
@@ -23,7 +24,11 @@ def run(*argv):
 
 
 def main():
-    root = Path(tempfile.mkdtemp(prefix="ddikit_demo_"))
+    with tempfile.TemporaryDirectory(prefix="ddikit_demo_") as tmp:
+        pipeline(Path(tmp))
+
+
+def pipeline(root: Path):
     print(f"working in {root}\n")
     cfg = root / "tiny.json"
     cfg.write_text(json.dumps(TINY))

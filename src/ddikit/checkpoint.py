@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -29,6 +30,7 @@ from .optim import AdamState
 
 MAGIC = b"DDKC"
 VERSION = 1
+DTYPES = ("<f4", "<f8")  # the dtypes ddikit trains in
 
 
 class CheckpointError(ValueError):
@@ -101,12 +103,35 @@ def save_checkpoint(path, model, optimizer: AdamState | None = None,
             fh.write(raw)
 
 
+def _entry_array(path, entry, payload: bytes) -> np.ndarray:
+    """The array a header entry describes, checked against the payload."""
+    try:
+        group, name, dtype = entry["group"], entry["name"], entry["dtype"]
+        shape, lo, n = entry["shape"], entry["offset"], entry["nbytes"]
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: corrupt array entry {entry!r}") from exc
+    if dtype not in DTYPES:
+        raise CheckpointError(f"{path}: unsupported dtype {dtype!r} for {name!r}")
+    if not (type(group) is str and type(name) is str and isinstance(shape, list)
+            and all(type(d) is int and d >= 0 for d in shape)
+            and type(lo) is int and type(n) is int and lo >= 0):
+        raise CheckpointError(f"{path}: corrupt array entry for {name!r}")
+    if math.prod(shape) * np.dtype(dtype).itemsize != n:
+        raise CheckpointError(f"{path}: {name!r} of shape {shape} and dtype {dtype} "
+                              f"does not take {n} bytes")
+    if lo + n > len(payload):
+        raise CheckpointError(f"{path}: truncated payload at {name!r}")
+    return np.frombuffer(payload[lo:lo + n], dtype=dtype).reshape(shape).copy()
+
+
 def read_checkpoint(path) -> tuple[dict, dict[str, dict[str, np.ndarray]]]:
     """Returns (meta, groups) where groups maps group name -> {name: array}."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
+    if len(blob) < 16:
+        raise CheckpointError(f"{path}: truncated preamble")
     version, hlen = struct.unpack("<IQ", blob[4:16])
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
@@ -116,16 +141,15 @@ def read_checkpoint(path) -> tuple[dict, dict[str, dict[str, np.ndarray]]]:
         header = json.loads(blob[16:16 + hlen].decode())
         arrays = header["arrays"]
         meta = header["meta"]
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
+    if not (isinstance(arrays, list) and isinstance(meta, dict)):
+        raise CheckpointError(f"{path}: corrupt header")
     payload = blob[16 + hlen:]
     groups: dict[str, dict[str, np.ndarray]] = {}
     for entry in arrays:
-        lo, n = entry["offset"], entry["nbytes"]
-        if lo + n > len(payload):
-            raise CheckpointError(f"{path}: truncated payload at {entry['name']!r}")
-        arr = np.frombuffer(payload[lo:lo + n], dtype=entry["dtype"]).reshape(entry["shape"])
-        groups.setdefault(entry["group"], {})[entry["name"]] = arr.copy()
+        arr = _entry_array(path, entry, payload)
+        groups.setdefault(entry["group"], {})[entry["name"]] = arr
     return meta, groups
 
 

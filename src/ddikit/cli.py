@@ -25,8 +25,8 @@ from . import __version__
 from .atomic import atomic_open
 from .checkpoint import (CheckpointError, config_fingerprint, load_checkpoint,
                          read_checkpoint, save_checkpoint)
-from .data import (DataError, SplitBundle, load_dataset, make_inductive_splits,
-                   seqlen_bins, sts_series, verify_split)
+from .data import (DataError, SplitBundle, load_dataset, load_drugs,
+                   make_inductive_splits, seqlen_bins, sts_series, verify_split)
 from .fixtures import make_dataset_fixture
 from .kg import (ID_TEMPLATE, PairEmbedder, TransEConfig, TripleError, load_table,
                  load_triples, save_table, train_transe)
@@ -191,8 +191,7 @@ def cmd_kg_export(args, cfg):
     table = load_table(args.table, args.index)
     embedder = PairEmbedder(table, id_template=cfg.get("id_template", ID_TEMPLATE))
     out = _out(args, "drug_vectors.tsv")
-    with open(args.drugs, encoding="utf-8") as fh:
-        ids = [ln.split("\t")[0] for ln in fh if ln.strip()]
+    ids = list(load_drugs(args.drugs))
     with atomic_open(out, "w") as fh:
         for d in ids:
             vec = embedder.entity_vector(d)
@@ -221,8 +220,7 @@ def cmd_pretrain(args, cfg):
     corpus = _read_corpus(args.corpus)
     vocab = Vocabulary.load(args.vocab)
     pcfg = _take_fields(cfg, PretrainConfig, seed=args.seed)
-    mcfg = _take_fields(cfg, ModelConfig, vocab_size=len(vocab),
-                        n_classes=2, max_len=pcfg.max_len)
+    mcfg = _take_fields(cfg, ModelConfig, vocab_size=len(vocab), n_classes=2)
     model = PretrainModel(mcfg, seed=args.seed)
     history = mlm_pretrain(model, corpus, vocab, pcfg,
                            progress=lambda e, l: print(f"epoch {e}: mlm loss {l:.4f}"))
@@ -240,6 +238,7 @@ def _load_training_world(args, cfg):
     drugs, events, label_map = load_dataset(args.drugs, args.events, args.labels)
     with open(args.splits, encoding="utf-8") as fh:
         bundle = SplitBundle.from_json(fh.read())
+    verify_split(bundle, events)
     vocab = Vocabulary.load(args.vocab)
     table = load_table(args.kg_table, args.kg_index)
     pair_vecs, embedder = _pair_vectors(events, table, cfg.get("id_template", ID_TEMPLATE))
@@ -253,6 +252,15 @@ def _load_model(path, model_cls, seed: int):
     model = model_cls(ModelConfig(**meta["config"]), seed=seed)
     load_checkpoint(path, model)
     return model
+
+
+def _transfer(pretrained: PretrainModel, model: DdiModel):
+    """Copy the pretrained encoder into ``model``; a checkpoint built with
+    another architecture is a config error."""
+    try:
+        transfer_encoder_weights(pretrained, model)
+    except ValueError as exc:
+        raise ConfigError(f"--pretrained checkpoint does not fit the model: {exc}") from exc
 
 
 def _cv_fold(bundle: SplitBundle, k) -> tuple[list[int], list[int]]:
@@ -272,7 +280,7 @@ def cmd_train(args, cfg):
     fcfg = _take_fields(cfg, FinetuneConfig, seed=args.seed)
     model = _build_model(cfg, len(vocab), len(label_map), pair_vecs.shape[1], args.seed)
     if args.pretrained:
-        transfer_encoder_weights(_load_model(args.pretrained, PretrainModel, args.seed), model)
+        _transfer(_load_model(args.pretrained, PretrainModel, args.seed), model)
     ckpt = _out(args, "model.ckpt")
     history, best = finetune(model, train_idx, eval_idx, events, drugs, vocab,
                              pair_vecs, fcfg, checkpoint_path=ckpt,
@@ -340,7 +348,7 @@ def cmd_sts(args, cfg):
         model = _build_model(cfg, len(vocab), len(label_map), pair_vecs.shape[1],
                              args.seed + step)
         if pretrained is not None:
-            transfer_encoder_weights(pretrained, model)
+            _transfer(pretrained, model)
         finetune(model, subset, [], events, drugs, vocab, pair_vecs, fcfg)
         accs = {name: accuracy(model, idx, events, drugs, vocab, pair_vecs, fcfg.batch_size)
                 if idx else float("nan")
@@ -473,7 +481,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"ddikit:error:config: {exc}", file=sys.stderr)
         return 2
-    except (DataError, TripleError, SmilesError, CheckpointError, OSError) as exc:
+    except (DataError, TripleError, SmilesError, CheckpointError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"ddikit:error:data: {exc}", file=sys.stderr)
         return 3
     except FloatingPointError as exc:

@@ -57,8 +57,24 @@ class SplitBundle:
 
     @classmethod
     def from_json(cls, text: str) -> "SplitBundle":
-        d = json.loads(text)
-        return cls(d["train"], d["folds"], d["u1"], d["u2"], set(d["test_drugs"]))
+        """Inverse of ``to_json``; DataError on bad JSON, a missing key, an
+        event index that is not an int or a test drug that is not a string."""
+        keys = ("train", "folds", "u1", "u2", "test_drugs")
+        try:
+            d = json.loads(text)
+        except ValueError as exc:
+            raise DataError(f"splits file is not JSON: {exc}") from exc
+        if not isinstance(d, dict) or not all(k in d for k in keys):
+            raise DataError(f"splits file must be a JSON object with keys {', '.join(keys)}")
+        train, folds, u1, u2, test_drugs = (d[k] for k in keys)
+        if not isinstance(folds, list):
+            raise DataError("splits 'folds' is not a list")
+        for name, items, kind in (("train", train, int), ("u1", u1, int), ("u2", u2, int),
+                                  ("test_drugs", test_drugs, str),
+                                  *(("folds", fold, int) for fold in folds)):
+            if not isinstance(items, list) or any(type(x) is not kind for x in items):
+                raise DataError(f"splits {name!r} is not a list of {kind.__name__}")
+        return cls(train, folds, u1, u2, set(test_drugs))
 
 
 def load_drugs(path) -> dict[str, DrugRecord]:
@@ -169,6 +185,9 @@ def make_inductive_splits(events: list[DdiEvent], drugs: dict[str, DrugRecord],
 
 def verify_split(bundle: SplitBundle, events: list[DdiEvent]):
     """Exhaustively check the split invariants; raises DataError on violation."""
+    for i in bundle.train + bundle.u1 + bundle.u2:
+        if not 0 <= i < len(events):
+            raise DataError(f"event index {i} outside [0, {len(events)})")
     sets = [set(bundle.train), set(bundle.u1), set(bundle.u2)]
     for i in range(3):
         for j in range(i + 1, 3):
@@ -190,7 +209,7 @@ def verify_split(bundle: SplitBundle, events: list[DdiEvent]):
     if flat != sorted(bundle.train):
         raise DataError("folds do not partition the train pool")
     sizes = [len(f) for f in bundle.folds]
-    if max(sizes) - min(sizes) > 1:
+    if sizes and max(sizes) - min(sizes) > 1:
         raise DataError("fold size skew exceeds 1")
 
 

@@ -243,21 +243,29 @@ def save_table(table: EmbeddingTable, bin_path, index_path):
 
 
 def load_table(bin_path, index_path) -> EmbeddingTable:
+    """Read a table written by ``save_table``; TripleError unless the payload
+    holds exactly the rows the header declares and the index lists that
+    many entities and relations."""
     with open(bin_path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise TripleError(f"{bin_path}: not an embedding table file")
-        version, n_ent, n_rel, dim = struct.unpack("<IQQQ", fh.read(28))
-        if version != _VERSION:
-            raise TripleError(f"{bin_path}: unsupported version {version}")
-        ent = np.frombuffer(fh.read(n_ent * dim * 8), dtype="<f8").reshape(n_ent, dim)
-        rel = np.frombuffer(fh.read(n_rel * dim * 8), dtype="<f8").reshape(n_rel, dim)
+        blob = fh.read()
+    if blob[:4] != _MAGIC:
+        raise TripleError(f"{bin_path}: not an embedding table file")
+    if len(blob) < 32:
+        raise TripleError(f"{bin_path}: truncated header")
+    version, n_ent, n_rel, dim = struct.unpack("<IQQQ", blob[4:32])
+    if version != _VERSION:
+        raise TripleError(f"{bin_path}: unsupported version {version}")
+    if len(blob) - 32 != (n_ent + n_rel) * dim * 8:
+        raise TripleError(f"{bin_path}: {len(blob) - 32} payload bytes, but the header "
+                          f"declares {n_ent} + {n_rel} rows of {dim} float64")
     with open(index_path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    head, count = lines[0].split("\t")
-    n = int(count)
-    ents = lines[1:1 + n]
-    rels = lines[2 + n:]
-    index = EntityIndex({e: i for i, e in enumerate(ents)},
-                        {r: i for i, r in enumerate(rels)})
-    return EmbeddingTable(ent.copy(), rel.copy(), index)
+    if (lines[:1] != [f"entities\t{n_ent}"]
+            or lines[1 + n_ent:2 + n_ent] != [f"relations\t{n_rel}"]
+            or len(lines) != 2 + n_ent + n_rel):
+        raise TripleError(f"{index_path}: does not list the {n_ent} entities and "
+                          f"{n_rel} relations of {bin_path}")
+    rows = np.frombuffer(blob, dtype="<f8", offset=32).reshape(n_ent + n_rel, dim)
+    index = EntityIndex({e: i for i, e in enumerate(lines[1:1 + n_ent])},
+                        {r: i for i, r in enumerate(lines[2 + n_ent:])})
+    return EmbeddingTable(rows[:n_ent].copy(), rows[n_ent:].copy(), index)

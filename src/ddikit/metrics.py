@@ -154,20 +154,25 @@ class PrCurve:
     aupr: float
 
 
-def _binary_roc(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
-    """ROC by descending-score threshold sweep with equal scores grouped."""
+def _sweep(scores: np.ndarray, labels: np.ndarray):
+    """Descending-score threshold sweep with equal scores grouped: cumulative
+    true and false positives at the last index of each group, then the
+    positive and negative counts."""
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
     y = labels[order].astype(float)
-    # group ties: keep cumulative counts only at the last index of each group
     distinct = np.where(np.diff(s))[0]
     idx = np.r_[distinct, len(s) - 1]
     tps = np.cumsum(y)[idx]
     fps = (idx + 1) - tps
     p = y.sum()
-    n = len(y) - p
-    tpr = np.r_[0.0, tps / p] if p > 0 else np.zeros(len(idx) + 1)
-    fpr = np.r_[0.0, fps / n] if n > 0 else np.zeros(len(idx) + 1)
+    return tps, fps, p, len(y) - p
+
+
+def _binary_roc(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
+    tps, fps, p, n = _sweep(scores, labels)
+    tpr = np.r_[0.0, tps / p] if p > 0 else np.zeros(len(tps) + 1)
+    fpr = np.r_[0.0, fps / n] if n > 0 else np.zeros(len(tps) + 1)
     if tpr[-1] != 1.0 or fpr[-1] != 1.0:
         tpr = np.r_[tpr, 1.0]
         fpr = np.r_[fpr, 1.0]
@@ -176,14 +181,7 @@ def _binary_roc(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
 
 
 def _binary_pr(scores: np.ndarray, labels: np.ndarray) -> PrCurve:
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    y = labels[order].astype(float)
-    distinct = np.where(np.diff(s))[0]
-    idx = np.r_[distinct, len(s) - 1]
-    tps = np.cumsum(y)[idx]
-    fps = (idx + 1) - tps
-    p = y.sum()
+    tps, fps, p, _ = _sweep(scores, labels)
     if p == 0:
         return PrCurve(np.array([0.0, 1.0]), np.array([0.0, 0.0]), 0.0)
     recall = tps / p
@@ -204,34 +202,27 @@ def _check_scores(scores: np.ndarray, truths: np.ndarray):
     return scores, truths
 
 
-def roc_auc(scores, truths) -> tuple[dict[int, RocCurve], RocCurve]:
-    """Per-class one-vs-rest ROC curves plus the micro-averaged curve."""
+def _one_vs_rest(scores, truths, curve, keep):
+    """Per-class one-vs-rest curves for each class whose positive count
+    ``pos`` out of ``n`` samples passes ``keep(pos, n)``, plus the
+    micro-averaged curve."""
     scores, truths = _check_scores(scores, truths)
     n, m = scores.shape
     onehot = np.zeros((n, m), dtype=np.int64)
     onehot[np.arange(n), truths] = 1
-    per_class = {}
-    for c in range(m):
-        if onehot[:, c].sum() in (0, n):
-            continue  # degenerate one-vs-rest problem
-        per_class[c] = _binary_roc(scores[:, c], onehot[:, c])
-    micro = _binary_roc(scores.reshape(-1), onehot.reshape(-1))
-    return per_class, micro
+    per_class = {c: curve(scores[:, c], onehot[:, c])
+                 for c in range(m) if keep(onehot[:, c].sum(), n)}
+    return per_class, curve(scores.reshape(-1), onehot.reshape(-1))
+
+
+def roc_auc(scores, truths) -> tuple[dict[int, RocCurve], RocCurve]:
+    """Per-class one-vs-rest ROC curves plus the micro-averaged curve."""
+    return _one_vs_rest(scores, truths, _binary_roc, lambda pos, n: 0 < pos < n)
 
 
 def aupr(scores, truths) -> tuple[dict[int, PrCurve], PrCurve]:
     """Per-class one-vs-rest PR curves plus the micro-averaged curve."""
-    scores, truths = _check_scores(scores, truths)
-    n, m = scores.shape
-    onehot = np.zeros((n, m), dtype=np.int64)
-    onehot[np.arange(n), truths] = 1
-    per_class = {}
-    for c in range(m):
-        if onehot[:, c].sum() == 0:
-            continue
-        per_class[c] = _binary_pr(scores[:, c], onehot[:, c])
-    micro = _binary_pr(scores.reshape(-1), onehot.reshape(-1))
-    return per_class, micro
+    return _one_vs_rest(scores, truths, _binary_pr, lambda pos, n: pos > 0)
 
 
 def evaluate(scores, truths, n_classes: int) -> MetricReport:

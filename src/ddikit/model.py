@@ -374,8 +374,10 @@ def transfer_encoder_weights(src: PretrainModel, dst: DdiModel):
     """Copy pretrained embedding-stack and encoder weights into the main
     model; all other modules keep their fresh initialization."""
     sp, dp = src.parameters(), dst.parameters()
-    for name, p in sp.items():
-        if name.startswith(TRANSFER_PREFIXES):
-            if dp[name].data.shape != p.data.shape:
-                raise ValueError(f"shape mismatch transferring {name}")
-            dp[name].data = p.data.astype(dp[name].data.dtype).copy()
+    names = [name for name in sp if name.startswith(TRANSFER_PREFIXES)]
+    if set(names) != {name for name in dp if name.startswith(TRANSFER_PREFIXES)}:
+        raise ValueError("the two models have different encoder layers")
+    for name in names:
+        if dp[name].data.shape != sp[name].data.shape:
+            raise ValueError(f"shape mismatch transferring {name}")
+        dp[name].data = sp[name].data.astype(dp[name].data.dtype).copy()

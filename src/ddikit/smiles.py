@@ -84,22 +84,48 @@ class MolecularGraph:
 # parsing
 # ---------------------------------------------------------------------------
 
-def _parse_bracket(s: str, start: int) -> tuple[Atom, int]:
-    """Parse a bracket atom beginning at ``s[start] == '['``; returns (atom, end)."""
-    end = s.find("]", start)
-    if end < 0:
-        raise SmilesError("unterminated bracket atom", start)
-    body = s[start + 1:end]
+def _lex(s: str):
+    """Maximal-munch lexing into (offset, token) pairs: bracket atoms, Cl/Br
+    and %nn closures are single tokens, everything else one character.
+
+    Lazy, so a parser consuming it reports the first error in the string
+    before a later unterminated bracket.
+    """
+    if not s:
+        raise SmilesError("empty SMILES", 0)
+    i = 0
+    n = len(s)
+    while i < n:
+        c = s[i]
+        if c == "[":
+            end = s.find("]", i)
+            if end < 0:
+                raise SmilesError("unterminated bracket atom", i)
+            tok = s[i:end + 1]
+        elif s.startswith(("Cl", "Br"), i):
+            tok = s[i:i + 2]
+        elif c == "%" and i + 2 < n and s[i + 1].isdigit() and s[i + 2].isdigit():
+            tok = s[i:i + 3]
+        else:
+            tok = c
+        yield i, tok
+        i += len(tok)
+
+
+def _digits(body: str, i: int) -> int:
+    """End of the run of digits starting at ``body[i]``."""
+    while i < len(body) and body[i].isdigit():
+        i += 1
+    return i
+
+
+def _parse_bracket(tok: str, start: int) -> Atom:
+    """Parse the bracket-atom token ``tok`` found at offset ``start``."""
+    body = tok[1:-1]
     if not body:
         raise SmilesError("empty bracket atom", start)
-    i = 0
-    isotope = None
-    if i < len(body) and body[i].isdigit():
-        j = i
-        while j < len(body) and body[j].isdigit():
-            j += 1
-        isotope = int(body[i:j])
-        i = j
+    i = _digits(body, 0)
+    isotope = int(body[:i]) if i else None
     if i >= len(body):
         raise SmilesError("bracket atom without element symbol", start + 1 + i)
     aromatic = False
@@ -129,9 +155,7 @@ def _parse_bracket(s: str, start: int) -> tuple[Atom, int]:
     h_count = 0
     if i < len(body) and body[i] == "H":
         i += 1
-        j = i
-        while j < len(body) and body[j].isdigit():
-            j += 1
+        j = _digits(body, i)
         h_count = int(body[i:j]) if j > i else 1
         i = j
     charge = 0
@@ -139,10 +163,8 @@ def _parse_bracket(s: str, start: int) -> tuple[Atom, int]:
         sign = 1 if body[i] == "+" else -1
         ch = body[i]
         i += 1
-        if i < len(body) and body[i].isdigit():
-            j = i
-            while j < len(body) and body[j].isdigit():
-                j += 1
+        j = _digits(body, i)
+        if j > i:
             charge = sign * int(body[i:j])
             i = j
         else:
@@ -152,21 +174,17 @@ def _parse_bracket(s: str, start: int) -> tuple[Atom, int]:
                 i += 1
     if i < len(body) and body[i] == ":":  # atom class, accepted and ignored
         i += 1
-        j = i
-        while j < len(body) and body[j].isdigit():
-            j += 1
+        j = _digits(body, i)
         if j == i:
             raise SmilesError("atom class without digits", start + 1 + i)
         i = j
     if i != len(body):
         raise SmilesError(f"trailing characters {body[i:]!r} in bracket atom", start + 1 + i)
-    return Atom(element, aromatic, charge, h_count, isotope, chirality, bracket=True), end + 1
+    return Atom(element, aromatic, charge, h_count, isotope, chirality, bracket=True)
 
 
 def parse_smiles(s: str) -> MolecularGraph:
     """Parse a SMILES string into a molecular graph."""
-    if not s:
-        raise SmilesError("empty SMILES", 0)
     g = MolecularGraph()
     adj_seen: set[tuple[int, int]] = set()
 
@@ -184,49 +202,37 @@ def parse_smiles(s: str) -> MolecularGraph:
     stack: list[int] = []
     rings: dict[int, tuple[int, Optional[tuple[str, str]], int]] = {}
     component = 0
-    i = 0
-    n = len(s)
-    while i < n:
-        c = s[i]
+    for i, tok in _lex(s):
         atom: Optional[Atom] = None
-        consumed = 1
-        if c == "[":
-            atom, end = _parse_bracket(s, i)
-            consumed = end - i
-        elif s[i:i + 2] in ORGANIC_UPPER:
-            atom = Atom(s[i:i + 2])
-            consumed = 2
-        elif c in ORGANIC_UPPER:
-            atom = Atom(c)
-        elif c in ORGANIC_AROMATIC:
-            atom = Atom(c.upper(), aromatic=True)
-        elif c in BOND_CHARS:
+        if tok[0] == "[":
+            atom = _parse_bracket(tok, i)
+        elif tok in ORGANIC_UPPER:
+            atom = Atom(tok)
+        elif tok in ORGANIC_AROMATIC:
+            atom = Atom(tok.upper(), aromatic=True)
+        elif tok in BOND_CHARS:
             if pending is not None:
                 raise SmilesError("two consecutive bond symbols", i)
-            pending = (BOND_CHARS[c], c if c in "/\\" else "")
-        elif c == "(":
+            pending = (BOND_CHARS[tok], tok if tok in "/\\" else "")
+        elif tok == "(":
             if prev is None:
                 raise SmilesError("branch with no preceding atom", i)
             stack.append(prev)
-        elif c == ")":
+        elif tok == ")":
             if not stack:
                 raise SmilesError("unbalanced closing parenthesis", i)
             prev = stack.pop()
-        elif c == ".":
+        elif tok == ".":
             if pending is not None:
                 raise SmilesError("bond symbol before dot", i)
             prev = None
             component += 1
-        elif c.isdigit() or c == "%":
+        elif tok.isdigit() or tok[0] == "%":
             if prev is None:
                 raise SmilesError("ring closure with no preceding atom", i)
-            if c == "%":
-                if i + 2 >= n or not (s[i + 1].isdigit() and s[i + 2].isdigit()):
-                    raise SmilesError("%% ring closure needs two digits", i)
-                num = int(s[i + 1:i + 3])
-                consumed = 3
-            else:
-                num = int(c)
+            if tok == "%":
+                raise SmilesError("%% ring closure needs two digits", i)
+            num = int(tok.lstrip("%"))
             if num in rings:
                 other, other_bond, opened_at = rings.pop(num)
                 if other == prev:
@@ -243,7 +249,7 @@ def parse_smiles(s: str) -> MolecularGraph:
                 rings[num] = (prev, pending, i)
                 pending = None
         else:
-            raise SmilesError(f"unknown symbol {c!r}", i)
+            raise SmilesError(f"unknown symbol {tok!r}", i)
 
         if atom is not None:
             idx = len(g.atoms)
@@ -259,14 +265,13 @@ def parse_smiles(s: str) -> MolecularGraph:
             elif pending is not None:
                 raise SmilesError("dangling bond symbol", i)
             prev = idx
-        i += consumed
     if stack:
-        raise SmilesError("unbalanced opening parenthesis", n)
+        raise SmilesError("unbalanced opening parenthesis", len(s))
     if rings:
         num, (_, _, offset) = next(iter(rings.items()))
         raise SmilesError(f"unmatched ring closure {num}", offset)
     if pending is not None:
-        raise SmilesError("trailing bond symbol", n)
+        raise SmilesError("trailing bond symbol", len(s))
     return g
 
 
@@ -501,31 +506,8 @@ def canonical_smiles(g: MolecularGraph) -> str:
 # ---------------------------------------------------------------------------
 
 def tokenize(s: str) -> list[str]:
-    """Maximal-munch lexing: bracket atoms, Cl/Br and %nn closures are single
-    tokens, everything else one character. ``"".join(tokenize(s)) == s``."""
-    if not s:
-        raise SmilesError("empty SMILES", 0)
-    out = []
-    i = 0
-    n = len(s)
-    while i < n:
-        c = s[i]
-        if c == "[":
-            end = s.find("]", i)
-            if end < 0:
-                raise SmilesError("unterminated bracket atom", i)
-            out.append(s[i:end + 1])
-            i = end + 1
-        elif s[i:i + 2] in ("Cl", "Br"):
-            out.append(s[i:i + 2])
-            i += 2
-        elif c == "%" and i + 2 < n and s[i + 1].isdigit() and s[i + 2].isdigit():
-            out.append(s[i:i + 3])
-            i += 3
-        else:
-            out.append(c)
-            i += 1
-    return out
+    """The tokens ``_lex`` yields; ``"".join(tokenize(s)) == s``."""
+    return [tok for _, tok in _lex(s)]
 
 
 class Vocabulary:

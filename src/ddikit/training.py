@@ -30,7 +30,6 @@ class PretrainConfig:
     batch_size: int = 8
     learning_rate: float = 1e-5
     mask_rate: float = 0.15
-    max_len: int = 500
     seed: int = 0
 
     def __post_init__(self):
@@ -45,7 +44,6 @@ class FinetuneConfig:
     learning_rate: float = 5e-5
     weight_decay: float = 1e-5
     randomize: bool = True
-    max_len: int = 500
     seed: int = 0
 
 
@@ -98,20 +96,21 @@ def mlm_pretrain(model: PretrainModel, corpus: list[str], vocab: Vocabulary,
     opt = AdamState(learning_rate=cfg.learning_rate)
     history: list[float] = []
     n = len(corpus)
+    max_len = model.cfg.max_len
     for epoch in range(cfg.epochs):
         pairs = make_pretrain_pairs(n, rng)
         order = rng.permutation(n)
         total, count = 0.0, 0
         for lo in range(0, n, cfg.batch_size):
             chunk = [pairs[k] for k in order[lo:lo + cfg.batch_size]]
-            seqs = [encode_pair(corpus[i], corpus[j], vocab, cfg.max_len) for i, j in chunk]
+            seqs = [encode_pair(corpus[i], corpus[j], vocab, max_len) for i, j in chunk]
             masked_ids = []
             flat_positions = []
             targets = []
             for row, seq in enumerate(seqs):
                 mids, plan = mask_sequence(seq, cfg.mask_rate, rng)
                 masked_ids.append(mids)
-                flat_positions.append(plan.positions + row * cfg.max_len)
+                flat_positions.append(plan.positions + row * max_len)
                 targets.append(plan.original_ids)
             _, segs, mask = _stack(seqs)
             ids = np.stack(masked_ids)
@@ -177,10 +176,7 @@ def predict_scores(model: DdiModel, indices, events, drugs, vocab,
             chunk = list(indices[lo:lo + batch_size])
             seqs = _encode_events(chunk, events, drugs, vocab, max_len)
             ids, segs, mask = _stack(seqs)
-            logits = model.forward(ids, segs, mask, pair_vecs[chunk]).data
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            rows.append(e / e.sum(axis=1, keepdims=True))
+            rows.append(ad.softmax(model.forward(ids, segs, mask, pair_vecs[chunk])).data)
     if was_training:
         model.train()
     return np.concatenate(rows, axis=0)
@@ -219,7 +215,7 @@ def finetune(model: DdiModel, train_indices: list[int], eval_indices: list[int],
         for lo in range(0, len(order), cfg.batch_size):
             sel = order[lo:lo + cfg.batch_size]
             chunk = [train_indices[k] for k in sel]
-            seqs = _encode_events(chunk, events, drugs, vocab, cfg.max_len,
+            seqs = _encode_events(chunk, events, drugs, vocab, model.cfg.max_len,
                                   rng=aug_rng if cfg.randomize else None)
             ids, segs, mask = _stack(seqs)
             y = labels[sel]

@@ -323,8 +323,7 @@ def test_criterion_6_mlm_learning():
     model = PretrainModel(cfg, seed=0)
     init = masked_loss_sample(model, corpus, vocab, 48, np.random.default_rng(99))
     ln_v = float(np.log(len(vocab)))
-    pcfg = PretrainConfig(epochs=50, batch_size=8, learning_rate=3e-3,
-                          max_len=48, seed=0)
+    pcfg = PretrainConfig(epochs=50, batch_size=8, learning_rate=3e-3, seed=0)
     history = mlm_pretrain(model, corpus, vocab, pcfg)
     final = history[-1]
     ok = abs(init - ln_v) <= 0.1 * ln_v and final < 0.5 * init
@@ -354,7 +353,7 @@ def test_criterion_7_overfit_smoke(tmp_path):
                       mlp2_hidden=64, dropout=0.0)
     model = DdiModel(cfg, seed=0)
     fcfg = FinetuneConfig(epochs=100, batch_size=16, learning_rate=2e-3,
-                          weight_decay=0.0, randomize=False, max_len=64, seed=0)
+                          weight_decay=0.0, randomize=False, seed=0)
     history, _ = finetune(model, list(range(200)), [], events, drugs, vocab,
                           pair_vecs, fcfg)
     best = max(r.train_accuracy for r in history)

@@ -264,3 +264,108 @@ def test_bad_fixture_size_exits_2(tmp_path, sets):
     err = proc.stderr.splitlines()
     assert proc.returncode == 2
     assert len(err) == 1 and err[0].startswith("ddikit:error:config:")
+
+
+def _replace_arg(argv, flag, value):
+    """``argv`` with the value after ``flag`` replaced."""
+    argv = list(argv)
+    argv[argv.index(flag) + 1] = value
+    return argv
+
+
+def _one_error_line(capsys, kind):
+    err = capsys.readouterr().err.splitlines()
+    return len(err) == 1 and err[0].startswith(f"ddikit:error:{kind}:")
+
+
+@pytest.mark.parametrize("sub", ["vocab", "kg-train", "split", "kg-export", "eval"])
+def test_non_utf8_input_exits_3(world, tmp_path, capsys, sub):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe\x00\x80 not utf-8\n")
+    data = dataset_args(world)
+    argv = {
+        "vocab": ["--corpus", bad],
+        "kg-train": ["--triples", bad],
+        "split": _replace_arg(data[:6], "--drugs", bad),
+        "kg-export": ["--table", world / "kg/kg_table.bin", "--index",
+                      world / "kg/kg_table.index", "--drugs", bad],
+        "eval": ["--checkpoint", trained(world), "--split", "u1",
+                 *_replace_arg(data, "--splits", bad)],
+    }[sub]
+    capsys.readouterr()
+    assert run(sub, *argv, "--out-dir", tmp_path / "o") == 3
+    assert _one_error_line(capsys, "data")
+
+
+def _splits_case(world, case) -> str:
+    d = json.loads((world / "split/splits.json").read_text())
+    if case == "not-json":
+        return (world / "fix/drugs.tsv").read_text()
+    if case == "empty-object":
+        return "{}"
+    if case == "index-out-of-range":
+        d["u1"].append(10 ** 6)
+    elif case == "negative-index":
+        d["u1"][0] = -1
+    elif case == "u1-not-a-list":
+        d["u1"] = "abc"
+    elif case == "float-index":
+        d["train"][0] = float(d["train"][0])
+    return json.dumps(d)
+
+
+@pytest.mark.parametrize("case", ["not-json", "empty-object", "index-out-of-range",
+                                  "negative-index", "u1-not-a-list", "float-index"])
+def test_bad_splits_file_exits_3(world, tmp_path, capsys, case):
+    splits = tmp_path / "splits.json"
+    splits.write_text(_splits_case(world, case))
+    argv = _replace_arg(dataset_args(world), "--splits", splits)
+    capsys.readouterr()
+    rc = run("eval", "--checkpoint", trained(world), "--split", "u1", *argv,
+             "--out-dir", tmp_path / "o")
+    assert rc == 3
+    assert _one_error_line(capsys, "data")
+
+
+@pytest.mark.parametrize("case", ["checkpoint", "kg-table", "kg-index"])
+def test_truncated_binary_input_exits_3(world, tmp_path, capsys, case):
+    """A 10-byte checkpoint, a 40-byte KG table and a one-line KG index."""
+    ckpt, table, index = trained(world), world / "kg/kg_table.bin", world / "kg/kg_table.index"
+    short = tmp_path / "short"
+    if case == "checkpoint":
+        short.write_bytes(ckpt.read_bytes()[:10])
+        ckpt = short
+    elif case == "kg-table":
+        short.write_bytes(table.read_bytes()[:40])
+        table = short
+    else:
+        short.write_text(index.read_text().splitlines()[0] + "\n")
+        index = short
+    argv = _replace_arg(_replace_arg(dataset_args(world), "--kg-table", table),
+                        "--kg-index", index)
+    capsys.readouterr()
+    rc = run("eval", "--checkpoint", ckpt, "--split", "u1", *argv, "--out-dir", tmp_path / "o")
+    assert rc == 3
+    assert _one_error_line(capsys, "data")
+
+
+@pytest.mark.parametrize("sub,setting", [("train", "max_len=16"), ("sts", "max_len=16"),
+                                         ("train", "n_layers=2")])
+def test_pretrained_of_another_shape_exits_2(world, tmp_path, capsys, sub, setting):
+    ckpt = pretrained(world)
+    capsys.readouterr()
+    rc = run(sub, *dataset_args(world), "--pretrained", ckpt, "--config", world / "tiny.json",
+             "--set", setting, "--out-dir", tmp_path / "o")
+    assert rc == 2
+    assert _one_error_line(capsys, "config")
+
+
+def test_kg_export_validates_drugs_file(world, tmp_path, capsys):
+    drugs = tmp_path / "drugs.tsv"
+    drugs.write_text("D1\tC(C\n")
+    capsys.readouterr()
+    rc = run("kg-export", "--table", world / "kg/kg_table.bin", "--index",
+             world / "kg/kg_table.index", "--drugs", drugs, "--out-dir", tmp_path / "o")
+    assert rc == 3
+    assert _one_error_line(capsys, "data")
+    assert not (tmp_path / "o/drug_vectors.tsv").exists()

@@ -125,6 +125,19 @@ def test_verify_split_catches_violations():
         verify_split(bad, events)
 
 
+def test_verify_split_accepts_an_empty_train_pool():
+    events = [DdiEvent("A", "D", 0)]
+    verify_split(SplitBundle(train=[], folds=[], u1=[0], u2=[], test_drugs={"D"}), events)
+
+
+def test_verify_split_rejects_indices_outside_the_event_table():
+    events = [DdiEvent("A", "B", 0), DdiEvent("A", "D", 0)]
+    for u1 in ([2], [-1]):
+        bad = SplitBundle(train=[0], folds=[[0]], u1=u1, u2=[], test_drugs={"D"})
+        with pytest.raises(DataError, match="outside"):
+            verify_split(bad, events)
+
+
 def test_split_bundle_json_roundtrip():
     b = SplitBundle(train=[0, 2], folds=[[0], [2]], u1=[1], u2=[],
                     test_drugs={"D", "E"})

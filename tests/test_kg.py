@@ -175,3 +175,41 @@ def test_table_load_rejects_bad_magic(tmp_path):
     (tmp_path / "t.index").write_text("entities\t0\nrelations\t0\n")
     with pytest.raises(TripleError):
         load_table(b, tmp_path / "t.index")
+
+
+def test_table_load_rejects_every_strict_prefix(tmp_path):
+    b, i = tmp_path / "t.bin", tmp_path / "t.index"
+    save_table(make_table(), b, i)
+    blob = b.read_bytes()
+    short = tmp_path / "short.bin"
+    for k in range(len(blob)):
+        short.write_bytes(blob[:k])
+        with pytest.raises(TripleError):
+            load_table(short, i)
+    lines = i.read_text().splitlines(keepends=True)
+    for k in range(len(lines)):
+        short.write_text("".join(lines[:k]))
+        with pytest.raises(TripleError):
+            load_table(b, short)
+
+
+@pytest.mark.parametrize("index_text", [
+    "entities\t2\nCompound::A\nCompound::B\nrelations\t1\nr\nextra\n",
+    "entities\t3\nCompound::A\nCompound::B\nrelations\t0\nr\n",
+    "entities\t2\nCompound::A\nCompound::B\nr\nrelations\t1\n",
+    "Compound::A\t2\nCompound::A\nCompound::B\nrelations\t1\nr\n",
+], ids=["extra-line", "wrong-counts", "no-relations-line", "no-entities-line"])
+def test_table_load_rejects_index_that_does_not_match(tmp_path, index_text):
+    b, i = tmp_path / "t.bin", tmp_path / "t.index"
+    save_table(make_table(), b, i)
+    i.write_text(index_text)
+    with pytest.raises(TripleError):
+        load_table(b, i)
+
+
+def test_table_load_rejects_trailing_bytes(tmp_path):
+    b, i = tmp_path / "t.bin", tmp_path / "t.index"
+    save_table(make_table(), b, i)
+    b.write_bytes(b.read_bytes() + b"\0" * 8)
+    with pytest.raises(TripleError):
+        load_table(b, i)

@@ -84,6 +84,9 @@ def test_parse_components():
     ("C==C", 2),         # duplicate bond symbol
     ("", 0),             # empty
     ("C11", 2),          # self ring bond
+    ("C)C[", 1),         # the first error wins over a later unterminated bracket
+    ("C==C[", 2),
+    ("CX[", 1),
 ])
 def test_parse_errors_carry_offsets(bad, offset):
     with pytest.raises(SmilesError) as exc:

@@ -1,6 +1,9 @@
 """Masking semantics, pretraining loss mechanics, fine-tuning, weight
 transfer, and checkpoint round-trips."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -118,8 +121,7 @@ def test_mlm_pretrain_reduces_loss():
     vocab = Vocabulary.build(corpus)
     mcfg = small_config(len(vocab))
     model = PretrainModel(mcfg, seed=0)
-    pcfg = PretrainConfig(epochs=12, batch_size=4, learning_rate=3e-3,
-                          max_len=32, seed=0)
+    pcfg = PretrainConfig(epochs=12, batch_size=4, learning_rate=3e-3, seed=0)
     history = mlm_pretrain(model, corpus, vocab, pcfg)
     assert len(history) == 12
     assert history[-1] < history[0]
@@ -151,8 +153,7 @@ def test_finetune_runs_and_records_history(tmp_path):
     drugs, events, label_map, vocab, pair_vecs = tiny_world(tmp_path)
     cfg = small_config(len(vocab), n_classes=len(label_map))
     model = DdiModel(cfg, seed=0)
-    fcfg = FinetuneConfig(epochs=3, batch_size=8, learning_rate=1e-3,
-                          max_len=cfg.max_len, seed=0)
+    fcfg = FinetuneConfig(epochs=3, batch_size=8, learning_rate=1e-3, seed=0)
     train_idx = list(range(20))
     eval_idx = list(range(20, 30))
     history, best = finetune(model, train_idx, eval_idx, events, drugs, vocab,
@@ -166,7 +167,7 @@ def test_finetune_rejects_out_of_range_label(tmp_path):
     drugs, events, label_map, vocab, pair_vecs = tiny_world(tmp_path)
     cfg = small_config(len(vocab), n_classes=2)  # fixture has 3 classes
     model = DdiModel(cfg, seed=0)
-    fcfg = FinetuneConfig(epochs=1, max_len=cfg.max_len)
+    fcfg = FinetuneConfig(epochs=1)
     bad = [i for i, ev in enumerate(events) if ev.label >= 2]
     with pytest.raises(ValueError, match="n_classes"):
         finetune(model, bad[:1], [], events, drugs, vocab, pair_vecs, fcfg)
@@ -315,3 +316,43 @@ def test_transfer_then_finetune_probe(tmp_path):
         a = src.encode(seq.ids[None], seq.segment_ids[None], seq.attention_mask[None]).data
         b = dst.encode(seq.ids[None], seq.segment_ids[None], seq.attention_mask[None]).data
     assert np.array_equal(a, b)
+
+
+def _tiny_checkpoint(tmp_path):
+    model = DdiModel(small_config(8, d_model=4, d_ff=4, max_len=4, kg_dim=4,
+                                  mlp1_hidden=2, mlp1_out=2, mlp2_hidden=2), seed=0)
+    path = tmp_path / "tiny.ckpt"
+    save_checkpoint(path, model)
+    return path
+
+
+def test_checkpoint_rejects_every_strict_prefix(tmp_path):
+    blob = _tiny_checkpoint(tmp_path).read_bytes()
+    short = tmp_path / "short.ckpt"
+    for k in range(len(blob)):
+        short.write_bytes(blob[:k])
+        with pytest.raises(CheckpointError):
+            read_checkpoint(short)
+
+
+def _rewrite_first_entry(path, **fields):
+    """Rewrite the header's first array entry, keeping the payload."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + hlen])
+    header["arrays"][0].update(fields)
+    raw = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + hlen:])
+
+
+@pytest.mark.parametrize("fields", [
+    {"dtype": "|O"}, {"dtype": "<i8"}, {"dtype": ">f4"},
+    {"shape": [1, 1]}, {"shape": [1000000]}, {"shape": "x"},
+    {"nbytes": 0}, {"offset": -4}, {"group": ["param"]},
+], ids=["object", "int", "big-endian", "small-shape", "big-shape", "str-shape",
+        "no-bytes", "negative-offset", "list-group"])
+def test_checkpoint_rejects_bad_array_entry(tmp_path, fields):
+    path = _tiny_checkpoint(tmp_path)
+    _rewrite_first_entry(path, **fields)
+    with pytest.raises(CheckpointError):
+        read_checkpoint(path)
