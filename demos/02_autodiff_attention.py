@@ -10,7 +10,6 @@ import numpy as np
 
 from ddikit import Parameter, Tape, backward
 from ddikit import autodiff as ad
-from ddikit.model import scaled_dot_product_attention
 from ddikit.optim import AdamState, adam_step, zero_grads
 
 
@@ -28,7 +27,7 @@ def main():
         xt = ad.constant(x)
         q = ad.matmul(xt, w_q)
         k = ad.matmul(xt, w_k)
-        out = scaled_dot_product_attention(q, k, xt)
+        out = ad.attention(q, k, xt)
         diff = ad.sub(out, xt)
         return ad.tmean(ad.mul(diff, diff))
 

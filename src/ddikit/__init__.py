@@ -15,10 +15,11 @@ from .kg import (EmbeddingTable, EntityIndex, PairEmbedder, TransEConfig,
 from .metrics import (ConfusionMatrix, MetricReport, aggregate, aupr,
                       confusion, evaluate, f1_per_class, mcc, roc_auc)
 from .model import (DdiModel, ModelConfig, MultiHeadAttention, PretrainModel,
-                    scaled_dot_product_attention, transfer_encoder_weights)
+                    transfer_encoder_weights)
 from .optim import AdamState, adam_step, zero_grads
 from .smiles import (MASK, PAD, SEP, UNK, MolecularGraph, SmilesError,
-                     TokenSequence, Vocabulary, canonical_smiles, encode_pair,
-                     parse_smiles, randomize_smiles, tokenize, write_smiles)
+                     TokenSequence, Vocabulary, VocabularyError, canonical_smiles,
+                     encode_pair, parse_smiles, randomize_smiles, tokenize,
+                     write_smiles)
 from .training import (FinetuneConfig, PretrainConfig, finetune, mask_sequence,
                        mlm_pretrain, predict_scores)

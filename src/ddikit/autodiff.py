@@ -52,9 +52,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 

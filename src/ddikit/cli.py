@@ -32,7 +32,7 @@ from .kg import (ID_TEMPLATE, PairEmbedder, TransEConfig, TripleError, load_tabl
                  load_triples, save_table, train_transe)
 from .metrics import curves_to_csv, evaluate, roc_auc, aupr
 from .model import DdiModel, ModelConfig, PretrainModel, transfer_encoder_weights
-from .smiles import SmilesError, Vocabulary
+from .smiles import SmilesError, Vocabulary, VocabularyError
 from .training import (FinetuneConfig, PretrainConfig, accuracy, finetune,
                        mlm_pretrain, predict_scores)
 
@@ -76,24 +76,65 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _take_fields(cfg: dict, dc_type, **fixed):
-    """Pull the keys of ``dc_type`` out of cfg and build the dataclass."""
-    names = {f.name for f in dataclasses.fields(dc_type)}
-    kwargs = {k: cfg[k] for k in list(cfg) if k in names and k not in fixed}
-    kwargs.update(fixed)
+def _formats_id(template) -> bool:
+    """Whether ``template`` formats each drug id into its own KG entity name."""
     try:
-        return dc_type(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        return template.format(id="a") != template.format(id="b")
+    except (LookupError, ValueError, AttributeError, TypeError):
+        return False
 
 
-def _reject_unknown(cfg: dict, *dc_types, extra: set[str] = frozenset()):
-    allowed = set(extra)
-    for dc in dc_types:
-        allowed |= {f.name for f in dataclasses.fields(dc)}
-    unknown = set(cfg) - allowed
+# The keys only the CLI reads: default, range, and the test of that range; a
+# value must also have its default's type. eval_fold has neither here:
+# _cv_fold checks it, as it checks --split foldK.
+_CLI_KEYS = {
+    "n_drugs": (40, ">= 2", lambda n: n >= 2),
+    "n_events": (300, ">= 1", lambda n: n >= 1),
+    "n_classes": (8, ">= 1", lambda n: n >= 1),
+    "min_count": (1, ">= 1", lambda n: n >= 1),
+    "n_folds": (5, ">= 2", lambda n: n >= 2),
+    "test_drug_fraction": (0.15, "in [0, 1)", lambda x: 0 <= x < 1),
+    "id_template": (ID_TEMPLATE, "a format string with an {id} field", _formats_id),
+    "eval_fold": (0, None, None),
+    "batch_size": (32, ">= 1", lambda n: n >= 1),
+    "bin_width": (25, ">= 1", lambda n: n >= 1),
+    "min_class_count": (5, ">= 1", lambda n: n >= 1),
+}
+
+
+def _typed(key: str, value, default):
+    """``value``, if it has the type of ``default``: an int passes for a
+    float, a bool never for an int, and nothing is converted."""
+    if type(value) is not type(default) and (type(default), type(value)) != (float, int):
+        raise ConfigError(f"{key} must be {type(default).__name__}, got {value!r}")
+    return value
+
+
+def _config(cfg: dict, dc_types, keys) -> dict:
+    """``cfg`` with the CLI ``keys``' defaults filled in. Rejects any other key
+    that is not a field of ``dc_types``, and a CLI key of the wrong type or range."""
+    unknown = set(cfg) - set(keys) - {f.name for dc in dc_types for f in dataclasses.fields(dc)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key in keys:
+        default, rule, in_range = _CLI_KEYS[key]
+        if key in cfg and in_range and not in_range(_typed(key, cfg[key], default)):
+            raise ConfigError(f"{key} must be {rule}, got {cfg[key]!r}")
+    return {**{key: _CLI_KEYS[key][0] for key in keys}, **cfg}
+
+
+def _take_fields(cfg: dict, dc_type, **fixed):
+    """Build ``dc_type`` from its fields in cfg, each of its default's type,
+    and ``fixed``: the values the run sets, which cfg may not set."""
+    fields = [f for f in dataclasses.fields(dc_type) if f.name in cfg]
+    for f in fields:
+        if f.name in fixed:
+            raise ConfigError(f"{f.name} is set by the run, not by the config")
+    kwargs = {f.name: _typed(f.name, cfg[f.name], f.default) for f in fields}
+    try:
+        return dc_type(**kwargs, **fixed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _write_manifest(args, config, outputs, t0):
@@ -152,29 +193,23 @@ def _build_model(cfg: dict, vocab_size: int, n_classes: int, kg_dim: int,
 # ---------------------------------------------------------------------------
 
 def cmd_make_fixture(args, cfg):
-    _reject_unknown(cfg, extra={"n_drugs", "n_events", "n_classes"})
     try:
-        paths = make_dataset_fixture(args.out_dir,
-                                     n_drugs=cfg.get("n_drugs", 40),
-                                     n_events=cfg.get("n_events", 300),
-                                     n_classes=cfg.get("n_classes", 8),
-                                     seed=args.seed)
+        paths = make_dataset_fixture(args.out_dir, cfg["n_drugs"], cfg["n_events"],
+                                     cfg["n_classes"], seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return list(paths.values())
 
 
 def cmd_vocab(args, cfg):
-    _reject_unknown(cfg, extra={"min_count"})
     corpus = _read_corpus(args.corpus)
-    vocab = Vocabulary.build(corpus, min_count=cfg.get("min_count", 1))
+    vocab = Vocabulary.build(corpus, min_count=cfg["min_count"])
     out = _out(args, "vocab.txt")
     vocab.save(out)
     return [out]
 
 
 def cmd_kg_train(args, cfg):
-    _reject_unknown(cfg, TransEConfig)
     tcfg = _take_fields(cfg, TransEConfig, seed=args.seed)
     triples, index = load_triples(args.triples)
     table, history = train_transe(triples, index, tcfg)
@@ -187,9 +222,8 @@ def cmd_kg_train(args, cfg):
 
 
 def cmd_kg_export(args, cfg):
-    _reject_unknown(cfg, extra={"id_template"})
     table = load_table(args.table, args.index)
-    embedder = PairEmbedder(table, id_template=cfg.get("id_template", ID_TEMPLATE))
+    embedder = PairEmbedder(table, id_template=cfg["id_template"])
     out = _out(args, "drug_vectors.tsv")
     ids = list(load_drugs(args.drugs))
     with atomic_open(out, "w") as fh:
@@ -201,12 +235,10 @@ def cmd_kg_export(args, cfg):
 
 
 def cmd_split(args, cfg):
-    _reject_unknown(cfg, extra={"test_drug_fraction", "n_folds"})
     drugs, events, _ = load_dataset(args.drugs, args.events, args.labels)
     rng = np.random.default_rng(args.seed)
-    bundle = make_inductive_splits(events, drugs,
-                                   cfg.get("test_drug_fraction", 0.15), rng,
-                                   n_folds=cfg.get("n_folds", 5))
+    bundle = make_inductive_splits(events, drugs, cfg["test_drug_fraction"], rng,
+                                   n_folds=cfg["n_folds"])
     verify_split(bundle, events)
     out = _out(args, "splits.json")
     with atomic_open(out, "w") as fh:
@@ -216,10 +248,9 @@ def cmd_split(args, cfg):
 
 
 def cmd_pretrain(args, cfg):
-    _reject_unknown(cfg, ModelConfig, PretrainConfig)
+    pcfg = _take_fields(cfg, PretrainConfig, seed=args.seed)
     corpus = _read_corpus(args.corpus)
     vocab = Vocabulary.load(args.vocab)
-    pcfg = _take_fields(cfg, PretrainConfig, seed=args.seed)
     mcfg = _take_fields(cfg, ModelConfig, vocab_size=len(vocab), n_classes=2)
     model = PretrainModel(mcfg, seed=args.seed)
     history = mlm_pretrain(model, corpus, vocab, pcfg,
@@ -241,7 +272,7 @@ def _load_training_world(args, cfg):
     verify_split(bundle, events)
     vocab = Vocabulary.load(args.vocab)
     table = load_table(args.kg_table, args.kg_index)
-    pair_vecs, embedder = _pair_vectors(events, table, cfg.get("id_template", ID_TEMPLATE))
+    pair_vecs, embedder = _pair_vectors(events, table, cfg["id_template"])
     return drugs, events, label_map, bundle, vocab, pair_vecs, embedder
 
 
@@ -272,12 +303,10 @@ def _cv_fold(bundle: SplitBundle, k) -> tuple[list[int], list[int]]:
 
 
 def cmd_train(args, cfg):
-    _reject_unknown(cfg, ModelConfig, FinetuneConfig,
-                    extra={"eval_fold", "id_template"})
+    fcfg = _take_fields(cfg, FinetuneConfig, seed=args.seed)
     drugs, events, label_map, bundle, vocab, pair_vecs, embedder = \
         _load_training_world(args, cfg)
-    train_idx, eval_idx = _cv_fold(bundle, cfg.get("eval_fold", 0))
-    fcfg = _take_fields(cfg, FinetuneConfig, seed=args.seed)
+    train_idx, eval_idx = _cv_fold(bundle, cfg["eval_fold"])
     model = _build_model(cfg, len(vocab), len(label_map), pair_vecs.shape[1], args.seed)
     if args.pretrained:
         _transfer(_load_model(args.pretrained, PretrainModel, args.seed), model)
@@ -304,14 +333,13 @@ def _select_split(bundle: SplitBundle, name: str) -> list[int]:
 
 
 def cmd_eval(args, cfg):
-    _reject_unknown(cfg, extra={"id_template", "batch_size"})
     drugs, events, label_map, bundle, vocab, pair_vecs, _ = _load_training_world(args, cfg)
     indices = _select_split(bundle, args.split)
     model = _load_model(args.checkpoint, DdiModel, args.seed)
     if not indices:
         raise DataError(f"split {args.split!r} is empty")
     scores = predict_scores(model, indices, events, drugs, vocab, pair_vecs,
-                            batch_size=cfg.get("batch_size", 32),
+                            batch_size=cfg["batch_size"],
                             max_len=model.cfg.max_len)
     truths = np.array([events[i].label for i in indices])
     report = evaluate(scores, truths, len(label_map))
@@ -332,16 +360,13 @@ def cmd_eval(args, cfg):
 
 
 def cmd_sts(args, cfg):
-    _reject_unknown(cfg, ModelConfig, FinetuneConfig,
-                    extra={"eval_fold", "id_template", "min_class_count"})
+    fcfg = _take_fields(cfg, FinetuneConfig, seed=args.seed)
     drugs, events, label_map, bundle, vocab, pair_vecs, _ = _load_training_world(args, cfg)
-    train_idx, eval_idx = _cv_fold(bundle, cfg.get("eval_fold", 0))
+    train_idx, eval_idx = _cv_fold(bundle, cfg["eval_fold"])
     pretrained = (_load_model(args.pretrained, PretrainModel, args.seed)
                   if args.pretrained else None)
     rng = np.random.default_rng(args.seed)
-    series = sts_series(train_idx, events, rng,
-                        min_class_count=cfg.get("min_class_count", 5))
-    fcfg = _take_fields(cfg, FinetuneConfig, seed=args.seed)
+    series = sts_series(train_idx, events, rng, min_class_count=cfg["min_class_count"])
     rows = []
     start = len(series[0])
     for step, subset in enumerate(series):
@@ -363,15 +388,12 @@ def cmd_sts(args, cfg):
 
 
 def cmd_seqlen(args, cfg):
-    _reject_unknown(cfg, extra={"id_template", "bin_width", "batch_size"})
     drugs, events, _, bundle, vocab, pair_vecs, _ = _load_training_world(args, cfg)
     indices = _select_split(bundle, args.split)
     model = _load_model(args.checkpoint, DdiModel, args.seed)
-    bins = seqlen_bins(indices, events, drugs, cfg.get("bin_width", 25),
-                       max_len=model.cfg.max_len)
-    batch_size = cfg.get("batch_size", 32)
-    rows = [(lo, accuracy(model, idx, events, drugs, vocab, pair_vecs, batch_size), len(idx))
-            for lo, idx in sorted(bins.items())]
+    bins = seqlen_bins(indices, events, drugs, cfg["bin_width"], max_len=model.cfg.max_len)
+    rows = [(lo, accuracy(model, idx, events, drugs, vocab, pair_vecs, cfg["batch_size"]),
+             len(idx)) for lo, idx in sorted(bins.items())]
     out = _out(args, "seqlen.csv")
     _write_csv(out, "bin_lo,mean_accuracy,count", rows)
     return [out]
@@ -456,17 +478,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# subcommand -> (handler, the dataclasses and the CLI keys it takes)
 _HANDLERS = {
-    "make-fixture": cmd_make_fixture,
-    "vocab": cmd_vocab,
-    "kg-train": cmd_kg_train,
-    "kg-export": cmd_kg_export,
-    "split": cmd_split,
-    "pretrain": cmd_pretrain,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "sts": cmd_sts,
-    "seqlen": cmd_seqlen,
+    "make-fixture": (cmd_make_fixture, (), ("n_drugs", "n_events", "n_classes")),
+    "vocab": (cmd_vocab, (), ("min_count",)),
+    "kg-train": (cmd_kg_train, (TransEConfig,), ()),
+    "kg-export": (cmd_kg_export, (), ("id_template",)),
+    "split": (cmd_split, (), ("test_drug_fraction", "n_folds")),
+    "pretrain": (cmd_pretrain, (ModelConfig, PretrainConfig), ()),
+    "train": (cmd_train, (ModelConfig, FinetuneConfig), ("eval_fold", "id_template")),
+    "eval": (cmd_eval, (), ("id_template", "batch_size")),
+    "sts": (cmd_sts, (ModelConfig, FinetuneConfig),
+            ("eval_fold", "id_template", "min_class_count")),
+    "seqlen": (cmd_seqlen, (), ("id_template", "bin_width", "batch_size")),
 }
 
 
@@ -474,15 +498,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = _load_config(args)
-        outputs = _HANDLERS[args.subcommand](args, cfg)
+        handler, dc_types, keys = _HANDLERS[args.subcommand]
+        outputs = handler(args, _config(cfg, dc_types, keys))
         _write_manifest(args, cfg, outputs, t0)
         return 0
     except ConfigError as exc:
         print(f"ddikit:error:config: {exc}", file=sys.stderr)
         return 2
-    except (DataError, TripleError, SmilesError, CheckpointError, OSError,
-            UnicodeDecodeError) as exc:
+    except (DataError, TripleError, SmilesError, VocabularyError, CheckpointError,
+            OSError, UnicodeDecodeError) as exc:
         print(f"ddikit:error:data: {exc}", file=sys.stderr)
         return 3
     except FloatingPointError as exc:

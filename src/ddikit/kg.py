@@ -9,6 +9,7 @@ the two entity embeddings (zero vector for drugs absent from the graph).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -48,6 +49,18 @@ class TransEConfig:
     learning_rate: float = 0.01
     negatives_per_positive: int = 1
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("dim", "epochs", "batch_size", "negatives_per_positive"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        for name in ("margin", "learning_rate"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)!r}")
+        if self.norm_p not in (1, 2):
+            raise ValueError(f"norm_p must be 1 or 2, got {self.norm_p!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass

@@ -41,6 +41,17 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        for name, low in (("vocab_size", 1), ("n_classes", 1), ("d_model", 1), ("n_layers", 0),
+                          ("n_heads", 1), ("d_ff", 1), ("max_len", 1), ("n_segments", 2),
+                          ("kg_dim", 1), ("kg_heads", 1), ("conv_blocks", 0),
+                          ("conv_kernel", 1), ("pool_stride", 1), ("mlp1_hidden", 1),
+                          ("mlp1_out", 1), ("mlp2_hidden", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
+        if not 0 <= self.dropout < 1:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
         if self.kg_dim % 2 or (self.kg_dim // 2) % self.kg_heads:
@@ -134,17 +145,6 @@ class Conv1d:
         return ad.conv1d(x, self.w, self.b)
 
 
-def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
-                                 mask: np.ndarray | None = None) -> Tensor:
-    """softmax(q k^T / sqrt(d_k)) v with optional key padding mask.
-
-    q, k: [..., n, d_k]; v: [..., n, d_v]; mask: boolean [batch, n] (True =
-    real token) or None. A sample whose key mask is all False gets all-zero
-    output rows.
-    """
-    return ad.attention(q, k, v, mask)
-
-
 class MultiHeadAttention:
     """h parallel attention heads over linear projections, concatenated and
     projected back to model width."""
@@ -167,7 +167,7 @@ class MultiHeadAttention:
         q = self._split(self.w_q(x))
         k = self._split(self.w_k(x))
         v = self._split(self.w_v(x))
-        heads = scaled_dot_product_attention(q, k, v, mask)
+        heads = ad.attention(q, k, v, mask)
         merged = ad.reshape(ad.transpose(heads, (0, 2, 1, 3)), (b, n, d))
         return self.w_o(merged)
 

@@ -38,6 +38,10 @@ class SmilesError(ValueError):
         self.offset = offset
 
 
+class VocabularyError(ValueError):
+    """A vocabulary file without the reserved header, or with a token twice."""
+
+
 @dataclass(frozen=True)
 class Atom:
     element: str
@@ -272,6 +276,8 @@ def parse_smiles(s: str) -> MolecularGraph:
         raise SmilesError(f"unmatched ring closure {num}", offset)
     if pending is not None:
         raise SmilesError("trailing bond symbol", len(s))
+    if not g.atoms:
+        raise SmilesError("no atom", 0)
     return g
 
 
@@ -517,7 +523,7 @@ class Vocabulary:
         self.tokens = list(RESERVED_TOKENS) + list(tokens)
         self.index = {t: i for i, t in enumerate(self.tokens)}
         if len(self.index) != len(self.tokens):
-            raise ValueError("duplicate tokens in vocabulary")
+            raise VocabularyError("duplicate tokens in vocabulary")
         self.counts = counts or Counter()
 
     def __len__(self):
@@ -552,7 +558,7 @@ class Vocabulary:
         with open(path, encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
         if tuple(lines[:4]) != RESERVED_TOKENS:
-            raise ValueError(f"vocab file {path} lacks the 4-line reserved header")
+            raise VocabularyError(f"vocab file {path} lacks the 4-line reserved header")
         return cls(lines[4:])
 
 

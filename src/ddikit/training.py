@@ -33,8 +33,9 @@ class PretrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_training_ranges(self)
         if not 0 < self.mask_rate < 1:
-            raise ValueError("mask_rate must be in (0, 1)")
+            raise ValueError(f"mask_rate must be in (0, 1), got {self.mask_rate!r}")
 
 
 @dataclass
@@ -45,6 +46,22 @@ class FinetuneConfig:
     weight_decay: float = 1e-5
     randomize: bool = True
     seed: int = 0
+
+    def __post_init__(self):
+        _check_training_ranges(self)
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay!r}")
+
+
+def _check_training_ranges(cfg):
+    """The ranges PretrainConfig and FinetuneConfig share."""
+    for name in ("epochs", "batch_size"):
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)!r}")
+    if not 0 <= cfg.learning_rate < math.inf:
+        raise ValueError(f"learning_rate must be >= 0 and finite, got {cfg.learning_rate!r}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {cfg.seed!r}")
 
 
 @dataclass
@@ -88,6 +105,24 @@ def _stack(seqs: list[TokenSequence]):
     return ids, segs, mask
 
 
+def _train_step(model, opt: AdamState, forward, targets: np.ndarray, epoch: int,
+                step: int):
+    """Run ``forward()`` on a fresh tape, take its cross-entropy loss against
+    ``targets``, stop on a non-finite loss, then back-propagate and apply one
+    Adam update. Returns the logits and the loss value."""
+    tape = Tape()
+    with tape:
+        logits = forward()
+        loss = ad.cross_entropy_loss(logits, targets)
+    value = loss.item()
+    if not math.isfinite(value):
+        raise FloatingPointError(f"NaN loss at epoch {epoch}, step {step}")
+    zero_grads(model.parameters())
+    backward(loss, tape)
+    adam_step(model.parameters(), opt)
+    return logits, value
+
+
 def mlm_pretrain(model: PretrainModel, corpus: list[str], vocab: Vocabulary,
                  cfg: PretrainConfig, progress=None) -> list[float]:
     """Train the encoder with masked-token prediction; returns per-epoch mean
@@ -116,16 +151,9 @@ def mlm_pretrain(model: PretrainModel, corpus: list[str], vocab: Vocabulary,
             ids = np.stack(masked_ids)
             flat_positions = np.concatenate(flat_positions)
             targets = np.concatenate(targets)
-            tape = Tape()
-            with tape:
-                logits = model.masked_logits(ids, segs, mask, flat_positions)
-                loss = ad.cross_entropy_loss(logits, targets)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise FloatingPointError(f"NaN loss at epoch {epoch}, step {lo // cfg.batch_size}")
-            zero_grads(model.parameters())
-            backward(loss, tape)
-            adam_step(model.parameters(), opt)
+            _, value = _train_step(
+                model, opt, lambda: model.masked_logits(ids, segs, mask, flat_positions),
+                targets, epoch, lo // cfg.batch_size)
             total += value * len(targets)
             count += len(targets)
         history.append(total / count)
@@ -219,16 +247,9 @@ def finetune(model: DdiModel, train_indices: list[int], eval_indices: list[int],
                                   rng=aug_rng if cfg.randomize else None)
             ids, segs, mask = _stack(seqs)
             y = labels[sel]
-            tape = Tape()
-            with tape:
-                logits = model.forward(ids, segs, mask, pair_vecs[chunk])
-                loss = ad.cross_entropy_loss(logits, y)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise FloatingPointError(f"NaN loss at epoch {epoch}, step {lo // cfg.batch_size}")
-            zero_grads(model.parameters())
-            backward(loss, tape)
-            adam_step(model.parameters(), opt)
+            logits, value = _train_step(
+                model, opt, lambda: model.forward(ids, segs, mask, pair_vecs[chunk]),
+                y, epoch, lo // cfg.batch_size)
             total += value * len(chunk)
             correct += int((logits.data.argmax(axis=1) == y).sum())
             seen += len(chunk)

@@ -1,5 +1,18 @@
 """Shared pytest hooks: collects one pass/fail line per acceptance criterion
-and prints them in the terminal summary."""
+and prints them in the terminal summary, and makes hypothesis tests
+deterministic (fixed draws, no example database, no deadline)."""
+
+import tempfile
+
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
+settings.register_profile("ddikit", derandomize=True, database=None, deadline=None)
+settings.load_profile("ddikit")
+# Hypothesis also caches constants it reads from the package's source; keep
+# that cache in a directory removed at exit instead of ./.hypothesis.
+_hypothesis_home = tempfile.TemporaryDirectory(prefix="ddikit-hypothesis-")
+set_hypothesis_home_dir(_hypothesis_home.name)
 
 _criterion_lines: list[str] = []
 

@@ -24,7 +24,6 @@ from ddikit.kg import (EntityIndex, TransEConfig, Triple, train_transe,
 from ddikit.metrics import aggregate, aupr, confusion, roc_auc
 from ddikit.model import (DdiModel, ModelConfig, MultiHeadAttention,
                           ParamStore, PretrainModel,
-                          scaled_dot_product_attention,
                           transfer_encoder_weights)
 from ddikit.optim import zero_grads
 from ddikit.smiles import (Vocabulary, canonical_smiles, encode_pair,
@@ -142,7 +141,7 @@ def test_criterion_2_attention_oracles():
         k = rng.standard_normal((2, n, d))
         v = rng.standard_normal((2, n, d))
         with no_grad():
-            got = scaled_dot_product_attention(
+            got = ad.attention(
                 Tensor(q, dtype=np.float64), Tensor(k, dtype=np.float64),
                 Tensor(v, dtype=np.float64)).data
         worst = max(worst, float(np.abs(got - attention_oracle(q, k, v)).max()))

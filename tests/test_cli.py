@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline tests: exit codes, manifests, output
 files, and rerun determinism. Commands run in process through cli.main."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,9 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ddikit
+from ddikit import cli
 from ddikit.cli import main
+from ddikit.data import SplitBundle
+from ddikit.training import FinetuneConfig
 
 TINY = {"d_model": 8, "n_layers": 1, "n_heads": 2, "d_ff": 8, "max_len": 32,
         "conv_blocks": 2, "kg_heads": 2, "mlp1_hidden": 8, "mlp1_out": 8,
@@ -369,3 +374,133 @@ def test_kg_export_validates_drugs_file(world, tmp_path, capsys):
     assert rc == 3
     assert _one_error_line(capsys, "data")
     assert not (tmp_path / "o/drug_vectors.tsv").exists()
+
+
+# ---------------------------------------------------------------------------
+# the config schema
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sub,setting", [
+    ("kg-train", 'epochs="x"'), ("kg-train", "dim=0"), ("kg-train", "norm_p=3"),
+    ("kg-train", "batch_size=0"), ("kg-train", "seed=7"),
+    ("vocab", 'min_count="a"'),
+    ("split", 'n_folds="x"'), ("split", "n_folds=0"), ("split", "n_folds=1"),
+    ("split", "test_drug_fraction=2"),
+    ("pretrain", "batch_size=0"), ("pretrain", "n_heads=0"), ("pretrain", "n_segments=1"),
+    ("pretrain", 'dtype="float16"'), ("pretrain", "dropout=1.5"),
+    ("pretrain", 'learning_rate="x"'), ("pretrain", "epochs=0"), ("pretrain", "vocab_size=3"),
+    ("train", "learning_rate=NaN"), ("train", "id_template=5"),
+    ("kg-export", 'id_template="{x}"'),
+    ("eval", "batch_size=0"),
+    ("seqlen", "bin_width=0"),
+    ("sts", 'min_class_count="a"'),
+])
+def test_bad_config_value_exits_2(world, tmp_path, capsys, sub, setting):
+    _, files, other = _manifest_case(world, sub)
+    capsys.readouterr()
+    rc = run(sub, *files, *other, "--set", setting, "--out-dir", tmp_path / "o")
+    assert rc == 2
+    assert _one_error_line(capsys, "config")
+
+
+@pytest.mark.parametrize("sub,key", [
+    ("kg-train", "seed"), ("pretrain", "seed"), ("train", "seed"), ("sts", "seed"),
+    ("pretrain", "vocab_size"), ("train", "vocab_size"), ("sts", "vocab_size"),
+    ("pretrain", "n_classes"), ("train", "n_classes"), ("sts", "n_classes"),
+    ("train", "kg_dim"), ("sts", "kg_dim"),
+])
+def test_key_the_run_sets_exits_2(world, tmp_path, capsys, sub, key):
+    """seed comes from --seed; vocab_size, n_classes and kg_dim from the
+    input files. A config value for them would be ignored, so it is refused."""
+    _, files, other = _manifest_case(world, sub)
+    capsys.readouterr()
+    rc = run(sub, *files, *other, "--set", f"{key}=4", "--out-dir", tmp_path / "o")
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"ddikit:error:config: {key} is set by the run, not by the config"]
+
+
+@pytest.mark.parametrize("sub", ["make-fixture", "split", "eval"])
+def test_negative_seed_exits_2(world, tmp_path, capsys, sub):
+    _, files, other = _manifest_case(world, sub)
+    capsys.readouterr()
+    assert run(sub, *files, *other, "--seed", -1, "--out-dir", tmp_path / "o") == 2
+    assert _one_error_line(capsys, "config")
+
+
+def test_int_reaches_a_float_key_unconverted():
+    fcfg = cli._take_fields({"learning_rate": 1}, FinetuneConfig, seed=0)
+    assert type(fcfg.learning_rate) is int
+    with pytest.raises(cli.ConfigError):
+        cli._take_fields({"epochs": 2.0}, FinetuneConfig, seed=0)
+    with pytest.raises(cli.ConfigError):
+        cli._take_fields({"epochs": True}, FinetuneConfig, seed=0)
+
+
+# Values a subcommand's run supplies to its dataclasses, as the handlers do.
+_RUN_VALUES = {"seed": 0, "vocab_size": 10, "n_classes": 3, "kg_dim": 8}
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=12)
+    | st.integers() | st.sampled_from([0, -1, 1, 2, 10 ** 30, -10 ** 30]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+def _validate(sub: str, cfg: dict):
+    """The checks main() and the handlers make on a config: the key table,
+    then each dataclass with the values its run sets, then the fold index."""
+    _, dc_types, keys = cli._HANDLERS[sub]
+    cfg = cli._config(cfg, dc_types, keys)
+    built = []
+    for dc in dc_types:
+        names = {f.name for f in dataclasses.fields(dc)}
+        fixed = {k: v for k, v in _RUN_VALUES.items()
+                 if k in names and not (sub == "pretrain" and k == "kg_dim")}
+        built.append(cli._take_fields(cfg, dc, **fixed))
+    if "eval_fold" in keys:
+        bundle = SplitBundle(train=[0, 1], folds=[[0], [1]], u1=[], u2=[], test_drugs=set())
+        cli._cv_fold(bundle, cfg["eval_fold"])
+    return cfg, built
+
+
+@given(st.data())
+@settings(max_examples=600)
+def test_any_json_value_is_a_config_or_a_config_error(data):
+    sub = data.draw(st.sampled_from(sorted(cli._HANDLERS)))
+    _, dc_types, keys = cli._HANDLERS[sub]
+    names = sorted({f.name for dc in dc_types for f in dataclasses.fields(dc)} | set(keys))
+    cfg = data.draw(st.dictionaries(st.sampled_from(names + ["bogus"]), _JSON,
+                                    min_size=1, max_size=4))
+    try:
+        resolved, built = _validate(sub, dict(cfg))
+    except cli.ConfigError:
+        return
+    for obj in built:
+        for key, value in cfg.items():
+            if hasattr(obj, key):
+                assert type(getattr(obj, key)) is type(value)  # never converted
+    for key in keys:
+        assert resolved[key] is cfg.get(key, cli._CLI_KEYS[key][0])
+
+
+@pytest.mark.parametrize("sub", ["pretrain", "eval"])
+def test_vocab_without_header_exits_3(world, tmp_path, capsys, sub):
+    bad = tmp_path / "vocab.txt"
+    bad.write_text("C\nO\n")
+    _, files, other = _manifest_case(world, sub)
+    capsys.readouterr()
+    rc = run(sub, *_replace_arg(files, "--vocab", bad), *other, "--out-dir", tmp_path / "o")
+    assert rc == 3
+    assert _one_error_line(capsys, "data")
+
+
+def test_drug_without_atoms_exits_3(world, tmp_path, capsys):
+    lines = (world / "fix/drugs.tsv").read_text().splitlines()
+    lines[0] = lines[0].split("\t")[0] + "\t."
+    drugs = tmp_path / "drugs.tsv"
+    drugs.write_text("\n".join(lines) + "\n")
+    argv = _replace_arg(dataset_args(world)[:6], "--drugs", drugs)
+    capsys.readouterr()
+    assert run("split", *argv, "--out-dir", tmp_path / "o") == 3
+    assert _one_error_line(capsys, "data")

@@ -12,7 +12,6 @@ from ddikit import autodiff as ad
 from ddikit.autodiff import Parameter, Tape, Tensor, backward, no_grad
 from ddikit.model import (DdiModel, KgSelfAttention, ModelConfig,
                           MultiHeadAttention, ParamStore, PretrainModel,
-                          scaled_dot_product_attention,
                           transfer_encoder_weights)
 
 from gradcheck import check_grads, check_model_grads, rel_err
@@ -42,7 +41,7 @@ def test_attention_single_token_returns_value_row():
     k = rng.standard_normal((1, 1, 4))
     v = rng.standard_normal((1, 1, 4))
     with no_grad():
-        out = scaled_dot_product_attention(T(q), T(k), T(v)).data
+        out = ad.attention(T(q), T(k), T(v)).data
     assert np.abs(out - v).max() < 1e-12
 
 
@@ -52,7 +51,7 @@ def test_attention_identical_keys_average_values():
     k = np.tile(rng.standard_normal((1, 1, 4)), (1, 5, 1))
     v = rng.standard_normal((1, 5, 4))
     with no_grad():
-        out = scaled_dot_product_attention(T(q), T(k), T(v)).data
+        out = ad.attention(T(q), T(k), T(v)).data
     want = np.tile(v.mean(axis=1, keepdims=True), (1, 3, 1))
     assert np.abs(out - want).max() < 1e-10
 
@@ -64,7 +63,7 @@ def test_attention_matches_formula_oracle(seed):
     k = rng.standard_normal((2, 2, 3, 4))
     v = rng.standard_normal((2, 2, 3, 5))
     with no_grad():
-        out = scaled_dot_product_attention(T(q), T(k), T(v)).data
+        out = ad.attention(T(q), T(k), T(v)).data
     assert np.abs(out - attention_oracle(q, k, v)).max() < 1e-6
 
 
@@ -76,13 +75,13 @@ def test_attention_mask_matches_oracle(seed):
     v = rng.standard_normal((2, 4, 3))
     mask = np.array([[True, True, False, False], [True, True, True, False]])
     with no_grad():
-        out = scaled_dot_product_attention(T(q), T(k), T(v), mask).data
+        out = ad.attention(T(q), T(k), T(v), mask).data
     assert np.abs(out - attention_oracle(q, k, v, mask)).max() < 1e-6
     # masked-out keys contribute (almost) nothing: changing them is a no-op
     v2 = v.copy()
     v2[0, 2:] = 99.0
     with no_grad():
-        out2 = scaled_dot_product_attention(T(q), T(k), T(v2), mask).data
+        out2 = ad.attention(T(q), T(k), T(v2), mask).data
     assert np.abs(out2 - out).max() < 1e-6
 
 
@@ -93,7 +92,7 @@ def test_attention_fully_masked_rows_are_zero():
     v = rng.standard_normal((2, 3, 4))
     mask = np.array([[False, False, False], [True, False, False]])
     with no_grad():
-        out = scaled_dot_product_attention(T(q), T(k), T(v), mask).data
+        out = ad.attention(T(q), T(k), T(v), mask).data
     assert not out[0].any()
     assert out[1].any()
 
@@ -136,7 +135,7 @@ def test_fused_attention_bit_identical_to_composed_ops(dtype, lead, lengths):
     q, k, v, g = (rng.standard_normal(lead + (n, d)).astype(dtype) for d in (3, 3, 5, 5))
     mask = None if lengths is None else np.arange(n)[None, :] < np.array(lengths)[:, None]
     want_out, want_grads = _attention_with_grads(composed_attention, q, k, v, mask, g)
-    got_out, got_grads = _attention_with_grads(scaled_dot_product_attention, q, k, v, mask, g)
+    got_out, got_grads = _attention_with_grads(ad.attention, q, k, v, mask, g)
     assert got_out.dtype == dtype
     assert np.array_equal(got_out, want_out)
     for got, want in zip(got_grads, want_grads):

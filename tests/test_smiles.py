@@ -87,6 +87,8 @@ def test_parse_components():
     ("C)C[", 1),         # the first error wins over a later unterminated bracket
     ("C==C[", 2),
     ("CX[", 1),
+    (".", 0),            # no atom
+    ("..", 0),
 ])
 def test_parse_errors_carry_offsets(bad, offset):
     with pytest.raises(SmilesError) as exc:
