@@ -117,7 +117,9 @@ def active_tape() -> Optional[Tape]:
 def _make(out_data, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
     tape = active_tape()
     needs = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=needs, dtype=out_data.dtype)
+    # The output keeps the array the op made: no op writes into its inputs
+    # or into an output the tape keeps.
+    out = Tensor(out_data, requires_grad=needs)
     if needs:
         tape.entries.append(_TapeEntry(out, tuple(inputs), backward_fn))
     return out

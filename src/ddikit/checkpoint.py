@@ -145,6 +145,9 @@ def read_checkpoint(path) -> tuple[dict, dict[str, dict[str, np.ndarray]]]:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
     if not (isinstance(arrays, list) and isinstance(meta, dict)):
         raise CheckpointError(f"{path}: corrupt header")
+    for key, kind in (("config", dict), ("config_fingerprint", str), ("model_rng", dict)):
+        if not isinstance(meta.get(key), kind):
+            raise CheckpointError(f"{path}: meta has no {key} {kind.__name__}")
     payload = blob[16 + hlen:]
     groups: dict[str, dict[str, np.ndarray]] = {}
     for entry in arrays:
@@ -161,6 +164,10 @@ def load_checkpoint(path, model, optimizer: AdamState | None = None) -> dict:
     want = config_fingerprint(model.cfg.to_dict())
     if meta["config_fingerprint"] != want:
         raise CheckpointError(f"{path}: config fingerprint mismatch")
+    try:
+        rng = _restore_rng(meta["model_rng"])
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
+        raise CheckpointError(f"{path}: bad model_rng state: {exc!r}") from exc
     params = model.parameters()
     stored = groups.get("param", {})
     if set(stored) != set(params):
@@ -172,7 +179,7 @@ def load_checkpoint(path, model, optimizer: AdamState | None = None) -> dict:
     buffers = model.buffers()
     for name, arr in groups.get("buffer", {}).items():
         buffers[name][...] = arr
-    model.rng = _restore_rng(meta["model_rng"])
+    model.rng = rng
     if optimizer is not None:
         if "optimizer" not in meta:
             raise CheckpointError(f"{path}: checkpoint has no optimizer state")

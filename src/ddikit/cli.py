@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,12 +40,6 @@ from .training import (FinetuneConfig, PretrainConfig, accuracy, finetune,
 
 class ConfigError(ValueError):
     pass
-
-
-# Every argument that names a file a subcommand reads; the manifest hashes
-# each one given on the command line.
-_INPUT_ARGS = ("checkpoint", "corpus", "triples", "table", "index", "drugs", "events",
-               "labels", "splits", "vocab", "kg_table", "kg_index", "pretrained")
 
 
 def _sha256(path) -> str:
@@ -138,7 +133,7 @@ def _take_fields(cfg: dict, dc_type, **fixed):
 
 
 def _write_manifest(args, config, outputs, t0):
-    inputs = [getattr(args, name, None) for name in _INPUT_ARGS]
+    inputs = [getattr(args, name) for name in _SUBCOMMANDS[args.subcommand].files]
     manifest = {
         "subcommand": args.subcommand,
         "version": __version__,
@@ -168,11 +163,12 @@ def _out(args, name):
     return os.path.join(args.out_dir, name)
 
 
-def _read_corpus(path) -> list[str]:
+def _read_corpus(path, least: int = 1) -> list[str]:
+    """The molecules of ``path``, one a line; fewer than ``least`` is a data error."""
     with open(path, encoding="utf-8") as fh:
         corpus = [ln.strip() for ln in fh if ln.strip()]
-    if not corpus:
-        raise DataError(f"{path}: empty corpus")
+    if len(corpus) < least:
+        raise DataError(f"{path}: needs at least {least} molecules, has {len(corpus)}")
     return corpus
 
 
@@ -249,7 +245,7 @@ def cmd_split(args, cfg):
 
 def cmd_pretrain(args, cfg):
     pcfg = _take_fields(cfg, PretrainConfig, seed=args.seed)
-    corpus = _read_corpus(args.corpus)
+    corpus = _read_corpus(args.corpus, least=2)  # each molecule is paired with another
     vocab = Vocabulary.load(args.vocab)
     mcfg = _take_fields(cfg, ModelConfig, vocab_size=len(vocab), n_classes=2)
     model = PretrainModel(mcfg, seed=args.seed)
@@ -280,8 +276,25 @@ def _load_model(path, model_cls, seed: int):
     """Build ``model_cls`` with the architecture stored in the checkpoint at
     ``path`` and load its weights into it."""
     meta, _ = read_checkpoint(path)
-    model = model_cls(ModelConfig(**meta["config"]), seed=seed)
+    try:
+        cfg = ModelConfig(**meta["config"])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: stored config is not a model config: {exc}") from exc
+    model = model_cls(cfg, seed=seed)
     load_checkpoint(path, model)
+    return model
+
+
+def _load_scorer(args, vocab: Vocabulary, pair_vecs: np.ndarray) -> DdiModel:
+    """The --checkpoint model, checked against the vocabulary and the KG pair
+    vectors it is to read."""
+    model = _load_model(args.checkpoint, DdiModel, args.seed)
+    if len(vocab) != model.cfg.vocab_size:
+        raise DataError(f"--vocab has {len(vocab)} tokens; the checkpoint's model "
+                        f"has {model.cfg.vocab_size}")
+    if pair_vecs.shape[1] != model.cfg.kg_dim:
+        raise DataError(f"--kg-table gives pair vectors of width {pair_vecs.shape[1]}; "
+                        f"the checkpoint's model takes kg_dim {model.cfg.kg_dim}")
     return model
 
 
@@ -294,12 +307,21 @@ def _transfer(pretrained: PretrainModel, model: DdiModel):
         raise ConfigError(f"--pretrained checkpoint does not fit the model: {exc}") from exc
 
 
-def _cv_fold(bundle: SplitBundle, k) -> tuple[list[int], list[int]]:
-    """(train, eval) event indices with cross-validation fold ``k`` held out."""
+def _fold(bundle: SplitBundle, k) -> list[int]:
+    """The event indices of cross-validation fold ``k``."""
     if type(k) is not int or not 0 <= k < len(bundle.folds):
         raise ConfigError(f"fold {k!r} is not an integer in [0, {len(bundle.folds)})")
+    return bundle.folds[k]
+
+
+def _cv_fold(bundle: SplitBundle, k) -> tuple[list[int], list[int]]:
+    """(train, eval) event indices with cross-validation fold ``k`` held out;
+    the train part may not be empty."""
+    held_out = _fold(bundle, k)
     train = [i for f, fold in enumerate(bundle.folds) if f != k for i in fold]
-    return train, bundle.folds[k]
+    if not train:
+        raise DataError(f"holding out fold {k} leaves no training events")
+    return train, held_out
 
 
 def cmd_train(args, cfg):
@@ -328,14 +350,14 @@ def _select_split(bundle: SplitBundle, name: str) -> list[int]:
         return getattr(bundle, name)
     if name.startswith("fold"):
         k = name[4:]
-        return _cv_fold(bundle, int(k) if k.isdecimal() else k)[1]
+        return _fold(bundle, int(k) if k.isdecimal() else k)
     raise ConfigError(f"unknown split {name!r} (use train, u1, u2 or foldK)")
 
 
 def cmd_eval(args, cfg):
     drugs, events, label_map, bundle, vocab, pair_vecs, _ = _load_training_world(args, cfg)
     indices = _select_split(bundle, args.split)
-    model = _load_model(args.checkpoint, DdiModel, args.seed)
+    model = _load_scorer(args, vocab, pair_vecs)
     if not indices:
         raise DataError(f"split {args.split!r} is empty")
     scores = predict_scores(model, indices, events, drugs, vocab, pair_vecs,
@@ -390,7 +412,7 @@ def cmd_sts(args, cfg):
 def cmd_seqlen(args, cfg):
     drugs, events, _, bundle, vocab, pair_vecs, _ = _load_training_world(args, cfg)
     indices = _select_split(bundle, args.split)
-    model = _load_model(args.checkpoint, DdiModel, args.seed)
+    model = _load_scorer(args, vocab, pair_vecs)
     bins = seqlen_bins(indices, events, drugs, cfg["bin_width"], max_len=model.cfg.max_len)
     rows = [(lo, accuracy(model, idx, events, drugs, vocab, pair_vecs, cfg["batch_size"]),
              len(idx)) for lo, idx in sorted(bins.items())]
@@ -400,98 +422,61 @@ def cmd_seqlen(args, cfg):
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
+# the subcommand table: it builds the parser, names the files the manifest
+# hashes and gives main() each handler with the config it takes
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="override a config key")
-    p.add_argument("--out-dir", required=True)
+class _Subcommand(NamedTuple):
+    handler: Callable
+    help: str
+    files: tuple[str, ...] = ()  # each read from --NAME, required but for --pretrained
+    configs: tuple[type, ...] = ()  # the dataclasses whose fields it takes as config keys
+    keys: tuple[str, ...] = ()  # the _CLI_KEYS it takes
 
 
-def _add_dataset_args(p):
-    p.add_argument("--drugs", required=True)
-    p.add_argument("--events", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--splits", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--kg-table", required=True)
-    p.add_argument("--kg-index", required=True)
+# The dataset files that train, eval, sts and seqlen read.
+_WORLD = ("drugs", "events", "labels", "splits", "vocab", "kg_table", "kg_index")
+
+_SUBCOMMANDS = {
+    "make-fixture": _Subcommand(cmd_make_fixture, "generate a synthetic dataset",
+                                keys=("n_drugs", "n_events", "n_classes")),
+    "vocab": _Subcommand(cmd_vocab, "build the token vocabulary", ("corpus",),
+                         keys=("min_count",)),
+    "kg-train": _Subcommand(cmd_kg_train, "train KG embeddings", ("triples",), (TransEConfig,)),
+    "kg-export": _Subcommand(cmd_kg_export, "export per-drug KG vectors",
+                             ("table", "index", "drugs"), keys=("id_template",)),
+    "split": _Subcommand(cmd_split, "build CV + inductive splits", ("drugs", "events", "labels"),
+                         keys=("test_drug_fraction", "n_folds")),
+    "pretrain": _Subcommand(cmd_pretrain, "masked-token pretraining", ("corpus", "vocab"),
+                            (ModelConfig, PretrainConfig)),
+    "train": _Subcommand(cmd_train, "supervised fine-tuning", _WORLD + ("pretrained",),
+                         (ModelConfig, FinetuneConfig), ("eval_fold", "id_template")),
+    "eval": _Subcommand(cmd_eval, "evaluate a checkpoint on a split", ("checkpoint",) + _WORLD,
+                        keys=("id_template", "batch_size")),
+    "sts": _Subcommand(cmd_sts, "shrinking-training-set analysis", _WORLD + ("pretrained",),
+                       (ModelConfig, FinetuneConfig),
+                       ("eval_fold", "id_template", "min_class_count")),
+    "seqlen": _Subcommand(cmd_seqlen, "accuracy by input token length",
+                          ("checkpoint",) + _WORLD,
+                          keys=("id_template", "bin_width", "batch_size")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ddikit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("make-fixture", help="generate a synthetic dataset")
-    _add_common(p)
-
-    p = sub.add_parser("vocab", help="build the token vocabulary")
-    p.add_argument("--corpus", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("kg-train", help="train KG embeddings")
-    p.add_argument("--triples", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("kg-export", help="export per-drug KG vectors")
-    p.add_argument("--table", required=True)
-    p.add_argument("--index", required=True)
-    p.add_argument("--drugs", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("split", help="build CV + inductive splits")
-    p.add_argument("--drugs", required=True)
-    p.add_argument("--events", required=True)
-    p.add_argument("--labels", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("pretrain", help="masked-token pretraining")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--vocab", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("train", help="supervised fine-tuning")
-    _add_dataset_args(p)
-    p.add_argument("--pretrained", default=None)
-    _add_common(p)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", required=True)
-    _add_dataset_args(p)
-    _add_common(p)
-
-    p = sub.add_parser("sts", help="shrinking-training-set analysis")
-    _add_dataset_args(p)
-    p.add_argument("--pretrained", default=None)
-    _add_common(p)
-
-    p = sub.add_parser("seqlen", help="accuracy by input token length")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", required=True)
-    _add_dataset_args(p)
-    _add_common(p)
-
+    for name, row in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=row.help)
+        for file in row.files:
+            p.add_argument("--" + file.replace("_", "-"), required=file != "pretrained")
+            if file == "checkpoint":
+                p.add_argument("--split", required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--config", default=None, help="JSON config file")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="override a config key")
+        p.add_argument("--out-dir", required=True)
     return parser
-
-
-# subcommand -> (handler, the dataclasses and the CLI keys it takes)
-_HANDLERS = {
-    "make-fixture": (cmd_make_fixture, (), ("n_drugs", "n_events", "n_classes")),
-    "vocab": (cmd_vocab, (), ("min_count",)),
-    "kg-train": (cmd_kg_train, (TransEConfig,), ()),
-    "kg-export": (cmd_kg_export, (), ("id_template",)),
-    "split": (cmd_split, (), ("test_drug_fraction", "n_folds")),
-    "pretrain": (cmd_pretrain, (ModelConfig, PretrainConfig), ()),
-    "train": (cmd_train, (ModelConfig, FinetuneConfig), ("eval_fold", "id_template")),
-    "eval": (cmd_eval, (), ("id_template", "batch_size")),
-    "sts": (cmd_sts, (ModelConfig, FinetuneConfig),
-            ("eval_fold", "id_template", "min_class_count")),
-    "seqlen": (cmd_seqlen, (), ("id_template", "bin_width", "batch_size")),
-}
 
 
 def main(argv=None) -> int:
@@ -501,8 +486,8 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = _load_config(args)
-        handler, dc_types, keys = _HANDLERS[args.subcommand]
-        outputs = handler(args, _config(cfg, dc_types, keys))
+        row = _SUBCOMMANDS[args.subcommand]
+        outputs = row.handler(args, _config(cfg, row.configs, row.keys))
         _write_manifest(args, cfg, outputs, t0)
         return 0
     except ConfigError as exc:

@@ -4,6 +4,8 @@ files, and rerun determinism. Commands run in process through cli.main."""
 import dataclasses
 import json
 import os
+import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -447,17 +449,22 @@ _JSON = st.recursive(
     max_leaves=6)
 
 
+def _run_set(sub: str, dc) -> dict:
+    """The values ``sub``'s run passes to dataclass ``dc``: pretrain leaves
+    kg_dim to the config."""
+    names = {f.name for f in dataclasses.fields(dc)}
+    return {k: v for k, v in _RUN_VALUES.items()
+            if k in names and not (sub == "pretrain" and k == "kg_dim")}
+
+
 def _validate(sub: str, cfg: dict):
     """The checks main() and the handlers make on a config: the key table,
     then each dataclass with the values its run sets, then the fold index."""
-    _, dc_types, keys = cli._HANDLERS[sub]
+    dc_types, keys = cli._SUBCOMMANDS[sub].configs, cli._SUBCOMMANDS[sub].keys
     cfg = cli._config(cfg, dc_types, keys)
     built = []
     for dc in dc_types:
-        names = {f.name for f in dataclasses.fields(dc)}
-        fixed = {k: v for k, v in _RUN_VALUES.items()
-                 if k in names and not (sub == "pretrain" and k == "kg_dim")}
-        built.append(cli._take_fields(cfg, dc, **fixed))
+        built.append(cli._take_fields(cfg, dc, **_run_set(sub, dc)))
     if "eval_fold" in keys:
         bundle = SplitBundle(train=[0, 1], folds=[[0], [1]], u1=[], u2=[], test_drugs=set())
         cli._cv_fold(bundle, cfg["eval_fold"])
@@ -467,8 +474,8 @@ def _validate(sub: str, cfg: dict):
 @given(st.data())
 @settings(max_examples=600)
 def test_any_json_value_is_a_config_or_a_config_error(data):
-    sub = data.draw(st.sampled_from(sorted(cli._HANDLERS)))
-    _, dc_types, keys = cli._HANDLERS[sub]
+    sub = data.draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
+    dc_types, keys = cli._SUBCOMMANDS[sub].configs, cli._SUBCOMMANDS[sub].keys
     names = sorted({f.name for dc in dc_types for f in dataclasses.fields(dc)} | set(keys))
     cfg = data.draw(st.dictionaries(st.sampled_from(names + ["bogus"]), _JSON,
                                     min_size=1, max_size=4))
@@ -504,3 +511,101 @@ def test_drug_without_atoms_exits_3(world, tmp_path, capsys):
     capsys.readouterr()
     assert run("split", *argv, "--out-dir", tmp_path / "o") == 3
     assert _one_error_line(capsys, "data")
+
+
+def test_readme_config_table_matches_the_schema():
+    """README's "Config keys" table lists, for each key, exactly the
+    subcommands that accept it: their dataclass fields the run does not set,
+    plus their CLI keys."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
+    documented = {}
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            keys, subs = line.split("|")[1:3]
+            for key in re.findall(r"`(\w+)`", keys):
+                documented[key] = set(subs.strip().split(", "))
+    accepted = {}
+    for sub, row in cli._SUBCOMMANDS.items():
+        names = set(row.keys) | {f.name for dc in row.configs for f in dataclasses.fields(dc)
+                                 if f.name not in _run_set(sub, dc)}
+        for key in names:
+            accepted.setdefault(key, set()).add(sub)
+    assert documented == accepted
+
+
+def _rewrite_meta(src: Path, dst: Path, edit):
+    """Copy checkpoint ``src`` to ``dst`` with ``edit(meta)`` applied to its header."""
+    blob = src.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + hlen])
+    edit(header["meta"])
+    raw = json.dumps(header).encode()
+    dst.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + hlen:])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m["config"].update(bogus=1),
+    lambda m: m["config"].update(d_model=0),
+    lambda m: m.pop("config_fingerprint"),
+    lambda m: m.pop("model_rng"),
+    lambda m: m["model_rng"].pop("state"),
+], ids=["unknown-config-key", "zero-d_model", "no-fingerprint", "no-model-rng",
+        "bad-model-rng"])
+def test_malformed_checkpoint_meta_exits_3(world, tmp_path, capsys, edit):
+    ckpt = tmp_path / "model.ckpt"
+    _rewrite_meta(trained(world), ckpt, edit)
+    capsys.readouterr()
+    rc = run("eval", "--checkpoint", ckpt, "--split", "u1", *dataset_args(world),
+             "--out-dir", tmp_path / "o")
+    assert rc == 3
+    assert _one_error_line(capsys, "data")
+
+
+@pytest.mark.parametrize("sub", ["eval", "seqlen"])
+@pytest.mark.parametrize("case", ["vocab", "kg-table"])
+def test_checkpoint_that_disagrees_with_its_inputs_exits_3(world, tmp_path, capsys, sub, case):
+    """A vocabulary with 2 more tokens, or a KG table of another width, than
+    the checkpoint's model was trained with."""
+    argv = dataset_args(world)
+    if case == "vocab":
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text((world / "vocab/vocab.txt").read_text() + "Xq\nXr\n")
+        argv = _replace_arg(argv, "--vocab", vocab)
+    else:
+        assert run("kg-train", "--triples", world / "fix/kg.tsv", "--out-dir", tmp_path / "kg",
+                   "--set", "dim=2", "--set", "epochs=1") == 0
+        argv = _replace_arg(_replace_arg(argv, "--kg-table", tmp_path / "kg/kg_table.bin"),
+                            "--kg-index", tmp_path / "kg/kg_table.index")
+    capsys.readouterr()
+    rc = run(sub, "--checkpoint", trained(world), "--split", "u1", *argv,
+             "--out-dir", tmp_path / "o")
+    assert rc == 3
+    assert _one_error_line(capsys, "data")
+    assert not (tmp_path / "o/manifest.json").exists()
+
+
+def test_one_molecule_corpus_exits_3(world, tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text((world / "fix/corpus.txt").read_text().splitlines()[0] + "\n")
+    capsys.readouterr()
+    rc = run("pretrain", "--corpus", corpus, "--vocab", world / "vocab/vocab.txt",
+             "--config", world / "tiny.json", "--out-dir", tmp_path / "o")
+    assert rc == 3
+    assert _one_error_line(capsys, "data")
+
+
+def test_empty_training_fold_exits_3(world, tmp_path, capsys):
+    """A splits file with one fold: holding it out leaves nothing to train on,
+    while eval can still score that fold."""
+    d = json.loads((world / "split/splits.json").read_text())
+    d["folds"] = [sorted(i for fold in d["folds"] for i in fold)]
+    splits = tmp_path / "splits.json"
+    splits.write_text(json.dumps(d))
+    argv = _replace_arg(dataset_args(world), "--splits", splits)
+    capsys.readouterr()
+    rc = run("train", *argv, "--config", world / "tiny.json", "--out-dir", tmp_path / "o")
+    assert rc == 3
+    assert _one_error_line(capsys, "data")
+    assert run("eval", "--checkpoint", trained(world), "--split", "fold0", *argv,
+               "--out-dir", tmp_path / "ev") == 0
