@@ -29,7 +29,8 @@ def main():
         k = ad.matmul(xt, w_k)
         out = ad.attention(q, k, xt)
         diff = ad.sub(out, xt)
-        return ad.tmean(ad.mul(diff, diff))
+        sq = ad.mul(diff, diff)
+        return ad.scale(ad.tsum(sq), 1.0 / sq.data.size)
 
     for step in range(301):
         zero_grads(params)

@@ -228,12 +228,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(np.asarray(out), (a,), bwd)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.data.size if axis is None else (
-        np.prod([a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]))
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     out = a.data.reshape(shape)
 
@@ -475,10 +469,9 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(out, (x, w, b), bwd)
 
 
-def max_pool1d(x: Tensor, kernel: int = 2, stride: int = 2) -> Tensor:
-    """Max pooling over the last axis with ceil-mode right padding."""
-    if kernel != stride:
-        raise ShapeError("max_pool1d only supports kernel == stride")
+def max_pool1d(x: Tensor, stride: int) -> Tensor:
+    """Max pooling over the last axis in non-overlapping windows of ``stride``,
+    with ceil-mode right padding."""
     bsz, c, length = x.data.shape
     out_len = -(-length // stride)
     pad = out_len * stride - length

@@ -169,14 +169,16 @@ def load_checkpoint(path, model, optimizer: AdamState | None = None) -> dict:
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: bad model_rng state: {exc!r}") from exc
     params = model.parameters()
-    stored = groups.get("param", {})
-    if set(stored) != set(params):
-        raise CheckpointError(f"{path}: parameter set mismatch")
-    for name, arr in stored.items():
-        if tuple(arr.shape) != params[name].data.shape:
-            raise CheckpointError(f"{path}: shape mismatch for {name!r}")
-        params[name].data = arr
     buffers = model.buffers()
+    for group, live in (("param", {n: p.data for n, p in params.items()}), ("buffer", buffers)):
+        stored = groups.get(group, {})
+        if set(stored) != set(live):
+            raise CheckpointError(f"{path}: {group} set mismatch")
+        for name, arr in stored.items():
+            if arr.shape != live[name].shape:
+                raise CheckpointError(f"{path}: shape mismatch for {group} {name!r}")
+    for name, arr in groups.get("param", {}).items():
+        params[name].data = arr
     for name, arr in groups.get("buffer", {}).items():
         buffers[name][...] = arr
     model.rng = rng

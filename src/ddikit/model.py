@@ -252,7 +252,7 @@ class ConvModule:
         # x: [batch, length, channels] -> [batch, channels, length]
         x = ad.transpose(x, (0, 2, 1))
         for block in self.blocks:
-            x = ad.max_pool1d(block(x, training), self.pool_stride, self.pool_stride)
+            x = ad.max_pool1d(block(x, training), self.pool_stride)
         b, c, n = x.shape
         return ad.reshape(x, (b, c * n))
 

@@ -13,6 +13,7 @@ aromaticity perception, no valence model).
 
 from __future__ import annotations
 
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -88,6 +89,20 @@ class MolecularGraph:
 # parsing
 # ---------------------------------------------------------------------------
 
+_TOKEN = re.compile(r"\[[^\]]*\]|Cl|Br|%[0-9]{2}|.", re.S)
+
+# The OpenSMILES bracket atom. Nothing is anchored: the match stops where
+# the body stops conforming, and that is where an error is reported.
+_BRACKET = re.compile(r"""
+    ([0-9]*)                            # isotope
+    (?:(se|as|[a-z]|[A-Z][a-gi-z]?)     # element, aromatic when lowercase
+       (@@?)?                           # chirality
+       (H[0-9]*)?                       # hydrogen count
+       ([+-][0-9]+|\++|-+)?             # charge
+       (:[0-9]*)?                       # atom class
+    )?""", re.X)
+
+
 def _lex(s: str):
     """Maximal-munch lexing into (offset, token) pairs: bracket atoms, Cl/Br
     and %nn closures are single tokens, everything else one character.
@@ -97,30 +112,11 @@ def _lex(s: str):
     """
     if not s:
         raise SmilesError("empty SMILES", 0)
-    i = 0
-    n = len(s)
-    while i < n:
-        c = s[i]
-        if c == "[":
-            end = s.find("]", i)
-            if end < 0:
-                raise SmilesError("unterminated bracket atom", i)
-            tok = s[i:end + 1]
-        elif s.startswith(("Cl", "Br"), i):
-            tok = s[i:i + 2]
-        elif c == "%" and i + 2 < n and s[i + 1].isdigit() and s[i + 2].isdigit():
-            tok = s[i:i + 3]
-        else:
-            tok = c
-        yield i, tok
-        i += len(tok)
-
-
-def _digits(body: str, i: int) -> int:
-    """End of the run of digits starting at ``body[i]``."""
-    while i < len(body) and body[i].isdigit():
-        i += 1
-    return i
+    for m in _TOKEN.finditer(s):
+        tok = m.group()
+        if tok == "[":
+            raise SmilesError("unterminated bracket atom", m.start())
+        yield m.start(), tok
 
 
 def _parse_bracket(tok: str, start: int) -> Atom:
@@ -128,63 +124,23 @@ def _parse_bracket(tok: str, start: int) -> Atom:
     body = tok[1:-1]
     if not body:
         raise SmilesError("empty bracket atom", start)
-    i = _digits(body, 0)
-    isotope = int(body[:i]) if i else None
-    if i >= len(body):
-        raise SmilesError("bracket atom without element symbol", start + 1 + i)
-    aromatic = False
-    if body[i].islower():
-        # aromatic symbol: one or two lowercase letters (c, n, se, as, ...)
-        j = i + 1
-        if body[i:i + 2] in ("se", "as"):
-            j = i + 2
-        element = body[i:j].capitalize()
-        aromatic = True
-        i = j
-    elif body[i].isupper():
-        j = i + 1
-        if j < len(body) and body[j].islower() and body[j] != "h":
-            j += 1
-        element = body[i:j]
-        i = j
-    else:
+    m = _BRACKET.match(body)
+    isotope, element, chirality, h, charge, atom_class = m.groups()
+    i = m.end()
+    if element is None:
+        if i == len(body):
+            raise SmilesError("bracket atom without element symbol", start + 1 + i)
         raise SmilesError(f"unexpected character {body[i]!r} in bracket atom", start + 1 + i)
-    chirality = ""
-    if i < len(body) and body[i] == "@":
-        chirality = "@"
-        i += 1
-        if i < len(body) and body[i] == "@":
-            chirality = "@@"
-            i += 1
-    h_count = 0
-    if i < len(body) and body[i] == "H":
-        i += 1
-        j = _digits(body, i)
-        h_count = int(body[i:j]) if j > i else 1
-        i = j
-    charge = 0
-    if i < len(body) and body[i] in "+-":
-        sign = 1 if body[i] == "+" else -1
-        ch = body[i]
-        i += 1
-        j = _digits(body, i)
-        if j > i:
-            charge = sign * int(body[i:j])
-            i = j
-        else:
-            charge = sign
-            while i < len(body) and body[i] == ch:
-                charge += sign
-                i += 1
-    if i < len(body) and body[i] == ":":  # atom class, accepted and ignored
-        i += 1
-        j = _digits(body, i)
-        if j == i:
-            raise SmilesError("atom class without digits", start + 1 + i)
-        i = j
+    if atom_class == ":":  # a class is accepted and ignored, but needs digits
+        raise SmilesError("atom class without digits", start + 1 + i)
     if i != len(body):
         raise SmilesError(f"trailing characters {body[i:]!r} in bracket atom", start + 1 + i)
-    return Atom(element, aromatic, charge, h_count, isotope, chirality, bracket=True)
+    charge = charge or ""
+    return Atom(element.capitalize(), element.islower(),
+                # "+2" states its magnitude; a run of signs such as "--" counts it
+                int(charge) if charge.strip("+-") else charge.count("+") - charge.count("-"),
+                int(h[1:] or 1) if h else 0, int(isotope) if isotope else None,
+                chirality or "", bracket=True)
 
 
 def parse_smiles(s: str) -> MolecularGraph:
@@ -231,7 +187,7 @@ def parse_smiles(s: str) -> MolecularGraph:
                 raise SmilesError("bond symbol before dot", i)
             prev = None
             component += 1
-        elif tok.isdigit() or tok[0] == "%":
+        elif tok[0] in "%0123456789":
             if prev is None:
                 raise SmilesError("ring closure with no preceding atom", i)
             if tok == "%":
@@ -519,12 +475,11 @@ def tokenize(s: str) -> list[str]:
 class Vocabulary:
     """Token-to-id bijection with four fixed reserved ids (PAD/UNK/MASK/SEP)."""
 
-    def __init__(self, tokens: list[str], counts: Optional[Counter] = None):
+    def __init__(self, tokens: list[str]):
         self.tokens = list(RESERVED_TOKENS) + list(tokens)
         self.index = {t: i for i, t in enumerate(self.tokens)}
         if len(self.index) != len(self.tokens):
             raise VocabularyError("duplicate tokens in vocabulary")
-        self.counts = counts or Counter()
 
     def __len__(self):
         return len(self.tokens)
@@ -546,7 +501,7 @@ class Vocabulary:
             raise ValueError("empty corpus")
         kept = sorted((t for t, c in counts.items() if c >= min_count),
                       key=lambda t: (-counts[t], t))
-        return cls(kept, counts)
+        return cls(kept)
 
     def save(self, path):
         with atomic_open(path, "w") as fh:

@@ -72,7 +72,7 @@ def primitive_battery(seed: int) -> float:
         h = ad.softmax(h, axis=-1)
         a = ad.tsum(ad.mul(h, h), axis=-1)                  # [2, 3]
         emb = ad.embedding_lookup(t["tab"], ids)            # [2, 4, 3]
-        e = ad.tmean(emb, axis=1)                           # [2, 3]
+        e = ad.scale(ad.tsum(emb, axis=1), 1.0 / 4)         # [2, 3], mean over 4 tokens
         m = ad.concat([a, e], axis=1)                       # [2, 6]
         m = ad.reshape(m, (2, 6))
         ln = ad.layer_norm(ad.transpose(t["x"], (0, 2, 1)),
@@ -84,7 +84,7 @@ def primitive_battery(seed: int) -> float:
         conv = ad.conv1d(ad.sub(t["x"], ad.constant(np.full((2, 3, 4), 0.1),
                                                     dtype=np.float64)),
                          t["cw"], t["cb"])
-        pooled = ad.max_pool1d(conv, 2, 2)
+        pooled = ad.max_pool1d(conv, 2)
         drop = ad.dropout(ad.leaky_relu(t["x"]), 0.4,
                           np.random.default_rng(7), training=True)
         ce = ad.cross_entropy_loss(t["logits"], targets)

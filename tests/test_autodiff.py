@@ -60,7 +60,8 @@ def test_sum_mean_axes(seed, axis, keepdims):
 
     def build(t):
         s = ad.tsum(t["a"], axis=axis, keepdims=keepdims)
-        m = ad.tmean(t["a"], axis=axis, keepdims=keepdims)
+        n = t["a"].data.size // s.data.size  # elements per mean
+        m = ad.scale(ad.tsum(t["a"], axis=axis, keepdims=keepdims), 1.0 / n)
         return ad.tsum(ad.mul(s, s)) if s.ndim else ad.mul(s, m)
 
     assert check_grads(build, arrays) < TOL
@@ -221,7 +222,7 @@ def test_conv1d_and_pool(seed):
 
     def build(t):
         y = ad.conv1d(t["x"], t["w"], t["b"])
-        y = ad.max_pool1d(y, 2, 2)
+        y = ad.max_pool1d(y, 2)
         return ad.tsum(ad.mul(y, y))
 
     assert check_grads(build, arrays) < TOL
@@ -277,7 +278,7 @@ def test_conv1d_input_grad_matches_scatter(dtype, shape):
 def test_max_pool_ceil_mode():
     x = Tensor(np.arange(5, dtype=np.float64).reshape(1, 1, 5))
     with no_grad():
-        y = ad.max_pool1d(x, 2, 2).data
+        y = ad.max_pool1d(x, 2).data
     assert y.shape == (1, 1, 3)
     assert np.array_equal(y[0, 0], [1.0, 3.0, 4.0])
 

@@ -502,14 +502,26 @@ def test_vocab_without_header_exits_3(world, tmp_path, capsys, sub):
     assert _one_error_line(capsys, "data")
 
 
-def test_drug_without_atoms_exits_3(world, tmp_path, capsys):
+def _split_with_first_smiles(world, tmp_path, smiles) -> int:
+    """``split`` on the fixture's drugs file with its first SMILES replaced."""
     lines = (world / "fix/drugs.tsv").read_text().splitlines()
-    lines[0] = lines[0].split("\t")[0] + "\t."
+    lines[0] = lines[0].split("\t")[0] + "\t" + smiles
     drugs = tmp_path / "drugs.tsv"
-    drugs.write_text("\n".join(lines) + "\n")
+    drugs.write_text("\n".join(lines) + "\n", encoding="utf-8")
     argv = _replace_arg(dataset_args(world)[:6], "--drugs", drugs)
+    return run("split", *argv, "--out-dir", tmp_path / "o")
+
+
+def test_drug_without_atoms_exits_3(world, tmp_path, capsys):
     capsys.readouterr()
-    assert run("split", *argv, "--out-dir", tmp_path / "o") == 3
+    assert _split_with_first_smiles(world, tmp_path, ".") == 3
+    assert _one_error_line(capsys, "data")
+
+
+def test_drug_with_a_non_ascii_digit_exits_3(world, tmp_path, capsys):
+    """Ring-closure digits are ASCII: ``C\u00b2`` is a SMILES error, not an int() crash."""
+    capsys.readouterr()
+    assert _split_with_first_smiles(world, tmp_path, "C\u00b2") == 3
     assert _one_error_line(capsys, "data")
 
 
@@ -534,27 +546,40 @@ def test_readme_config_table_matches_the_schema():
     assert documented == accepted
 
 
-def _rewrite_meta(src: Path, dst: Path, edit):
-    """Copy checkpoint ``src`` to ``dst`` with ``edit(meta)`` applied to its header."""
+def _rewrite_header(src: Path, dst: Path, edit):
+    """Copy checkpoint ``src`` to ``dst`` with ``edit(header)`` applied to its JSON header."""
     blob = src.read_bytes()
     (hlen,) = struct.unpack("<Q", blob[8:16])
     header = json.loads(blob[16:16 + hlen])
-    edit(header["meta"])
+    edit(header)
     raw = json.dumps(header).encode()
     dst.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + hlen:])
 
 
+def _drop_bn_statistics(header):
+    header["arrays"] = [a for a in header["arrays"]
+                        if not a["name"].startswith("conv.0.bn1.running_")]
+
+
+def _rename_a_buffer(header):
+    next(a for a in header["arrays"] if a["group"] == "buffer")["name"] += "_renamed"
+
+
 @pytest.mark.parametrize("edit", [
-    lambda m: m["config"].update(bogus=1),
-    lambda m: m["config"].update(d_model=0),
-    lambda m: m.pop("config_fingerprint"),
-    lambda m: m.pop("model_rng"),
-    lambda m: m["model_rng"].pop("state"),
+    lambda h: h["meta"]["config"].update(bogus=1),
+    lambda h: h["meta"]["config"].update(d_model=0),
+    lambda h: h["meta"].pop("config_fingerprint"),
+    lambda h: h["meta"].pop("model_rng"),
+    lambda h: h["meta"]["model_rng"].pop("state"),
+    _drop_bn_statistics,
+    _rename_a_buffer,
 ], ids=["unknown-config-key", "zero-d_model", "no-fingerprint", "no-model-rng",
-        "bad-model-rng"])
+        "bad-model-rng", "no-bn-statistics", "renamed-buffer"])
 def test_malformed_checkpoint_meta_exits_3(world, tmp_path, capsys, edit):
+    """Header edits the loader must refuse. A checkpoint without its stored
+    batch-norm statistics would otherwise load with fresh ones."""
     ckpt = tmp_path / "model.ckpt"
-    _rewrite_meta(trained(world), ckpt, edit)
+    _rewrite_header(trained(world), ckpt, edit)
     capsys.readouterr()
     rc = run("eval", "--checkpoint", ckpt, "--split", "u1", *dataset_args(world),
              "--out-dir", tmp_path / "o")

@@ -2,8 +2,11 @@
 round-trip oracle is canonical-form equality: a rewritten string must
 re-parse to a graph with the same canonical SMILES as the source."""
 
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ddikit.fixtures import random_molecule, random_smiles_corpus
 from ddikit.smiles import (MASK, PAD, RESERVED_TOKENS, SEP, UNK, SmilesError,
@@ -89,11 +92,29 @@ def test_parse_components():
     ("CX[", 1),
     (".", 0),            # no atom
     ("..", 0),
+    ("C\u00b2", 1),       # a superscript digit is not a ring closure, isotope,
+    ("[\u00b2C]", 1),     # %nn closure, hydrogen count or charge
+    ("C%\u00b2\u00b3", 1),
+    ("[CH\u00b2]", 3),
+    ("[C+\u00b2]", 3),
 ])
 def test_parse_errors_carry_offsets(bad, offset):
     with pytest.raises(SmilesError) as exc:
         parse_smiles(bad)
     assert exc.value.offset == offset
+
+
+# SMILES symbols mixed with non-ASCII characters that str.isdigit, islower
+# or isupper accept: a superscript two, an Arabic-Indic three, e-acute.
+SMILES_LIKE = st.text(st.sampled_from("CNcn[]()=#%+-@H:.12\u00b2\u0663\u00e9\u00c9"))
+
+
+@given(st.text() | SMILES_LIKE)
+def test_any_text_parses_or_raises_a_smiles_error(s):
+    with contextlib.suppress(SmilesError):
+        parse_smiles(s)
+    with contextlib.suppress(SmilesError):
+        assert "".join(tokenize(s)) == s
 
 
 def test_write_smiles_deterministic_without_rng():
