@@ -138,6 +138,8 @@ def backward(loss: Tensor, tape: Tape):
         for inp, gi in zip(entry.inputs, grads):
             if gi is None or not inp.requires_grad:
                 continue
+            if gi.shape != inp.data.shape:  # the op broadcast this input
+                gi = _unbroadcast(gi, inp.data.shape)
             gi = np.asarray(gi, dtype=inp.data.dtype)
             if inp.grad is None:
                 inp.grad = gi.copy()
@@ -162,7 +164,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return g, g
 
     return _make(out, (a, b), bwd)
 
@@ -171,7 +173,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return g, -g
 
     return _make(out, (a, b), bwd)
 
@@ -180,7 +182,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return g * b.data, g * a.data
 
     return _make(out, (a, b), bwd)
 
@@ -202,9 +204,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def bwd(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return ga, gb
+        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
 
     return _make(out, (a, b), bwd)
 
@@ -330,7 +330,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray] = None
         dq = ds @ k.data
         dk = np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2)
         dv = np.swapaxes(w, -1, -2) @ g
-        return _unbroadcast(dq, q.shape), _unbroadcast(dk, k.shape), _unbroadcast(dv, v.shape)
+        return dq, dk, dv
 
     return _make(out, (q, k, v), bwd)
 
@@ -380,12 +380,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out = gain.data * xhat + bias.data
 
     def bwd(g):
-        dgain = _unbroadcast(g * xhat, gain.shape)
-        dbias = _unbroadcast(g, bias.shape)
         gx = g * gain.data
         dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
                     - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
-        return dx, dgain, dbias
+        return dx, g * xhat, g
 
     return _make(out, (x, gain, bias), bwd)
 
@@ -426,8 +424,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     out = gam * xhat + bet
 
     def bwd(g):
-        dgamma = (g * xhat).sum(axis=red_axes).astype(gamma.data.dtype)
-        dbeta = g.sum(axis=red_axes).astype(beta.data.dtype)
+        dgamma = (g * xhat).sum(axis=red_axes)
+        dbeta = g.sum(axis=red_axes)
         gx = g * gam
         if training:
             # the batch statistics depend on x; in eval mode they are constants
@@ -456,8 +454,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = np.ascontiguousarray(out)
 
     def bwd(g):
-        dw = np.einsum("bilk,bol->oik", cols, g, optimize=True).astype(w.data.dtype)
-        db = g.sum(axis=(0, 2)).astype(b.data.dtype)
+        dw = np.einsum("bilk,bol->oik", cols, g, optimize=True)
+        db = g.sum(axis=(0, 2))
         dxp = np.zeros_like(xp)
         # Tap k of every output position lands on padded input k..k+length.
         # Taps go in descending k, the order in which an np.add.at scatter

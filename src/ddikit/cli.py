@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .atomic import atomic_open
+from .atomic import write_lines
 from .checkpoint import (CheckpointError, config_fingerprint, load_checkpoint,
                          read_checkpoint, save_checkpoint)
 from .data import (DataError, SplitBundle, load_dataset, load_drugs,
@@ -144,18 +144,13 @@ def _write_manifest(args, config, outputs, t0):
         "outputs": [os.path.basename(str(p)) for p in outputs],
         "wall_clock_seconds": round(time.time() - t0, 3),
     }
-    with atomic_open(_out(args, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_lines(_out(args, "manifest.json"), [json.dumps(manifest, indent=2, sort_keys=True)])
 
 
 def _write_csv(path, header: str, rows):
     """One line per row; floats as ``.10g``, every other cell as ``str``."""
-    with atomic_open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{x:.10g}" if isinstance(x, float) else str(x)
-                              for x in row) + "\n")
+    write_lines(path, [header] + [",".join(f"{x:.10g}" if isinstance(x, float) else str(x)
+                                           for x in row) for row in rows])
 
 
 def _out(args, name):
@@ -222,10 +217,8 @@ def cmd_kg_export(args, cfg):
     embedder = PairEmbedder(table, id_template=cfg["id_template"])
     out = _out(args, "drug_vectors.tsv")
     ids = list(load_drugs(args.drugs))
-    with atomic_open(out, "w") as fh:
-        for d in ids:
-            vec = embedder.entity_vector(d)
-            fh.write(d + "\t" + " ".join(f"{x:.8g}" for x in vec) + "\n")
+    write_lines(out, (d + "\t" + " ".join(f"{x:.8g}" for x in embedder.entity_vector(d))
+                      for d in ids))
     print(f"exported {len(ids)} drugs, miss rate {embedder.miss_rate:.3f}")
     return [out]
 
@@ -237,9 +230,7 @@ def cmd_split(args, cfg):
                                    n_folds=cfg["n_folds"])
     verify_split(bundle, events)
     out = _out(args, "splits.json")
-    with atomic_open(out, "w") as fh:
-        fh.write(bundle.to_json())
-        fh.write("\n")
+    write_lines(out, [bundle.to_json()])
     return [out]
 
 
@@ -365,20 +356,14 @@ def cmd_eval(args, cfg):
                             max_len=model.cfg.max_len)
     truths = np.array([events[i].label for i in indices])
     report = evaluate(scores, truths, len(label_map))
-    metrics_path = _out(args, "metrics.json")
-    with atomic_open(metrics_path, "w") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
-    roc_pc, roc_micro = roc_auc(scores, truths)
-    pr_pc, pr_micro = aupr(scores, truths)
-    roc_path = _out(args, "roc.csv")
-    with atomic_open(roc_path, "w") as fh:
-        fh.write(curves_to_csv(roc_pc, roc_micro, "roc"))
-    pr_path = _out(args, "pr.csv")
-    with atomic_open(pr_path, "w") as fh:
-        fh.write(curves_to_csv(pr_pc, pr_micro, "pr"))
+    outputs = []
+    for name, lines in (("metrics.json", [report.to_json()]),
+                        ("roc.csv", curves_to_csv(*roc_auc(scores, truths), "roc")),
+                        ("pr.csv", curves_to_csv(*aupr(scores, truths), "pr"))):
+        outputs.append(_out(args, name))
+        write_lines(outputs[-1], lines)
     print(report.to_json())
-    return [metrics_path, roc_path, pr_path]
+    return outputs
 
 
 def cmd_sts(args, cfg):

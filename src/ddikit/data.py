@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import read_rows
 from .smiles import parse_smiles, tokenize, SmilesError
 
 
@@ -79,30 +80,21 @@ class SplitBundle:
 
 def load_drugs(path) -> dict[str, DrugRecord]:
     drugs: dict[str, DrugRecord] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not all(parts):
-                raise DataError(f"{path}:{lineno}: expected drug_id<TAB>smiles")
-            drug_id, smi = parts
-            if drug_id in drugs:
-                raise DataError(f"{path}:{lineno}: duplicate drug_id {drug_id!r}")
-            try:
-                parse_smiles(smi)
-            except SmilesError as exc:
-                raise DataError(f"{path}:{lineno}: unparsable SMILES for {drug_id!r}: {exc}") from exc
-            drugs[drug_id] = DrugRecord(drug_id, smi)
+    for lineno, (drug_id, smi) in read_rows(path, 2, "drug_id<TAB>smiles", DataError):
+        if drug_id in drugs:
+            raise DataError(f"{path}:{lineno}: duplicate drug_id {drug_id!r}")
+        try:
+            parse_smiles(smi)
+        except SmilesError as exc:
+            raise DataError(f"{path}:{lineno}: unparsable SMILES for {drug_id!r}: {exc}") from exc
+        drugs[drug_id] = DrugRecord(drug_id, smi)
     if not drugs:
         raise DataError(f"{path}: no drugs")
     return drugs
 
 
 def load_labels(path) -> dict[str, int]:
-    with open(path, encoding="utf-8") as fh:
-        labels = [ln.rstrip("\n") for ln in fh if ln.rstrip("\n")]
+    labels = [lab for _, (lab,) in read_rows(path, 1, "one label per line", DataError)]
     if not labels:
         raise DataError(f"{path}: no labels")
     if len(set(labels)) != len(labels):
@@ -115,30 +107,22 @@ def load_events(path, drugs: dict[str, DrugRecord], label_map: dict[str, int]) -
     label collapse to the first occurrence, with conflicting labels rejected."""
     events: list[DdiEvent] = []
     seen: dict[tuple[str, str], tuple[int, int]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or not all(parts):
-                raise DataError(f"{path}:{lineno}: expected drug_a<TAB>drug_b<TAB>label")
-            a, b, lab = parts
-            for d in (a, b):
-                if d not in drugs:
-                    raise DataError(f"{path}:{lineno}: unknown drug {d!r}")
-            if lab not in label_map:
-                raise DataError(f"{path}:{lineno}: label {lab!r} not in label file")
-            label = label_map[lab]
-            key = (a, b) if a <= b else (b, a)
-            if key in seen:
-                prev_line, prev_label = seen[key]
-                if prev_label != label:
-                    raise DataError(
-                        f"{path}:{lineno}: pair ({a}, {b}) conflicts with line {prev_line}")
-                continue
-            seen[key] = (lineno, label)
-            events.append(DdiEvent(a, b, label))
+    for lineno, (a, b, lab) in read_rows(path, 3, "drug_a<TAB>drug_b<TAB>label", DataError):
+        for d in (a, b):
+            if d not in drugs:
+                raise DataError(f"{path}:{lineno}: unknown drug {d!r}")
+        if lab not in label_map:
+            raise DataError(f"{path}:{lineno}: label {lab!r} not in label file")
+        label = label_map[lab]
+        key = (a, b) if a <= b else (b, a)
+        if key in seen:
+            prev_line, prev_label = seen[key]
+            if prev_label != label:
+                raise DataError(
+                    f"{path}:{lineno}: pair ({a}, {b}) conflicts with line {prev_line}")
+            continue
+        seen[key] = (lineno, label)
+        events.append(DdiEvent(a, b, label))
     if not events:
         raise DataError(f"{path}: no events")
     return events
@@ -185,14 +169,13 @@ def make_inductive_splits(events: list[DdiEvent], drugs: dict[str, DrugRecord],
 
 def verify_split(bundle: SplitBundle, events: list[DdiEvent]):
     """Exhaustively check the split invariants; raises DataError on violation."""
+    seen = set()
     for i in bundle.train + bundle.u1 + bundle.u2:
         if not 0 <= i < len(events):
             raise DataError(f"event index {i} outside [0, {len(events)})")
-    sets = [set(bundle.train), set(bundle.u1), set(bundle.u2)]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if sets[i] & sets[j]:
-                raise DataError("splits overlap")
+        if i in seen:  # within one split or across two
+            raise DataError(f"event index {i} appears twice in train, u1 and u2")
+        seen.add(i)
     for i in bundle.train:
         ev = events[i]
         if ev.drug_a in bundle.test_drugs or ev.drug_b in bundle.test_drugs:

@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import write_lines
 from .kg import ID_TEMPLATE
 from .smiles import Atom, Bond, MolecularGraph, write_smiles
 
@@ -72,52 +72,37 @@ def make_dataset_fixture(out_dir, n_drugs: int, n_events: int, n_classes: int,
     drug_ids = [f"D{i:04d}" for i in range(n_drugs)]
     smiles = random_smiles_corpus(n_drugs, rng)
     drugs_path = os.path.join(out_dir, "drugs.tsv")
-    with atomic_open(drugs_path, "w") as fh:
-        for d, s in zip(drug_ids, smiles):
-            fh.write(f"{d}\t{s}\n")
+    write_lines(drugs_path, (f"{d}\t{s}" for d, s in zip(drug_ids, smiles)))
 
     labels_path = os.path.join(out_dir, "labels.txt")
-    with atomic_open(labels_path, "w") as fh:
-        for c in range(n_classes):
-            fh.write(f"event_class_{c:02d}\n")
+    write_lines(labels_path, (f"event_class_{c:02d}" for c in range(n_classes)))
 
     # latent per-drug class drives the label so the mapping is consistent
     drug_group = {d: int(rng.integers(n_classes)) for d in drug_ids}
-    pairs = set()
-    events_path = os.path.join(out_dir, "events.tsv")
-    with atomic_open(events_path, "w") as fh:
-        written = 0
-        while written < n_events:
-            a, b = rng.choice(n_drugs, size=2, replace=False)
-            a, b = drug_ids[int(a)], drug_ids[int(b)]
-            key = (a, b) if a <= b else (b, a)
-            if key in pairs:
-                continue
-            pairs.add(key)
+    rows = {}  # unordered pair -> its events line, in drawing order
+    while len(rows) < n_events:
+        a, b = rng.choice(n_drugs, size=2, replace=False)
+        a, b = drug_ids[int(a)], drug_ids[int(b)]
+        key = (a, b) if a <= b else (b, a)
+        if key not in rows:
             label = (drug_group[a] + drug_group[b]) % n_classes
-            fh.write(f"{a}\t{b}\tevent_class_{label:02d}\n")
-            written += 1
+            rows[key] = f"{a}\t{b}\tevent_class_{label:02d}"
+    events_path = os.path.join(out_dir, "events.tsv")
+    write_lines(events_path, rows.values())
 
     corpus_path = os.path.join(out_dir, "corpus.txt")
-    with atomic_open(corpus_path, "w") as fh:
-        for s in smiles:
-            fh.write(s + "\n")
-        for s in random_smiles_corpus(max(n_drugs // 2, 2), rng):
-            fh.write(s + "\n")
+    write_lines(corpus_path, smiles + random_smiles_corpus(max(n_drugs // 2, 2), rng))
 
     kg_path = os.path.join(out_dir, "kg.tsv")
     genes = [f"Gene::G{i}" for i in range(max(n_drugs // 2, 4))]
     relations = ["targets", "binds", "upregulates"]
-    triples = set()
-    with atomic_open(kg_path, "w") as fh:
-        for d in drug_ids:
-            for _ in range(3):
-                gene = genes[int(rng.integers(len(genes)))]
-                rel = relations[int(rng.integers(len(relations)))]
-                trip = (ID_TEMPLATE.format(id=d), rel, gene)
-                if trip not in triples:
-                    triples.add(trip)
-                    fh.write("\t".join(trip) + "\n")
+    triples = {}  # the distinct triples, in drawing order
+    for d in drug_ids:
+        for _ in range(3):
+            gene = genes[int(rng.integers(len(genes)))]
+            rel = relations[int(rng.integers(len(relations)))]
+            triples[ID_TEMPLATE.format(id=d), rel, gene] = None
+    write_lines(kg_path, map("\t".join, triples))
 
     return {"drugs": drugs_path, "events": events_path, "labels": labels_path,
             "corpus": corpus_path, "kg": kg_path}

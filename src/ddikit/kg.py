@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, read_rows, write_lines
 
 
 # How a dataset drug id is named in the knowledge graph.
@@ -79,18 +79,11 @@ def load_triples(path) -> tuple[list[Triple], EntityIndex]:
     order so the mapping is deterministic."""
     triples: list[Triple] = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or not all(parts):
-                raise TripleError(f"{path}:{lineno}: expected head<TAB>relation<TAB>tail")
-            t = Triple(*parts)
-            if t not in seen:
-                seen.add(t)
-                triples.append(t)
+    for _, fields in read_rows(path, 3, "head<TAB>relation<TAB>tail", TripleError):
+        t = Triple(*fields)
+        if t not in seen:
+            seen.add(t)
+            triples.append(t)
     if not triples:
         raise TripleError(f"{path}: no triples")
     ents = sorted({t.head for t in triples} | {t.tail for t in triples})
@@ -246,13 +239,7 @@ def save_table(table: EmbeddingTable, bin_path, index_path):
         fh.write(rel.tobytes())
     ents = sorted(table.index.entities, key=table.index.entities.get)
     rels = sorted(table.index.relations, key=table.index.relations.get)
-    with atomic_open(index_path, "w") as fh:
-        fh.write(f"entities\t{len(ents)}\n")
-        for e in ents:
-            fh.write(e + "\n")
-        fh.write(f"relations\t{len(rels)}\n")
-        for r in rels:
-            fh.write(r + "\n")
+    write_lines(index_path, [f"entities\t{len(ents)}", *ents, f"relations\t{len(rels)}", *rels])
 
 
 def load_table(bin_path, index_path) -> EmbeddingTable:

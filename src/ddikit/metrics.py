@@ -243,9 +243,9 @@ def evaluate(scores, truths, n_classes: int) -> MetricReport:
 
 
 def curves_to_csv(per_class: dict[int, RocCurve] | dict[int, PrCurve],
-                  micro, kind: str) -> str:
-    """CSV dump of curve points: kind is "roc" (fpr/tpr) or "pr"
-    (recall/precision); class -1 denotes the micro average."""
+                  micro, kind: str) -> list[str]:
+    """CSV lines of curve points, header first: kind is "roc" (fpr/tpr) or
+    "pr" (recall/precision); class -1 denotes the micro average."""
     if kind == "roc":
         cols = ("fpr", "tpr")
         fields = lambda c: (c.fpr, c.tpr)
@@ -260,4 +260,4 @@ def curves_to_csv(per_class: dict[int, RocCurve] | dict[int, PrCurve],
         lines.extend(f"{cls},{x:.10g},{y:.10g}" for x, y in zip(xs, ys))
     xs, ys = fields(micro)
     lines.extend(f"-1,{x:.10g},{y:.10g}" for x, y in zip(xs, ys))
-    return "\n".join(lines) + "\n"
+    return lines

@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import write_lines
 
 ORGANIC_UPPER = {"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"}
 ORGANIC_AROMATIC = {"b", "c", "n", "o", "p", "s"}
@@ -92,13 +92,15 @@ class MolecularGraph:
 _TOKEN = re.compile(r"\[[^\]]*\]|Cl|Br|%[0-9]{2}|.", re.S)
 
 # The OpenSMILES bracket atom. Nothing is anchored: the match stops where
-# the body stops conforming, and that is where an error is reported.
+# the body stops conforming, and that is where an error is reported. The
+# digit runs that become numbers are bounded, so int() never sees a long one,
+# and a run of signs counts at most the 99 that write_smiles can write back.
 _BRACKET = re.compile(r"""
-    ([0-9]*)                            # isotope
+    ([0-9]{0,3})                        # isotope
     (?:(se|as|[a-z]|[A-Z][a-gi-z]?)     # element, aromatic when lowercase
        (@@?)?                           # chirality
-       (H[0-9]*)?                       # hydrogen count
-       ([+-][0-9]+|\++|-+)?             # charge
+       (H[0-9]?)?                       # hydrogen count
+       ([+-][0-9]{1,2}|\+{1,99}|-{1,99})?  # charge
        (:[0-9]*)?                       # atom class
     )?""", re.X)
 
@@ -504,9 +506,7 @@ class Vocabulary:
         return cls(kept)
 
     def save(self, path):
-        with atomic_open(path, "w") as fh:
-            for t in self.tokens:
-                fh.write(t + "\n")
+        write_lines(path, self.tokens)
 
     @classmethod
     def load(cls, path) -> "Vocabulary":

@@ -1,5 +1,6 @@
 """Every file ddikit writes goes through ``ddikit.atomic.atomic_open``: a
-write that fails partway leaves the previous file intact and no tmp file."""
+write that fails partway leaves the previous file intact and no tmp file.
+Every text file goes through ``ddikit.atomic.write_lines``."""
 
 import ast
 import builtins
@@ -64,7 +65,8 @@ def test_failed_checkpoint_save_keeps_old_file(tmp_path, monkeypatch):
 
 
 def _write_calls(tree: ast.AST):
-    """Line numbers of open(...) calls with a write (or unknown) mode and of
+    """Line numbers of open(...) calls with a write (or unknown) mode, of
+    atomic_open(...) calls in text (or unknown) mode, and of
     Path.write_text/write_bytes calls."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -72,14 +74,16 @@ def _write_calls(tree: ast.AST):
         func = node.func
         if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
             yield node.lineno
-        if not (isinstance(func, ast.Name) and func.id == "open"):
+        if not (isinstance(func, ast.Name) and func.id in ("open", "atomic_open")):
             continue
         mode = node.args[1] if len(node.args) > 1 else next(
             (k.value for k in node.keywords if k.arg == "mode"), None)
-        if mode is None:
-            continue
-        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) \
-                or set(mode.value) & set("wax+"):
+        known = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+        if func.id == "atomic_open":
+            # text files are framed by atomic.write_lines
+            if not (known and "b" in mode.value):
+                yield node.lineno
+        elif mode is not None and (not known or set(mode.value) & set("wax+")):
             yield node.lineno
 
 
@@ -91,4 +95,4 @@ def test_only_atomic_open_writes_files():
             continue
         tree = ast.parse(src.read_text(encoding="utf-8"), filename=str(src))
         found += [f"{src.name}:{line}" for line in _write_calls(tree)]
-    assert found == [], f"files written outside atomic_open: {found}"
+    assert found == [], f"files written outside atomic_open, or text outside write_lines: {found}"

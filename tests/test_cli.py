@@ -4,6 +4,7 @@ files, and rerun determinism. Commands run in process through cli.main."""
 import dataclasses
 import json
 import os
+import random
 import re
 import struct
 import subprocess
@@ -318,11 +319,14 @@ def _splits_case(world, case) -> str:
         d["u1"] = "abc"
     elif case == "float-index":
         d["train"][0] = float(d["train"][0])
+    elif case == "repeated-index":  # would score one event 51 times
+        d["u1"] += [d["u1"][0]] * 50
     return json.dumps(d)
 
 
 @pytest.mark.parametrize("case", ["not-json", "empty-object", "index-out-of-range",
-                                  "negative-index", "u1-not-a-list", "float-index"])
+                                  "negative-index", "u1-not-a-list", "float-index",
+                                  "repeated-index"])
 def test_bad_splits_file_exits_3(world, tmp_path, capsys, case):
     splits = tmp_path / "splits.json"
     splits.write_text(_splits_case(world, case))
@@ -525,6 +529,16 @@ def test_drug_with_a_non_ascii_digit_exits_3(world, tmp_path, capsys):
     assert _one_error_line(capsys, "data")
 
 
+@pytest.mark.parametrize("smiles", ["[C+" + "1" * 5000 + "]", "[" + "1" * 5000 + "C]",
+                                    "[CH" + "1" * 5000 + "]"],
+                         ids=["charge", "isotope", "hydrogen-count"])
+def test_drug_with_a_long_bracket_digit_run_exits_3(world, tmp_path, capsys, smiles):
+    """Bracket digit runs are bounded, so int() never refuses a long one."""
+    capsys.readouterr()
+    assert _split_with_first_smiles(world, tmp_path, smiles) == 3
+    assert _one_error_line(capsys, "data")
+
+
 def test_readme_config_table_matches_the_schema():
     """README's "Config keys" table lists, for each key, exactly the
     subcommands that accept it: their dataclass fields the run does not set,
@@ -634,3 +648,49 @@ def test_empty_training_fold_exits_3(world, tmp_path, capsys):
     assert _one_error_line(capsys, "data")
     assert run("eval", "--checkpoint", trained(world), "--split", "fold0", *argv,
                "--out-dir", tmp_path / "ev") == 0
+
+
+# Bytes that frame or mean something to one of the readers.
+_MEANINGFUL_BYTES = b"\t\n\r 019[]{}\",:-+.%()=#@\\\xff\x00"
+
+
+def _mutate(blob: bytes, rng: random.Random) -> bytes:
+    """``blob`` truncated, with one bit flipped, with 1-3 bytes inserted or
+    with 1-8 bytes deleted, at one random offset."""
+    i = rng.randrange(len(blob) + 1)
+    op = rng.randrange(4)
+    if op == 0:
+        return blob[:i]
+    if op == 1 and i < len(blob):
+        return blob[:i] + bytes([blob[i] ^ 1 << rng.randrange(8)]) + blob[i + 1:]
+    if op == 2:
+        byte = rng.choice(_MEANINGFUL_BYTES + blob[:64])
+        return blob[:i] + bytes([byte]) * rng.randint(1, 3) + blob[i:]
+    return blob[:i] + blob[i + rng.randint(1, 8):]
+
+
+_READS = [("vocab", "--corpus"), ("pretrain", "--corpus"), ("pretrain", "--vocab"),
+          ("kg-train", "--triples"), ("kg-export", "--table"), ("kg-export", "--index"),
+          ("kg-export", "--drugs"), ("split", "--drugs"), ("split", "--events"),
+          ("split", "--labels"), ("eval", "--checkpoint"), ("eval", "--events"),
+          ("eval", "--splits"), ("eval", "--vocab"), ("eval", "--kg-table"),
+          ("eval", "--kg-index")]
+
+
+@pytest.mark.parametrize("sub,flag", _READS, ids=[f"{s}{f[1:]}" for s, f in _READS])
+def test_mutated_input_exits_0_or_3(world, tmp_path, capsys, sub, flag):
+    """Each file the CLI reads, mutated 60 seeded ways: every run exits 0,
+    or 3 with exactly one error line, and no exception leaves main."""
+    _, files, other = _manifest_case(world, sub)
+    argv = [*files, *other]
+    src = Path(argv[argv.index(flag) + 1])
+    blob = src.read_bytes()
+    bad = tmp_path / src.name
+    rng = random.Random(f"{sub} {flag}")
+    for k in range(60):
+        bad.write_bytes(_mutate(blob, rng))
+        capsys.readouterr()
+        rc = run(sub, *_replace_arg(argv, flag, bad), "--out-dir", tmp_path / "o")
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 0 or (rc == 3 and len(err) == 1 and err[0].startswith("ddikit:error:")), \
+            f"mutation {k}: exit {rc}, stderr {err}"

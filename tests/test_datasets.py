@@ -34,6 +34,9 @@ def test_load_labels(tmp_path):
     assert load_labels(p) == {"increase": 0, "decrease": 1}
     with pytest.raises(DataError):
         load_labels(write(tmp_path / "dup.txt", "a\na\n"))
+    # no events row can name a label that holds a tab
+    with pytest.raises(DataError, match=":2: expected"):
+        load_labels(write(tmp_path / "tab.txt", "a\nb\tc\n"))
 
 
 def make_world(tmp_path):
@@ -136,6 +139,18 @@ def test_verify_split_rejects_indices_outside_the_event_table():
         bad = SplitBundle(train=[0], folds=[[0]], u1=u1, u2=[], test_drugs={"D"})
         with pytest.raises(DataError, match="outside"):
             verify_split(bad, events)
+
+
+@pytest.mark.parametrize("train,folds,u1", [
+    ([0], [[0]], [1, 1]),   # twice in one split: the split's events would count twice
+    ([0, 1], [[0], [1]], [1]),   # in two splits
+    ([0, 0], [[0], [0]], [1]),   # twice in train, so in two folds
+], ids=["within-u1", "train-and-u1", "within-train"])
+def test_verify_split_rejects_a_repeated_index(train, folds, u1):
+    events = [DdiEvent("A", "B", 0), DdiEvent("A", "D", 0)]
+    bad = SplitBundle(train=train, folds=folds, u1=u1, u2=[], test_drugs={"D"})
+    with pytest.raises(DataError, match="twice"):
+        verify_split(bad, events)
 
 
 def test_split_bundle_json_roundtrip():

@@ -242,7 +242,6 @@ def test_curves_to_csv_has_micro_rows():
     scores = np.array([[0.9, 0.1], [0.2, 0.8]])
     truths = np.array([0, 1])
     per_class, micro = roc_auc(scores, truths)
-    csv = curves_to_csv(per_class, micro, "roc")
-    lines = csv.strip().split("\n")
+    lines = curves_to_csv(per_class, micro, "roc")
     assert lines[0] == "class,fpr,tpr"
     assert any(ln.startswith("-1,") for ln in lines)

@@ -97,6 +97,13 @@ def test_parse_components():
     ("C%\u00b2\u00b3", 1),
     ("[CH\u00b2]", 3),
     ("[C+\u00b2]", 3),
+    ("[CH12]", 4),        # at most one hydrogen-count digit, two charge digits
+    ("[C+123]", 5),       # and three isotope digits, so int() never sees a
+    ("[1234C]", 4),       # run longer than it accepts
+    pytest.param("[C+" + "1" * 5000 + "]", 5, id="charge-5000-digits"),
+    pytest.param("[" + "1" * 5000 + "C]", 4, id="isotope-5000-digits"),
+    pytest.param("[CH" + "1" * 5000 + "]", 4, id="hydrogen-count-5000-digits"),
+    pytest.param("[C" + "+" * 100 + "]", 101, id="charge-100-signs"),  # written as +100
 ])
 def test_parse_errors_carry_offsets(bad, offset):
     with pytest.raises(SmilesError) as exc:
