@@ -10,12 +10,11 @@ the two entity embeddings (zero vector for drugs absent from the graph).
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atomic import atomic_open, read_rows, write_lines
+from .atomic import read_arrays, read_rows, write_arrays, write_lines
 
 
 # How a dataset drug id is named in the knowledge graph.
@@ -218,46 +217,33 @@ class PairEmbedder:
 
 
 # ---------------------------------------------------------------------------
-# export format: binary table + sidecar text index
+# export format: array file + sidecar text index
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"DDKE"
-_VERSION = 1
-
-
 def save_table(table: EmbeddingTable, bin_path, index_path):
-    """Binary layout: magic "DDKE", u32 version, u64 num_entities, u64
-    num_relations, u64 dim, then entity rows and relation rows as
-    little-endian float64. The sidecar lists entity names then relation
-    names, one per line, in row order."""
-    ent = np.ascontiguousarray(table.entities, dtype="<f8")
-    rel = np.ascontiguousarray(table.relations, dtype="<f8")
-    with atomic_open(bin_path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IQQQ", _VERSION, ent.shape[0], rel.shape[0], ent.shape[1]))
-        fh.write(ent.tobytes())
-        fh.write(rel.tobytes())
+    """The table goes to an array file (see ``ddikit.atomic``) holding group
+    ``kg``: float64 ``entities`` and ``relations``, one row each. The sidecar
+    lists entity names then relation names, one per line, in row order."""
+    kg = {"entities": table.entities, "relations": table.relations}
+    write_arrays(bin_path, {"kg": {k: np.asarray(v, dtype=np.float64) for k, v in kg.items()}}, {})
     ents = sorted(table.index.entities, key=table.index.entities.get)
     rels = sorted(table.index.relations, key=table.index.relations.get)
     write_lines(index_path, [f"entities\t{len(ents)}", *ents, f"relations\t{len(rels)}", *rels])
 
 
 def load_table(bin_path, index_path) -> EmbeddingTable:
-    """Read a table written by ``save_table``; TripleError unless the payload
-    holds exactly the rows the header declares and the index lists that
-    many entities and relations."""
-    with open(bin_path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise TripleError(f"{bin_path}: not an embedding table file")
-    if len(blob) < 32:
-        raise TripleError(f"{bin_path}: truncated header")
-    version, n_ent, n_rel, dim = struct.unpack("<IQQQ", blob[4:32])
-    if version != _VERSION:
-        raise TripleError(f"{bin_path}: unsupported version {version}")
-    if len(blob) - 32 != (n_ent + n_rel) * dim * 8:
-        raise TripleError(f"{bin_path}: {len(blob) - 32} payload bytes, but the header "
-                          f"declares {n_ent} + {n_rel} rows of {dim} float64")
+    """Read a table written by ``save_table``; TripleError unless the array
+    file holds only group ``kg``'s two float64 matrices of one width and the
+    index lists that many entities and relations."""
+    _, groups = read_arrays(bin_path, TripleError)
+    arrays = groups.get("kg", {})
+    ent, rel = arrays.get("entities"), arrays.get("relations")
+    if not (set(groups) == {"kg"} and set(arrays) == {"entities", "relations"}
+            and ent.dtype == rel.dtype == np.float64 and ent.ndim == rel.ndim == 2
+            and ent.shape[1] == rel.shape[1]):
+        raise TripleError(f"{bin_path}: expected only kg entities and relations, "
+                          f"2-d float64 arrays of one width")
+    n_ent, n_rel = len(ent), len(rel)
     with open(index_path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if (lines[:1] != [f"entities\t{n_ent}"]
@@ -265,7 +251,6 @@ def load_table(bin_path, index_path) -> EmbeddingTable:
             or len(lines) != 2 + n_ent + n_rel):
         raise TripleError(f"{index_path}: does not list the {n_ent} entities and "
                           f"{n_rel} relations of {bin_path}")
-    rows = np.frombuffer(blob, dtype="<f8", offset=32).reshape(n_ent + n_rel, dim)
     index = EntityIndex({e: i for i, e in enumerate(lines[1:1 + n_ent])},
                         {r: i for i, r in enumerate(lines[2 + n_ent:])})
-    return EmbeddingTable(rows[:n_ent].copy(), rows[n_ent:].copy(), index)
+    return EmbeddingTable(ent, rel, index)

@@ -129,14 +129,12 @@ def _parse_bracket(tok: str, start: int) -> Atom:
     m = _BRACKET.match(body)
     isotope, element, chirality, h, charge, atom_class = m.groups()
     i = m.end()
-    if element is None:
-        if i == len(body):
-            raise SmilesError("bracket atom without element symbol", start + 1 + i)
-        raise SmilesError(f"unexpected character {body[i]!r} in bracket atom", start + 1 + i)
+    if element is None and i == len(body):
+        raise SmilesError("bracket atom without element symbol", start + 1 + i)
     if atom_class == ":":  # a class is accepted and ignored, but needs digits
         raise SmilesError("atom class without digits", start + 1 + i)
     if i != len(body):
-        raise SmilesError(f"trailing characters {body[i:]!r} in bracket atom", start + 1 + i)
+        raise SmilesError(f"unexpected character {body[i]!r} in bracket atom", start + 1 + i)
     charge = charge or ""
     return Atom(element.capitalize(), element.islower(),
                 # "+2" states its magnitude; a run of signs such as "--" counts it

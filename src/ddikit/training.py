@@ -195,7 +195,8 @@ def predict_scores(model: DdiModel, indices, events, drugs, vocab,
                    pair_vecs: np.ndarray, batch_size: int = 32,
                    max_len: int = 500) -> np.ndarray:
     """Softmax class probabilities in eval mode; pair_vecs is [n_events, kg_dim]
-    aligned with the full event list."""
+    aligned with the full event list. FloatingPointError if a score is not
+    finite."""
     was_training = model.training
     model.eval()
     rows = []
@@ -207,7 +208,11 @@ def predict_scores(model: DdiModel, indices, events, drugs, vocab,
             rows.append(ad.softmax(model.forward(ids, segs, mask, pair_vecs[chunk])).data)
     if was_training:
         model.train()
-    return np.concatenate(rows, axis=0)
+    scores = np.concatenate(rows, axis=0)
+    bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
+    if len(bad):
+        raise FloatingPointError(f"non-finite class scores, first for event {indices[bad[0]]}")
+    return scores
 
 
 def accuracy(model: DdiModel, indices, events, drugs, vocab, pair_vecs: np.ndarray,

@@ -1,6 +1,7 @@
 """Every file ddikit writes goes through ``ddikit.atomic.atomic_open``: a
 write that fails partway leaves the previous file intact and no tmp file.
-Every text file goes through ``ddikit.atomic.write_lines``."""
+Every text file goes through ``ddikit.atomic.write_lines``, and only
+``ddikit.atomic`` frames binary files."""
 
 import ast
 import builtins
@@ -87,12 +88,37 @@ def _write_calls(tree: ast.AST):
             yield node.lineno
 
 
-def test_only_atomic_open_writes_files():
+def _binary_framing(tree: ast.AST):
+    """Line numbers of ``struct`` imports and of ``frombuffer`` calls."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name == "struct" for a in node.names):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "struct":
+            yield node.lineno
+        elif isinstance(node, ast.Call) and "frombuffer" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+            yield node.lineno
+
+
+def _outside_atomic(find):
+    """``module:line`` for each line ``find`` yields in a ddikit module other
+    than atomic.py."""
     pkg = Path(ddikit.__file__).parent
     found = []
     for src in sorted(pkg.glob("*.py")):
         if src.name == "atomic.py":
             continue
         tree = ast.parse(src.read_text(encoding="utf-8"), filename=str(src))
-        found += [f"{src.name}:{line}" for line in _write_calls(tree)]
+        found += [f"{src.name}:{line}" for line in find(tree)]
+    return found
+
+
+def test_only_atomic_open_writes_files():
+    found = _outside_atomic(_write_calls)
     assert found == [], f"files written outside atomic_open, or text outside write_lines: {found}"
+
+
+def test_only_atomic_frames_binary_files():
+    """Array files are framed by atomic.write_arrays and atomic.read_arrays."""
+    found = _outside_atomic(_binary_framing)
+    assert found == [], f"struct or frombuffer outside atomic.py: {found}"

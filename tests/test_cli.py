@@ -17,8 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 import ddikit
 from ddikit import cli
+from ddikit.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from ddikit.cli import main
 from ddikit.data import SplitBundle
+from ddikit.kg import load_table, save_table
+from ddikit.model import DdiModel, ModelConfig
 from ddikit.training import FinetuneConfig
 
 TINY = {"d_model": 8, "n_layers": 1, "n_heads": 2, "d_ff": 8, "max_len": 32,
@@ -360,6 +363,43 @@ def test_truncated_binary_input_exits_3(world, tmp_path, capsys, case):
     assert _one_error_line(capsys, "data")
 
 
+def _with_token_embedding(ckpt, value, out):
+    """``ckpt`` with its token embedding set to ``value``, written to ``out``."""
+    model = DdiModel(ModelConfig(**read_checkpoint(ckpt)[0]["config"]))
+    load_checkpoint(ckpt, model)
+    model.parameters()["embed.token"].data[...] = value
+    save_checkpoint(out, model)
+    return out
+
+
+@pytest.mark.parametrize("case,rc,kind", [("trailing-bytes", 3, "data"),
+                                          ("nan-weight", 3, "data"),
+                                          ("overflowing-weight", 4, "numeric"),
+                                          ("nan-kg-vectors", 3, "data")])
+def test_bad_array_file_exits_nonzero(world, tmp_path, capsys, case, rc, kind):
+    """A checkpoint with bytes after its last array, one holding NaN, one
+    whose finite weights overflow the forward, and a KG table holding NaN."""
+    ckpt, table, index = trained(world), world / "kg/kg_table.bin", world / "kg/kg_table.index"
+    if case == "trailing-bytes":
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(trained(world).read_bytes() + b"\0" * 16)
+    elif case == "nan-weight":
+        ckpt = _with_token_embedding(ckpt, np.nan, tmp_path / "model.ckpt")
+    elif case == "overflowing-weight":
+        ckpt = _with_token_embedding(ckpt, 1e30, tmp_path / "model.ckpt")
+    else:
+        kg = load_table(table, index)
+        kg.entities[...] = np.nan
+        table, index = tmp_path / "kg.bin", tmp_path / "kg.index"
+        save_table(kg, table, index)
+    argv = _replace_arg(_replace_arg(dataset_args(world), "--kg-table", table),
+                        "--kg-index", index)
+    capsys.readouterr()
+    assert run("eval", "--checkpoint", ckpt, "--split", "u1", *argv,
+               "--out-dir", tmp_path / "o") == rc
+    assert _one_error_line(capsys, kind)
+
+
 @pytest.mark.parametrize("sub,setting", [("train", "max_len=16"), ("sts", "max_len=16"),
                                          ("train", "n_layers=2")])
 def test_pretrained_of_another_shape_exits_2(world, tmp_path, capsys, sub, setting):
@@ -533,10 +573,12 @@ def test_drug_with_a_non_ascii_digit_exits_3(world, tmp_path, capsys):
                                     "[CH" + "1" * 5000 + "]"],
                          ids=["charge", "isotope", "hydrogen-count"])
 def test_drug_with_a_long_bracket_digit_run_exits_3(world, tmp_path, capsys, smiles):
-    """Bracket digit runs are bounded, so int() never refuses a long one."""
+    """Bracket digit runs are bounded, so int() never refuses a long one, and
+    the error line quotes one character of the run, not all of it."""
     capsys.readouterr()
     assert _split_with_first_smiles(world, tmp_path, smiles) == 3
-    assert _one_error_line(capsys, "data")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ddikit:error:data:") and len(err[0]) < 200, err
 
 
 def test_readme_config_table_matches_the_schema():

@@ -4,6 +4,7 @@ training behavior, norm invariants, and the binary table format."""
 import numpy as np
 import pytest
 
+from ddikit.atomic import write_arrays
 from ddikit.kg import (EmbeddingTable, EntityIndex, PairEmbedder, TransEConfig,
                        Triple, TripleError, init_table, load_table,
                        load_triples, save_table, train_transe,
@@ -212,4 +213,29 @@ def test_table_load_rejects_trailing_bytes(tmp_path):
     save_table(make_table(), b, i)
     b.write_bytes(b.read_bytes() + b"\0" * 8)
     with pytest.raises(TripleError):
+        load_table(b, i)
+
+
+def test_table_load_rejects_a_nonfinite_vector(tmp_path):
+    table = make_table()
+    table.entities[1, 0] = np.nan
+    b, i = tmp_path / "t.bin", tmp_path / "t.index"
+    save_table(table, b, i)
+    with pytest.raises(TripleError, match="NaN or Inf"):
+        load_table(b, i)
+
+
+@pytest.mark.parametrize("groups", [
+    {"kg": {"entities": np.ones((2, 2))}},
+    {"kg": {"entities": np.ones((2, 2)), "relations": np.ones((1, 2)), "x": np.ones(1)}},
+    {"kg": {"entities": np.ones((2, 2)), "relations": np.ones((1, 2))}, "x": {"y": np.ones(1)}},
+    {"kg": {"entities": np.ones((2, 2)), "relations": np.ones((1, 3))}},
+    {"kg": {"entities": np.ones(4), "relations": np.ones(2)}},
+    {"kg": {"entities": np.ones((2, 2), np.float32), "relations": np.ones((1, 2), np.float32)}},
+], ids=["no-relations", "extra-array", "extra-group", "two-widths", "1-d", "float32"])
+def test_table_load_rejects_other_array_files(tmp_path, groups):
+    b, i = tmp_path / "t.bin", tmp_path / "t.index"
+    save_table(make_table(), b, i)
+    write_arrays(b, groups, {})
+    with pytest.raises(TripleError, match="expected only kg"):
         load_table(b, i)

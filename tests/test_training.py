@@ -335,14 +335,20 @@ def test_checkpoint_rejects_every_strict_prefix(tmp_path):
             read_checkpoint(short)
 
 
-def _rewrite_first_entry(path, **fields):
-    """Rewrite the header's first array entry, keeping the payload."""
+def _edit_header(path, edit, tail=b""):
+    """Apply ``edit`` to the checkpoint's JSON header, keep the payload and
+    append ``tail`` to it."""
     blob = path.read_bytes()
     (hlen,) = struct.unpack("<Q", blob[8:16])
     header = json.loads(blob[16:16 + hlen])
-    header["arrays"][0].update(fields)
+    edit(header)
     raw = json.dumps(header).encode()
-    path.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + hlen:])
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + hlen:] + tail)
+
+
+def _rewrite_first_entry(path, **fields):
+    """Rewrite the header's first array entry, keeping the payload."""
+    _edit_header(path, lambda header: header["arrays"][0].update(fields))
 
 
 @pytest.mark.parametrize("fields", [
@@ -356,3 +362,57 @@ def test_checkpoint_rejects_bad_array_entry(tmp_path, fields):
     _rewrite_first_entry(path, **fields)
     with pytest.raises(CheckpointError):
         read_checkpoint(path)
+
+
+def _shift_second_entry(delta):
+    def edit(header):
+        header["arrays"][1]["offset"] += delta
+    return edit
+
+
+@pytest.mark.parametrize("edit,tail", [
+    (lambda header: None, b"\0" * 16),
+    (lambda header: header["arrays"][1].update(name=header["arrays"][0]["name"]), b""),
+    (_shift_second_entry(4), b""),
+    (_shift_second_entry(-4), b""),
+], ids=["trailing-bytes", "duplicate", "gap", "overlap"])
+def test_checkpoint_entries_must_tile_the_payload(tmp_path, edit, tail):
+    path = _tiny_checkpoint(tmp_path)
+    _edit_header(path, edit, tail)
+    with pytest.raises(CheckpointError):
+        read_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_a_nonfinite_array(tmp_path, value):
+    model = DdiModel(small_config(8), seed=0)
+    model.parameters()["embed.token"].data[0, 0] = value
+    save_checkpoint(tmp_path / "m.ckpt", model)
+    with pytest.raises(CheckpointError, match="NaN or Inf"):
+        read_checkpoint(tmp_path / "m.ckpt")
+
+
+def _moments(header):
+    return [e for e in header["arrays"] if e["group"] == "adam_m"]
+
+
+def _transpose_a_moment(header):
+    entry = next(e for e in _moments(header) if len(set(e["shape"])) == 2)
+    entry["shape"] = entry["shape"][::-1]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda header: header["meta"]["optimizer"].pop("beta1"),
+    lambda header: header["meta"].update(optimizer=3),
+    lambda header: _moments(header)[0].update(name="no.such.param"),
+    _transpose_a_moment,
+], ids=["no-beta1", "not-an-object", "unknown-parameter", "transposed-moment"])
+def test_load_checkpoint_validates_optimizer_state(tmp_path, edit):
+    model = DdiModel(small_config(8), seed=0)
+    zeros = {name: np.zeros(p.data.shape) for name, p in model.parameters().items()}
+    opt = AdamState(learning_rate=1e-3, step_count=1, m=zeros, v=dict(zeros))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, optimizer=opt)
+    _edit_header(path, edit)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path, model, optimizer=AdamState(learning_rate=0.0))
