@@ -297,39 +297,52 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray] = None
 
     q, k: [..., n, d_k]; v: [..., n, d_v]; mask: boolean [batch, n] key
     padding mask (True = real token) or None. Masked keys get a -1e9 score
-    bias; a sample with no real token gets all-zero output rows.
+    bias; a sample with no real token gets all-zero output rows and zero
+    gradients.
 
-    The scores are built and normalised in place in one [..., n, n] buffer,
-    and backward keeps only the softmax weights. The arithmetic, and its
-    order, is that of scale -> bias add -> softmax -> row-zero multiply ->
-    matmul recorded as separate ops, so outputs and gradients are the same
-    bits.
+    The scores are built and normalised in place one segment at a time, and
+    backward keeps only each segment's softmax weights. Without a mask the
+    whole array is one segment over all n keys. With a mask each sample b
+    that has a real token is a segment whose [..., n, kmax_b] buffer holds
+    only its keys up to one past its last real one: the keys beyond would
+    get weight exp(-1e9) = 0, and their rows of dk and dv stay zero. The
+    query axis is never cut. Only the length of the row sums and matmul
+    reductions changes, so against the same arithmetic over all n keys
+    (scale -> bias add -> softmax -> row-zero multiply -> matmul as separate
+    ops) outputs and gradients are bit-identical when there is no mask or
+    every sample's last key is real, and otherwise differ by at most 1e-6
+    (float32) or 1e-12 (float64) times max(1, the array's largest
+    magnitude).
     """
     c = 1.0 / math.sqrt(q.data.shape[-1])
-    w = q.data @ np.swapaxes(k.data, -1, -2)
-    w *= c
-    row_ok = None
-    if mask is not None:
-        lead = (mask.shape[0],) + (1,) * (w.ndim - 2)
-        w += np.where(mask, 0.0, -1e9).astype(w.dtype).reshape(lead + (mask.shape[-1],))
-        has_token = mask.any(axis=-1)
-        if not has_token.all():
-            row_ok = has_token.astype(w.dtype).reshape(lead + (1,))
-    w -= w.max(axis=-1, keepdims=True)
-    np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
-    if row_ok is not None:
-        w *= row_ok
-    out = w @ v.data
+    if mask is None:
+        segments = [(..., k.data.shape[-2])]
+    else:
+        last = mask.shape[-1] - np.argmax(mask[:, ::-1], axis=-1)
+        segments = [(b, last[b]) for b in np.flatnonzero(mask.any(axis=-1))]
+    out = np.zeros(q.data.shape[:-1] + v.data.shape[-1:], np.result_type(q.data, k.data, v.data))
+    kept = []
+    for b, kn in segments:
+        w = q.data[b] @ np.swapaxes(k.data[b][..., :kn, :], -1, -2)
+        w *= c
+        if mask is not None:
+            w += np.where(mask[b, :kn], 0.0, -1e9).astype(w.dtype)
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
+        np.matmul(w, v.data[b][..., :kn, :], out=out[b])
+        kept.append((b, kn, w))
 
     def bwd(g):
-        ds = g @ np.swapaxes(v.data, -1, -2)
-        ds -= (ds * w).sum(axis=-1, keepdims=True)
-        ds *= w
-        ds *= c
-        dq = ds @ k.data
-        dk = np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2)
-        dv = np.swapaxes(w, -1, -2) @ g
+        dq, dk, dv = (np.zeros(t.data.shape, out.dtype) for t in (q, k, v))
+        for b, kn, w in kept:
+            ds = g[b] @ np.swapaxes(v.data[b][..., :kn, :], -1, -2)
+            ds -= (ds * w).sum(axis=-1, keepdims=True)
+            ds *= w
+            ds *= c
+            np.matmul(ds, k.data[b][..., :kn, :], out=dq[b])
+            dk[b][..., :kn, :] = np.swapaxes(np.swapaxes(q.data[b], -1, -2) @ ds, -1, -2)
+            dv[b][..., :kn, :] = np.swapaxes(w, -1, -2) @ g[b]
         return dq, dk, dv
 
     return _make(out, (q, k, v), bwd)

@@ -96,6 +96,8 @@ def load_checkpoint(path, model, optimizer: AdamState | None = None) -> dict:
                 if name not in params or arr.shape != params[name].data.shape:
                     raise CheckpointError(f"{path}: {group} {name!r} is not the moment "
                                           f"of a parameter of its shape")
+        if set(groups.get("adam_m", {})) != set(groups.get("adam_v", {})):
+            raise CheckpointError(f"{path}: adam_m and adam_v name different parameters")
     for name, arr in groups.get("param", {}).items():
         params[name].data = arr
     for name, arr in groups.get("buffer", {}).items():

@@ -1,9 +1,12 @@
 """Attention/encoder/conv/fusion network tests: literal-formula oracles for
 the attention equations, the fused attention primitive against the composed
-tape ops it replaces, structural probes (padding insensitivity, swap
-equivariance), and a full-model finite-difference gradient check."""
+tape ops it replaces (exact, or within the stated tolerance where each
+sample's keys are cut at its last real one), structural probes (padding
+insensitivity, swap equivariance), and a full-model finite-difference
+gradient check."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +158,97 @@ def test_fused_attention_gradients_match_finite_differences(seed):
         return ad.tsum(ad.mul(out, t["g"]))
 
     assert check_grads(build, arrays) < 1e-6
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+@pytest.mark.parametrize("lengths", [(160, 37, 0), (90, 120, 5)])
+def test_attention_key_cut_within_tolerance_of_composed_ops(dtype, tol, lengths):
+    """Keys past a sample's last real one are cut, so row sums and matmul
+    reductions run over fewer terms and bits move. Each output and gradient
+    differs by at most tol * max(1, its largest magnitude): gradient entries
+    here reach 9.4, and other seeds give 50, where one float32 ulp is 3.8e-6."""
+    rng = np.random.default_rng(sum(lengths))
+    n = 160
+    q, k, v, g = (rng.standard_normal((3, 4, n, 16)).astype(dtype) for _ in range(4))
+    mask = np.arange(n)[None, :] < np.array(lengths)[:, None]
+    want_out, want_grads = _attention_with_grads(composed_attention, q, k, v, mask, g)
+    got_out, got_grads = _attention_with_grads(ad.attention, q, k, v, mask, g)
+    for got, want in zip([got_out] + got_grads, [want_out] + want_grads):
+        assert got.dtype == dtype
+        assert np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
+    _, dk, dv = got_grads
+    for b, n_real in enumerate(lengths):
+        assert not dk[b, :, n_real:].any() and not dv[b, :, n_real:].any()
+        assert got_out[b].any() == (n_real > 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_exact_when_every_samples_last_key_is_real(dtype):
+    rng = np.random.default_rng(3)
+    n = 160
+    q, k, v, g = (rng.standard_normal((3, 4, n, 16)).astype(dtype) for _ in range(4))
+    holes = rng.random((3, n)) < 0.5
+    holes[:, -1] = True
+    for mask in (None, np.ones((3, n), dtype=bool), holes):
+        want_out, want_grads = _attention_with_grads(composed_attention, q, k, v, mask, g)
+        got_out, got_grads = _attention_with_grads(ad.attention, q, k, v, mask, g)
+        for got, want in zip([got_out] + got_grads, [want_out] + want_grads):
+            assert np.array_equal(got, want)
+
+
+def test_attention_of_a_batch_matches_each_sample_alone():
+    """A sample's keys are cut at its own last real key, not the batch's."""
+    rng = np.random.default_rng(6)
+    n = 160
+    q, k, v, g = (rng.standard_normal((3, 4, n, 16)).astype(np.float32) for _ in range(4))
+    mask = np.arange(n)[None, :] < np.array([150, 20, 90])[:, None]
+    out, grads = _attention_with_grads(ad.attention, q, k, v, mask, g)
+    for b in range(3):
+        one = slice(b, b + 1)
+        out_b, grads_b = _attention_with_grads(ad.attention, q[one], k[one], v[one],
+                                               mask[one], g[one])
+        assert np.array_equal(out[one], out_b)
+        for got, want in zip(grads, grads_b):
+            assert np.array_equal(got[one], want)
+
+
+def test_attention_unmasked_2d_inputs_match_composed_ops():
+    rng = np.random.default_rng(4)
+    q, k, v, g = (rng.standard_normal((6, 8)) for _ in range(4))
+    want_out, want_grads = _attention_with_grads(composed_attention, q, k, v, None, g)
+    got_out, got_grads = _attention_with_grads(ad.attention, q, k, v, None, g)
+    assert got_out.shape == (6, 8)
+    for got, want in zip([got_out] + got_grads, [want_out] + want_grads):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_attention_key_cut_gradients_match_finite_differences(seed):
+    rng = np.random.default_rng(seed)
+    arrays = {name: rng.standard_normal((3, 2, 6, d))
+              for name, d in (("q", 3), ("k", 3), ("v", 4), ("g", 4))}
+    mask = np.arange(6)[None, :] < np.array([5, 2, 0])[:, None]
+
+    def build(t):
+        out = ad.attention(t["q"], t["k"], t["v"], mask)
+        return ad.tsum(ad.mul(out, t["g"]))
+
+    assert check_grads(build, arrays) < 1e-6
+
+
+def test_attention_scores_take_memory_for_real_keys_only():
+    rng = np.random.default_rng(5)
+    b, h, n, d = 8, 4, 400, 16
+    q, k, v = (Tensor(rng.standard_normal((b, h, n, d)).astype(np.float32)) for _ in range(3))
+    mask = np.arange(n)[None, :] < rng.integers(40, 101, b)[:, None]
+    tracemalloc.start()
+    try:
+        with no_grad():
+            ad.attention(q, k, v, mask)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < b * h * n * n * 4 / 2  # half of one [b, h, n, n] float32 buffer
 
 
 def test_multi_head_attention_records_one_attention_entry():

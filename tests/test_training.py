@@ -195,6 +195,26 @@ def test_predict_scores_deterministic(tmp_path):
     assert np.array_equal(a, b)
 
 
+def test_predict_scores_rows_do_not_depend_on_the_batch():
+    """Attention cuts each sample's keys at its own last real token: a pair
+    scored alone matches its row in a batch of much shorter and longer pairs."""
+    drugs = {name: DrugRecord(name, smiles) for name, smiles in
+             (("short", "CO"), ("mid", "CC(=O)Oc1ccccc1C(=O)O"), ("long", "C" * 40 + "N"))}
+    events = [DdiEvent("short", "short", 0), DdiEvent("long", "long", 1),
+              DdiEvent("short", "long", 2), DdiEvent("mid", "short", 0)]
+    vocab = Vocabulary.build([d.smiles for d in drugs.values()])
+    cfg = small_config(len(vocab), max_len=96)
+    model = DdiModel(cfg, seed=0)
+    pair_vecs = np.random.default_rng(0).standard_normal((len(events), cfg.kg_dim))
+    indices = list(range(len(events)))
+    mixed = predict_scores(model, indices, events, drugs, vocab, pair_vecs,
+                           batch_size=len(indices), max_len=cfg.max_len)
+    for i in indices:
+        alone = predict_scores(model, [i], events, drugs, vocab, pair_vecs,
+                               batch_size=1, max_len=cfg.max_len)
+        assert np.abs(alone[0] - mixed[i]).max() <= 1e-7
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -415,4 +435,15 @@ def test_load_checkpoint_validates_optimizer_state(tmp_path, edit):
     save_checkpoint(path, model, optimizer=opt)
     _edit_header(path, edit)
     with pytest.raises(CheckpointError):
+        load_checkpoint(path, model, optimizer=AdamState(learning_rate=0.0))
+
+
+def test_load_checkpoint_requires_both_moments_of_each_parameter(tmp_path):
+    model = DdiModel(small_config(8), seed=0)
+    zeros = {name: np.zeros(p.data.shape) for name, p in model.parameters().items()}
+    v = {name: z for name, z in zeros.items() if name != "embed.token"}
+    opt = AdamState(learning_rate=1e-3, step_count=1, m=zeros, v=v)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, optimizer=opt)
+    with pytest.raises(CheckpointError, match="adam_m and adam_v"):
         load_checkpoint(path, model, optimizer=AdamState(learning_rate=0.0))
