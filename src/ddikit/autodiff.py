@@ -386,11 +386,12 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis per position, then apply learnable gain/bias."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = gain.data * xhat + bias.data
+    # The mean of the squared centred values is x.var's own arithmetic.
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    out = gain.data * xhat
+    out += bias.data
 
     def bwd(g):
         gx = g * gain.data
@@ -455,21 +456,36 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     x: [batch, in_channels, length], w: [out_channels, in_channels, kernel],
     b: [out_channels]. Output length is length.
+
+    The forward and ``dw`` are one matrix product per tap over the whole
+    batch: the samples lie end to end along one axis, each with its own zero
+    padding, and an output column whose window straddles two samples is
+    computed and dropped.
     """
     bsz, cin, length = x.data.shape
     cout, cin_w, kernel = w.data.shape
     if cin != cin_w:
         raise ShapeError(f"conv1d channel mismatch: input {cin} vs kernel {cin_w}")
     pl = (kernel - 1) // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pl, kernel - 1 - pl)))
-    cols = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=2)
-    out = np.einsum("bilk,oik->bol", cols, w.data, optimize=True) + b.data[None, :, None]
-    out = np.ascontiguousarray(out)
+    span = length + kernel - 1
+    n = bsz * span
+    xp = np.zeros((cin, bsz + 1, span), x.data.dtype)  # a zero sample past the last
+    xp[:, :bsz, pl:pl + length] = x.data.transpose(1, 0, 2)
+    xf = xp.reshape(cin, -1)
+    acc = w.data[:, :, 0] @ xf[:, :n]
+    for k in range(1, kernel):
+        acc += w.data[:, :, k] @ xf[:, k:k + n]
+    out = np.empty((bsz, cout, length), np.result_type(acc, b.data))
+    np.add(acc.reshape(cout, bsz, span)[:, :, :length].transpose(1, 0, 2),
+           b.data[:, None], out=out)
 
     def bwd(g):
-        dw = np.einsum("bilk,bol->oik", cols, g, optimize=True)
+        gf = np.zeros((cout, bsz, span), g.dtype)
+        gf[:, :, :length] = g.transpose(1, 0, 2)
+        gf = gf.reshape(cout, n)
+        dw = np.stack([gf @ xf[:, k:k + n].T for k in range(kernel)], axis=-1)
         db = g.sum(axis=(0, 2))
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros((bsz, cin, span), x.data.dtype)
         # Tap k of every output position lands on padded input k..k+length.
         # Taps go in descending k, the order in which an np.add.at scatter
         # of the window gradients accumulates, so the two agree bit for bit.
@@ -486,13 +502,13 @@ def max_pool1d(x: Tensor, stride: int) -> Tensor:
     bsz, c, length = x.data.shape
     out_len = -(-length // stride)
     pad = out_len * stride - length
-    xp = np.pad(x.data, ((0, 0), (0, 0), (0, pad)), constant_values=-np.inf)
+    xp = np.pad(x.data, ((0, 0), (0, 0), (0, pad)), constant_values=-np.inf) if pad else x.data
     windows = xp.reshape(bsz, c, out_len, stride)
     arg = windows.argmax(axis=3)
     out = np.take_along_axis(windows, arg[..., None], axis=3)[..., 0]
 
     def bwd(g):
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros(xp.shape, xp.dtype)
         np.put_along_axis(dxp.reshape(bsz, c, out_len, stride), arg[..., None],
                           g[..., None], axis=3)
         return (dxp[:, :, :length],)

@@ -133,7 +133,15 @@ def _take_fields(cfg: dict, dc_type, **fixed):
 
 
 def _write_manifest(args, config, outputs, t0):
-    inputs = [getattr(args, name) for name in _SUBCOMMANDS[args.subcommand].files]
+    """``config`` is what ``_config`` gave the handler; the manifest puts it
+    over the defaults of the row's dataclass fields, except the fields the
+    run sets: those with no default, ``seed`` (from --seed) and ``kg_dim``
+    (from the KG table)."""
+    row = _SUBCOMMANDS[args.subcommand]
+    inputs = [getattr(args, name) for name in row.files]
+    config = {**{f.name: f.default for dc in row.configs for f in dataclasses.fields(dc)
+                 if f.default is not dataclasses.MISSING and f.name not in ("seed", "kg_dim")},
+              **config}
     manifest = {
         "subcommand": args.subcommand,
         "version": __version__,
@@ -472,7 +480,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = _load_config(args)
         row = _SUBCOMMANDS[args.subcommand]
-        outputs = row.handler(args, _config(cfg, row.configs, row.keys))
+        cfg = _config(cfg, row.configs, row.keys)
+        outputs = row.handler(args, cfg)
         _write_manifest(args, cfg, outputs, t0)
         return 0
     except ConfigError as exc:

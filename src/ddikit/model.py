@@ -98,7 +98,7 @@ class ParamStore:
     def buffer(self, name: str, data: np.ndarray) -> np.ndarray:
         if name in self.buffers:
             raise ValueError(f"duplicate buffer name {name!r}")
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data, dtype=self.dtype)
         self.buffers[name] = arr
         return arr
 

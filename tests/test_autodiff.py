@@ -167,6 +167,35 @@ def test_layer_norm_normalizes():
     assert np.abs(y.var(axis=-1) - 1.0).max() < 1e-4
 
 
+def _two_pass_layer_norm(x, gain, bias, g, eps=1e-5):
+    """Layer norm with separate mean and variance passes (the reference
+    formulation): the output, then the x, gain and bias gradients."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    gx = g * gain
+    dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
+                - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+    return gain * xhat + bias, dx, g * xhat, g
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(6, 9), (3, 2, 400), (4, 50, 256)])
+def test_layer_norm_bit_identical_to_two_pass_formula(dtype, shape):
+    rng = np.random.default_rng(sum(shape))
+    x, g = ((rng.standard_normal(shape) * 3 + 1).astype(dtype) for _ in range(2))
+    gain, bias = (rng.standard_normal(shape[-1]).astype(dtype) for _ in range(2))
+    tape = Tape()
+    with tape:
+        y = ad.layer_norm(*(Tensor(a, requires_grad=True, dtype=dtype) for a in (x, gain, bias)))
+    got = (y.data,) + tuple(tape.entries[-1].backward_fn(g))
+    want = _two_pass_layer_norm(x, gain, bias, g)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == dtype
+        assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("mode,training", [("2d", True), ("3d", True),
                                            ("2d", False), ("3d", False)],
@@ -275,12 +304,66 @@ def test_conv1d_input_grad_matches_scatter(dtype, shape):
         assert np.abs(dx - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def _im2col_conv1d(x, w, b, g):
+    """conv1d's output and weight gradient through a sliding-window view of
+    the padded input and einsum (the im2col reference formulation)."""
+    kernel = w.shape[2]
+    pl = (kernel - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pl, kernel - 1 - pl)))
+    cols = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=2)
+    return (np.einsum("bilk,oik->bol", cols, w, optimize=True) + b[None, :, None],
+            np.einsum("bilk,bol->oik", cols, g, optimize=True))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(2, 3, 7, 3), (4, 8, 17, 5), (2, 4, 9, 4),
+                                   (3, 5, 6, 1), (16, 32, 96, 3), (4, 64, 125, 3),
+                                   (32, 256, 63, 3), (1, 8, 11, 3)])
+def test_conv1d_output_and_weight_grad_match_im2col(dtype, shape):
+    """The per-tap products sum in another order than einsum does: the stated
+    tolerance is 16 machine epsilons of the dtype times the largest magnitude."""
+    bsz, c, length, kernel = shape
+    rng = np.random.default_rng(sum(shape))
+    x, w, b, g = (rng.standard_normal(s).astype(dtype) for s in
+                  ((bsz, c, length), (c + 1, c, kernel), (c + 1,), (bsz, c + 1, length)))
+    tape = Tape()
+    with tape:
+        y = ad.conv1d(*(Tensor(a, requires_grad=True, dtype=dtype) for a in (x, w, b)))
+    dw = tape.entries[-1].backward_fn(g)[1]
+    for got, want in zip((y.data, dw), _im2col_conv1d(x, w, b, g)):
+        assert got.shape == want.shape and got.dtype == dtype
+        assert np.abs(got - want).max() <= 16 * np.finfo(dtype).eps * np.abs(want).max()
+
+
 def test_max_pool_ceil_mode():
     x = Tensor(np.arange(5, dtype=np.float64).reshape(1, 1, 5))
     with no_grad():
         y = ad.max_pool1d(x, 2).data
     assert y.shape == (1, 1, 3)
     assert np.array_equal(y[0, 0], [1.0, 3.0, 4.0])
+
+
+@pytest.mark.parametrize("length", [8, 9, 12, 13])
+@pytest.mark.parametrize("stride", [2, 3])
+def test_max_pool_matches_padded_form(length, stride):
+    """Without a pad the windows are a reshape of the input itself; output
+    and gradient keep the bits of the -inf-padded form, also for an input
+    that is not C-contiguous."""
+    rng = np.random.default_rng(length * stride)
+    x = rng.standard_normal((2, length, 3)).astype(np.float32).transpose(0, 2, 1)
+    out_len = -(-length // stride)
+    g = rng.standard_normal((2, 3, out_len)).astype(np.float32)
+    xp = np.pad(x, ((0, 0), (0, 0), (0, out_len * stride - length)), constant_values=-np.inf)
+    windows = xp.reshape(2, 3, out_len, stride)
+    arg = windows.argmax(axis=3)[..., None]
+    dxp = np.zeros_like(xp)
+    np.put_along_axis(dxp.reshape(2, 3, out_len, stride), arg, g[..., None], axis=3)
+    t = Tensor(x, requires_grad=True)
+    tape = Tape()
+    with tape:
+        y = ad.max_pool1d(t, stride)
+    assert np.array_equal(y.data, np.take_along_axis(windows, arg, axis=3)[..., 0])
+    assert np.array_equal(tape.entries[-1].backward_fn(g)[0], dxp[:, :, :length])
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -93,6 +93,15 @@ def test_every_run_writes_a_manifest(world):
             assert os.path.exists(path)
 
 
+def test_manifest_effective_config_holds_defaults(world):
+    """The manifest holds every key the run used, not only the overrides;
+    the values the run sets itself are not config keys."""
+    config = json.loads((trained(world).parent / "manifest.json").read_text())["effective_config"]
+    assert {"dropout": 0.1, "dtype": "float32", "eval_fold": 0}.items() <= config.items()
+    assert {key: config[key] for key in TINY} == TINY
+    assert not {"seed", "kg_dim", "vocab_size", "n_classes"} & set(config)
+
+
 def test_vocab_output_has_reserved_header(world):
     lines = (world / "vocab/vocab.txt").read_text().splitlines()
     assert lines[:4] == ["<pad>", "<unk>", "<mask>", "<sep>"]

@@ -13,6 +13,7 @@ import pytest
 
 from ddikit import autodiff as ad
 from ddikit.autodiff import Parameter, Tape, Tensor, backward, no_grad
+from ddikit.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from ddikit.model import (DdiModel, KgSelfAttention, ModelConfig,
                           MultiHeadAttention, ParamStore, PretrainModel,
                           transfer_encoder_weights)
@@ -423,6 +424,60 @@ def test_forward_shapes_and_finiteness():
         logits = model.forward(ids, segs, mask, pair)
     assert logits.shape == (3, 3)
     assert np.isfinite(logits.data).all()
+
+
+def _op_dtypes(monkeypatch) -> list:
+    """From here on, the dtype of every array an autodiff op makes."""
+    seen = []
+    make = ad._make
+
+    def spy(out_data, inputs, backward_fn):
+        seen.append(np.asarray(out_data).dtype)
+        return make(out_data, inputs, backward_fn)
+
+    monkeypatch.setattr(ad, "_make", spy)
+    return seen
+
+
+def _eval_logits(model) -> Tensor:
+    rng = np.random.default_rng(0)
+    ids = rng.integers(4, 12, size=(3, 8))
+    ids[:, 6:] = 0
+    model.eval()
+    with no_grad():
+        return model.forward(ids, np.zeros_like(ids), ids != 0, rng.standard_normal((3, 4)))
+
+
+def test_float32_eval_forward_makes_only_float32(monkeypatch):
+    """The batch-norm running statistics take the model's dtype, so nothing
+    after the encoder is promoted to float64."""
+    model = DdiModel(tiny_config(dtype="float32"), seed=0)
+    seen = _op_dtypes(monkeypatch)
+    assert _eval_logits(model).dtype == np.float32
+    assert seen and set(seen) == {np.dtype(np.float32)}
+
+
+def test_float64_checkpoint_buffers_load_into_float32_model(tmp_path, monkeypatch):
+    """A checkpoint whose running statistics are float64, as every checkpoint
+    was before buffers took the model's dtype, loads by casting them."""
+    old = DdiModel(tiny_config(dtype="float32"), seed=0)
+    rng = np.random.default_rng(1)
+    for name, buf in old.buffers().items():
+        old.store.buffers[name] = buf + rng.random(buf.shape)  # float64
+    save_checkpoint(tmp_path / "old.ckpt", old)
+    assert {a.dtype for a in read_checkpoint(tmp_path / "old.ckpt")[1]["buffer"].values()} \
+        == {np.dtype(np.float64)}
+    model = DdiModel(tiny_config(dtype="float32"), seed=0)
+    load_checkpoint(tmp_path / "old.ckpt", model)
+    for name, buf in model.buffers().items():
+        assert buf.dtype == np.float32
+        assert np.array_equal(buf, old.buffers()[name].astype(np.float32))
+    seen = _op_dtypes(monkeypatch)
+    assert _eval_logits(model).dtype == np.float32
+    assert set(seen) == {np.dtype(np.float32)}
+    save_checkpoint(tmp_path / "new.ckpt", model)
+    assert {a.dtype for a in read_checkpoint(tmp_path / "new.ckpt")[1]["buffer"].values()} \
+        == {np.dtype(np.float32)}
 
 
 @pytest.mark.parametrize("seed", range(3))
