@@ -1,10 +1,11 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
 A ``Tensor`` wraps an ndarray; differentiable operations record themselves on
-the active ``Tape`` (a Wengert list). ``backward`` replays the tape in reverse,
-visiting each recorded operation exactly once and accumulating gradients
+the active ``Tape`` (a Wengert list). ``backward`` consumes the tape from the
+end, visiting each recorded operation exactly once and accumulating gradients
 additively, so a parameter used several times receives the sum of all its
-contributions.
+contributions. An operation's output, its gradient and its backward closure
+are released as soon as its own backward has run.
 
 Only the operations needed by the DDI model are implemented. Training runs in
 float32; float64 is available for gradient checking.
@@ -76,10 +77,12 @@ class _TapeEntry:
 
 
 class Tape:
-    """Ordered record of executed differentiable operations."""
+    """Ordered record of executed differentiable operations. ``backward``
+    empties it, and a tape can be back-propagated only once."""
 
     def __init__(self):
         self.entries: list[_TapeEntry] = []
+        self.consumed = False
 
     def __len__(self):
         return len(self.entries)
@@ -126,14 +129,28 @@ def _make(out_data, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
 
 
 def backward(loss: Tensor, tape: Tape):
-    """Populate ``.grad`` on every tensor that influenced a scalar loss."""
+    """Populate ``.grad`` on every leaf tensor, such as a parameter, that
+    influenced a scalar loss.
+
+    The tape is consumed: each entry is popped, back-propagated and dropped,
+    so by the time an op's entry comes up every consumer of its output has
+    already been popped, and the output, its gradient and the closure are
+    freed right after. Afterwards the tape is empty and only leaves keep
+    ``.grad``. A second call on the same tape raises ``ValueError``.
+    """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    if tape.consumed:
+        raise ValueError("backward has already consumed this tape")
+    tape.consumed = True
     loss.grad = np.ones_like(loss.data)
-    for entry in reversed(tape.entries):
+    entries = tape.entries
+    while entries:
+        entry = entries.pop()
         g = entry.output.grad
         if g is None:
             continue
+        entry.output.grad = None
         grads = entry.backward_fn(g)
         for inp, gi in zip(entry.inputs, grads):
             if gi is None or not inp.requires_grad:
@@ -142,9 +159,10 @@ def backward(loss: Tensor, tape: Tape):
                 gi = _unbroadcast(gi, inp.data.shape)
             gi = np.asarray(gi, dtype=inp.data.dtype)
             if inp.grad is None:
+                # a copy, so backward owns every .grad it adds into
                 inp.grad = gi.copy()
             else:
-                inp.grad = inp.grad + gi
+                inp.grad += gi
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -209,6 +227,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bwd)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one tape entry, so no product array is kept just to route
+    gradients. x: [..., d_in], w: [d_in, d_out], b: [d_out]. Outputs and
+    gradients are bit-identical to ``add(matmul(x, w), b)``. A ``b`` of a
+    wider dtype than ``x @ w`` raises rather than being rounded."""
+    if x.data.shape[-1] != w.data.shape[0]:
+        raise ShapeError(f"linear dimension mismatch: {x.data.shape} x {w.data.shape}")
+    out = x.data @ w.data
+    np.add(out, b.data, out=out, casting="safe")
+
+    def bwd(g):
+        return g @ np.swapaxes(w.data, -1, -2), np.swapaxes(x.data, -1, -2) @ g, g
+
+    return _make(out, (x, w, b), bwd)
+
+
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
     ndim = a.data.ndim
@@ -260,7 +294,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     keep = a.data > 0
-    out = np.where(keep, a.data, 0)
+    out = np.maximum(a.data, 0)
 
     def bwd(g):
         return (g * keep,)
@@ -325,7 +359,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray] = None
     for b, kn in segments:
         w = q.data[b] @ np.swapaxes(k.data[b][..., :kn, :], -1, -2)
         w *= c
-        if mask is not None:
+        if mask is not None and not mask[b, :kn].all():  # adding 0.0 changes nothing
             w += np.where(mask[b, :kn], 0.0, -1e9).astype(w.dtype)
         w -= w.max(axis=-1, keepdims=True)
         np.exp(w, out=w)

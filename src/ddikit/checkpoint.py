@@ -1,8 +1,9 @@
 """Checkpoints, stored as array files (see ``ddikit.atomic``): groups param,
 buffer, adam_m and adam_v, and a meta holding the epoch counter, optimizer
-scalars, RNG state, the architecture config and its fingerprint, and
-free-form extras. Arrays keep their training dtype, so save -> load ->
-forward is bit-identical."""
+scalars, RNG state, the architecture config and its fingerprint, the
+sha256 of the vocabulary and label lists the model was trained with (when
+given), and free-form extras. Arrays keep their training dtype, so save ->
+load -> forward is bit-identical."""
 
 from __future__ import annotations
 
@@ -25,6 +26,16 @@ def config_fingerprint(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
 
 
+def list_digest(items) -> str:
+    """sha256 of an ordered list of strings, such as vocabulary tokens or
+    class labels in id order."""
+    return hashlib.sha256(json.dumps(list(items)).encode()).hexdigest()
+
+
+# meta key -> what the digested list is, for the mismatch error
+_DIGESTS = {"vocab_sha256": "vocabulary", "labels_sha256": "label list"}
+
+
 def _rng_state(rng: np.random.Generator) -> dict:
     state = rng.bit_generator.state
     return json.loads(json.dumps(state, default=int))
@@ -37,8 +48,9 @@ def _restore_rng(state: dict) -> np.random.Generator:
 
 
 def save_checkpoint(path, model, optimizer: AdamState | None = None,
-                    epoch: int = 0, extra: dict | None = None):
-    """Serialize model parameters/buffers, optimizer moments and RNG state."""
+                    epoch: int = 0, extra: dict | None = None, vocab=None, labels=None):
+    """Serialize model parameters/buffers, optimizer moments and RNG state,
+    plus the digests of the vocabulary tokens and class labels if given."""
     groups = {"param": {name: p.data for name, p in model.parameters().items()},
               "buffer": model.buffers()}
     meta = {
@@ -48,6 +60,9 @@ def save_checkpoint(path, model, optimizer: AdamState | None = None,
         "model_rng": _rng_state(model.rng),
         "extra": extra or {},
     }
+    for key, items in zip(_DIGESTS, (vocab, labels)):
+        if items is not None:
+            meta[key] = list_digest(items)
     if optimizer is not None:
         groups["adam_m"] = optimizer.m
         groups["adam_v"] = optimizer.v
@@ -64,14 +79,20 @@ def read_checkpoint(path) -> tuple[dict, dict[str, dict[str, np.ndarray]]]:
     return meta, groups
 
 
-def load_checkpoint(path, model, optimizer: AdamState | None = None) -> dict:
+def load_checkpoint(path, model, optimizer: AdamState | None = None,
+                    vocab=None, labels=None) -> dict:
     """Restore parameters/buffers (and optimizer state if given) in place.
     Returns the checkpoint meta dict. The stored config fingerprint must
-    match the model's."""
+    match the model's, and a given vocabulary or label list must match the
+    one whose digest the checkpoint stores; a checkpoint without a digest
+    accepts any."""
     meta, groups = read_checkpoint(path)
     want = config_fingerprint(model.cfg.to_dict())
     if meta["config_fingerprint"] != want:
         raise CheckpointError(f"{path}: config fingerprint mismatch")
+    for (key, what), items in zip(_DIGESTS.items(), (vocab, labels)):
+        if items is not None and key in meta and meta[key] != list_digest(items):
+            raise CheckpointError(f"{path}: the model was trained with another {what}")
     try:
         rng = _restore_rng(meta["model_rng"])
     except (LookupError, TypeError, ValueError, OverflowError) as exc:

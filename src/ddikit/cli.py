@@ -251,7 +251,7 @@ def cmd_pretrain(args, cfg):
     history = mlm_pretrain(model, corpus, vocab, pcfg,
                            progress=lambda e, l: print(f"epoch {e}: mlm loss {l:.4f}"))
     ckpt = _out(args, "pretrained.ckpt")
-    save_checkpoint(ckpt, model, epoch=pcfg.epochs)
+    save_checkpoint(ckpt, model, epoch=pcfg.epochs, vocab=vocab.tokens)
     loss_path = _out(args, "pretrain_loss.csv")
     _write_csv(loss_path, "epoch,loss", enumerate(history))
     return [ckpt, loss_path]
@@ -271,23 +271,25 @@ def _load_training_world(args, cfg):
     return drugs, events, label_map, bundle, vocab, pair_vecs, embedder
 
 
-def _load_model(path, model_cls, seed: int):
+def _load_model(path, model_cls, seed: int, vocab: Vocabulary, labels=None):
     """Build ``model_cls`` with the architecture stored in the checkpoint at
-    ``path`` and load its weights into it."""
+    ``path`` and load its weights into it. The checkpoint must have been
+    trained with ``vocab`` and, if given, ``labels`` (in class-id order)."""
     meta, _ = read_checkpoint(path)
     try:
         cfg = ModelConfig(**meta["config"])
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: stored config is not a model config: {exc}") from exc
     model = model_cls(cfg, seed=seed)
-    load_checkpoint(path, model)
+    load_checkpoint(path, model, vocab=vocab.tokens, labels=labels)
     return model
 
 
-def _load_scorer(args, vocab: Vocabulary, pair_vecs: np.ndarray) -> DdiModel:
-    """The --checkpoint model, checked against the vocabulary and the KG pair
-    vectors it is to read."""
-    model = _load_model(args.checkpoint, DdiModel, args.seed)
+def _load_scorer(args, vocab: Vocabulary, label_map: dict[str, int],
+                 pair_vecs: np.ndarray) -> DdiModel:
+    """The --checkpoint model, checked against the vocabulary, the labels and
+    the KG pair vectors it is to read."""
+    model = _load_model(args.checkpoint, DdiModel, args.seed, vocab, list(label_map))
     if len(vocab) != model.cfg.vocab_size:
         raise DataError(f"--vocab has {len(vocab)} tokens; the checkpoint's model "
                         f"has {model.cfg.vocab_size}")
@@ -330,10 +332,11 @@ def cmd_train(args, cfg):
     train_idx, eval_idx = _cv_fold(bundle, cfg["eval_fold"])
     model = _build_model(cfg, len(vocab), len(label_map), pair_vecs.shape[1], args.seed)
     if args.pretrained:
-        _transfer(_load_model(args.pretrained, PretrainModel, args.seed), model)
+        _transfer(_load_model(args.pretrained, PretrainModel, args.seed, vocab), model)
     ckpt = _out(args, "model.ckpt")
     history, best = finetune(model, train_idx, eval_idx, events, drugs, vocab,
                              pair_vecs, fcfg, checkpoint_path=ckpt,
+                             class_names=list(label_map),
                              progress=lambda r: print(
                                  f"epoch {r.epoch}: loss {r.train_loss:.4f} "
                                  f"train_acc {r.train_accuracy:.3f} eval_acc {r.eval_accuracy:.3f}"))
@@ -356,7 +359,7 @@ def _select_split(bundle: SplitBundle, name: str) -> list[int]:
 def cmd_eval(args, cfg):
     drugs, events, label_map, bundle, vocab, pair_vecs, _ = _load_training_world(args, cfg)
     indices = _select_split(bundle, args.split)
-    model = _load_scorer(args, vocab, pair_vecs)
+    model = _load_scorer(args, vocab, label_map, pair_vecs)
     if not indices:
         raise DataError(f"split {args.split!r} is empty")
     scores = predict_scores(model, indices, events, drugs, vocab, pair_vecs,
@@ -378,7 +381,7 @@ def cmd_sts(args, cfg):
     fcfg = _take_fields(cfg, FinetuneConfig, seed=args.seed)
     drugs, events, label_map, bundle, vocab, pair_vecs, _ = _load_training_world(args, cfg)
     train_idx, eval_idx = _cv_fold(bundle, cfg["eval_fold"])
-    pretrained = (_load_model(args.pretrained, PretrainModel, args.seed)
+    pretrained = (_load_model(args.pretrained, PretrainModel, args.seed, vocab)
                   if args.pretrained else None)
     rng = np.random.default_rng(args.seed)
     series = sts_series(train_idx, events, rng, min_class_count=cfg["min_class_count"])
@@ -403,9 +406,9 @@ def cmd_sts(args, cfg):
 
 
 def cmd_seqlen(args, cfg):
-    drugs, events, _, bundle, vocab, pair_vecs, _ = _load_training_world(args, cfg)
+    drugs, events, label_map, bundle, vocab, pair_vecs, _ = _load_training_world(args, cfg)
     indices = _select_split(bundle, args.split)
-    model = _load_scorer(args, vocab, pair_vecs)
+    model = _load_scorer(args, vocab, label_map, pair_vecs)
     bins = seqlen_bins(indices, events, drugs, cfg["bin_width"], max_len=model.cfg.max_len)
     rows = [(lo, accuracy(model, idx, events, drugs, vocab, pair_vecs, cfg["batch_size"]),
              len(idx)) for lo, idx in sorted(bins.items())]

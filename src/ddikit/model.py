@@ -109,7 +109,7 @@ class Linear:
         self.b = store.param(f"{name}.b", (d_out,), init="zeros")
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.add(ad.matmul(x, self.w), self.b)
+        return ad.linear(x, self.w, self.b)
 
 
 class LayerNorm:

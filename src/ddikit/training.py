@@ -228,10 +228,12 @@ def accuracy(model: DdiModel, indices, events, drugs, vocab, pair_vecs: np.ndarr
 def finetune(model: DdiModel, train_indices: list[int], eval_indices: list[int],
              events: list[DdiEvent], drugs: dict[str, DrugRecord],
              vocab: Vocabulary, pair_vecs: np.ndarray, cfg: FinetuneConfig,
-             checkpoint_path=None, progress=None) -> tuple[list[EpochRecord], float]:
+             checkpoint_path=None, progress=None,
+             class_names=None) -> tuple[list[EpochRecord], float]:
     """Cross-entropy training over event classes; keeps the checkpoint with
-    the best eval accuracy when a path is given. Returns the per-epoch
-    history and the best eval accuracy."""
+    the best eval accuracy when a path is given, recording the digests of
+    the vocabulary and of ``class_names`` (the labels in class-id order) if
+    given. Returns the per-epoch history and the best eval accuracy."""
     for i in train_indices:
         if events[i].label >= model.cfg.n_classes:
             raise ValueError(f"event {i} label {events[i].label} >= n_classes")
@@ -269,5 +271,6 @@ def finetune(model: DdiModel, train_indices: list[int], eval_indices: list[int],
             best_acc = eval_acc
             if checkpoint_path is not None:
                 save_checkpoint(checkpoint_path, model, opt, epoch=epoch,
-                                extra={"eval_accuracy": eval_acc})
+                                extra={"eval_accuracy": eval_acc},
+                                vocab=vocab.tokens, labels=class_names)
     return history, best_acc

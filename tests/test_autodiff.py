@@ -1,6 +1,8 @@
 """Finite-difference checks for every differentiable primitive plus an
 independent oracle for the Adam update recurrence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,59 @@ def test_activations(seed):
         return ad.tsum(ad.mul(x, x))
 
     assert check_grads(build, arrays) < TOL
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_forward_matches_where_form_and_propagates_nan(dtype):
+    """relu's forward is np.maximum(a, 0): equal to np.where(a > 0, a, 0) on
+    every finite input (and on +-0.0 and +-inf), while NaN in gives NaN out."""
+    a = np.random.default_rng(0).standard_normal((6, 7)).astype(dtype)
+    a[0, :4] = [0.0, -0.0, np.inf, -np.inf]
+    out = ad.relu(Tensor(a)).data
+    assert out.dtype == dtype
+    assert np.array_equal(out, np.where(a > 0, a, 0))
+    a[1, 1] = np.nan
+    out = ad.relu(Tensor(a)).data
+    assert np.isnan(out[1, 1])
+    assert np.isnan(out).sum() == 1
+
+
+def _two_linears_and_a_residual(linear, x, w1, b1, w2, b2):
+    """x feeds two linear maps and a residual add."""
+    return ad.concat([linear(x, w1, b1), ad.add(x, linear(x, w2, b2))], axis=-1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(5,), (3, 5)])
+def test_linear_bit_identical_to_matmul_add(dtype, lead):
+    rng = np.random.default_rng(1)
+    arrays = {"x": r(rng, *lead, 6), "w1": r(rng, 6, 4), "b1": r(rng, 4),
+              "w2": r(rng, 6, 6), "b2": r(rng, 6)}
+    g = r(rng, *lead, 10).astype(dtype)
+
+    def run(linear):
+        leaves = {k: Parameter(v, name=k, dtype=dtype) for k, v in arrays.items()}
+        tape = Tape()
+        with tape:
+            out = _two_linears_and_a_residual(linear, *leaves.values())
+            loss = ad.tsum(ad.mul(out, ad.constant(g, dtype=dtype)))
+        backward(loss, tape)
+        return out.data, [t.grad for t in leaves.values()]
+
+    out, grads = run(ad.linear)
+    ref_out, ref_grads = run(lambda x, w, b: ad.add(ad.matmul(x, w), b))
+    assert out.dtype == dtype
+    assert np.array_equal(out, ref_out)
+    for got, want in zip(grads, ref_grads):
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+
+def test_linear_rejects_mismatched_shapes_and_a_wider_bias():
+    with pytest.raises(ad.ShapeError, match=r"\(2, 3\) x \(4, 5\)"):
+        ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
+    with pytest.raises(TypeError):  # a float64 bias is not rounded into float32
+        ad.linear(Tensor(np.zeros((2, 3), np.float32)), Tensor(np.zeros((3, 5), np.float32)),
+                  Tensor(np.zeros(5)))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -406,6 +461,64 @@ def test_grad_accumulates_across_reuse():
         loss = ad.tsum(ad.add(ad.mul(p, p), p))  # d/dp = 2p + 1
     backward(loss, tape)
     assert np.abs(p.grad - (2 * p.data + 1)).max() < 1e-12
+
+
+def test_reused_intermediate_accumulates_in_tape_order():
+    """An intermediate with three consumers: its gradient is summed in place
+    in the order backward pops the consumers (last recorded first), and the
+    leaf gradient equals that sum computed out of place."""
+    rng = np.random.default_rng(2)
+    pv = rng.standard_normal(50).astype(np.float32)
+    c = rng.standard_normal(50).astype(np.float32)
+    p = Parameter(pv, name="p", dtype=np.float32)
+    tape = Tape()
+    with tape:
+        h = ad.mul(p, p)
+        m = ad.add(ad.mul(h, ad.constant(c)), ad.scale(h, 3.0))
+        loss = ad.tsum(ad.add(m, ad.relu(h)))
+    backward(loss, tape)
+    ones = np.ones(50, np.float32)
+    gh = ones * (h.data > 0)  # relu, the last consumer recorded
+    gh = gh + ones * np.float32(3.0)  # scale
+    gh = gh + ones * c  # mul by c
+    want = gh * pv
+    want = want + gh * pv
+    assert np.array_equal(p.grad, want)
+
+
+def test_backward_consumes_the_tape_and_frees_what_it_walked():
+    """A 30-op chain on a 1 MB leaf: once an op's backward has run, its
+    output and gradient are freed, so backward allocates far less than the
+    30 MB that keeping every intermediate gradient would."""
+    leaf = Parameter(np.ones(2**18), name="leaf", dtype=np.float32)
+    tape = Tape()
+    with tape:
+        y = leaf
+        for _ in range(30):
+            y = ad.scale(y, 1.0)
+        loss = ad.tsum(y)
+    del y
+    tracemalloc.start()
+    try:
+        backward(loss, tape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert len(tape) == 0
+    assert np.array_equal(leaf.grad, np.ones(2**18, np.float32))
+
+
+def test_second_backward_on_a_consumed_tape_raises():
+    p = Parameter(np.array([2.0, 3.0]), name="p", dtype=np.float64)
+    tape = Tape()
+    with tape:
+        loss = ad.tsum(ad.mul(p, p))
+    backward(loss, tape)
+    first = p.grad.copy()
+    with pytest.raises(ValueError, match="consumed"):
+        backward(loss, tape)
+    assert np.array_equal(p.grad, first)
 
 
 # ---------------------------------------------------------------------------

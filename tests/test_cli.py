@@ -675,6 +675,59 @@ def test_checkpoint_that_disagrees_with_its_inputs_exits_3(world, tmp_path, caps
     assert not (tmp_path / "o/manifest.json").exists()
 
 
+def _reversed_lines(src: Path, dst: Path, keep: int = 0) -> Path:
+    """``src`` with its lines after the first ``keep`` in reverse order."""
+    lines = src.read_text().splitlines()
+    dst.write_text("\n".join(lines[:keep] + lines[keep:][::-1]) + "\n")
+    return dst
+
+
+def _reordered(world, tmp_path, case) -> list:
+    """The dataset arguments with the vocabulary (past its 4 reserved tokens)
+    or the label file in reverse order: same sizes, other token and class ids."""
+    if case == "vocab":
+        path = _reversed_lines(world / "vocab/vocab.txt", tmp_path / "vocab.txt", keep=4)
+    else:
+        path = _reversed_lines(world / "fix/labels.txt", tmp_path / "labels.txt")
+    return _replace_arg(dataset_args(world), f"--{case}", path)
+
+
+@pytest.mark.parametrize("sub", ["eval", "seqlen"])
+@pytest.mark.parametrize("case", ["vocab", "labels"])
+def test_checkpoint_trained_with_reordered_vocab_or_labels_exits_3(world, tmp_path, capsys,
+                                                                   sub, case):
+    argv = _reordered(world, tmp_path, case)
+    capsys.readouterr()
+    rc = run(sub, "--checkpoint", trained(world), "--split", "u1", *argv,
+             "--out-dir", tmp_path / "o")
+    assert rc == 3
+    assert _one_error_line(capsys, "data")
+    assert not (tmp_path / "o/manifest.json").exists()
+
+
+def test_pretrained_with_reordered_vocab_exits_3(world, tmp_path, capsys):
+    argv = _reordered(world, tmp_path, "vocab")
+    ckpt = pretrained(world)
+    capsys.readouterr()
+    rc = run("train", *argv, "--pretrained", ckpt, "--config", world / "tiny.json",
+             "--out-dir", tmp_path / "o")
+    assert rc == 3
+    assert _one_error_line(capsys, "data")
+
+
+def test_checkpoints_record_vocab_and_labels_and_load_without_them(world, tmp_path):
+    """The fine-tuned checkpoint stores both digests and the pretrained one
+    the vocabulary's; a checkpoint without them still loads."""
+    assert {"vocab_sha256", "labels_sha256"} <= set(read_checkpoint(trained(world))[0])
+    assert "vocab_sha256" in read_checkpoint(pretrained(world))[0]
+    ckpt = tmp_path / "model.ckpt"
+    _rewrite_header(trained(world), ckpt, lambda h: [h["meta"].pop(key) for key in
+                                                     ("vocab_sha256", "labels_sha256")])
+    argv = _reordered(world, tmp_path, "labels")
+    assert run("eval", "--checkpoint", ckpt, "--split", "u1", *argv,
+               "--out-dir", tmp_path / "o") == 0
+
+
 def test_one_molecule_corpus_exits_3(world, tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text((world / "fix/corpus.txt").read_text().splitlines()[0] + "\n")
