@@ -1,7 +1,7 @@
 """File framing: every file ddikit writes goes through ``atomic_open``, so a
 reader or an interrupted run sees the old file or the whole new one. Text
-files are framed here too: ``write_lines`` writes them, and ``read_rows``
-reads the tab-separated tables.
+files are framed here too: ``write_lines`` writes them, ``csv_lines`` formats
+the CSV ones, and ``read_rows`` reads the tab-separated tables.
 
 Binary files have one layout, the array file: ``write_arrays`` writes it,
 ``read_arrays`` reads it, and checkpoints and KG vector tables are array
@@ -54,6 +54,13 @@ def write_lines(path, lines):
     with atomic_open(path, "w") as fh:
         for line in lines:
             fh.write(line + "\n")
+
+
+def csv_lines(header: str, rows) -> list[str]:
+    """``header`` and then one comma-joined line per row: a float cell as
+    ``.10g``, every other cell as ``str``."""
+    return [header] + [",".join(f"{x:.10g}" if isinstance(x, float) else str(x)
+                                for x in row) for row in rows]
 
 
 def read_rows(path, n_fields: int, layout: str, error: type[Exception]):

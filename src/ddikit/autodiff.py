@@ -491,9 +491,9 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x: [batch, in_channels, length], w: [out_channels, in_channels, kernel],
     b: [out_channels]. Output length is length.
 
-    The forward and ``dw`` are one matrix product per tap over the whole
-    batch: the samples lie end to end along one axis, each with its own zero
-    padding, and an output column whose window straddles two samples is
+    The forward, ``dw`` and ``dx`` are one matrix product per tap over the
+    whole batch: the samples lie end to end along one axis, each with its own
+    zero padding, and an output column whose window straddles two samples is
     computed and dropped.
     """
     bsz, cin, length = x.data.shape
@@ -519,13 +519,13 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         gf = gf.reshape(cout, n)
         dw = np.stack([gf @ xf[:, k:k + n].T for k in range(kernel)], axis=-1)
         db = g.sum(axis=(0, 2))
-        dxp = np.zeros((bsz, cin, span), x.data.dtype)
-        # Tap k of every output position lands on padded input k..k+length.
-        # Taps go in descending k, the order in which an np.add.at scatter
-        # of the window gradients accumulates, so the two agree bit for bit.
+        dxf = np.zeros(xf.shape, x.data.dtype)
+        # Tap k of output column j lands on padded input column j + k. Taps go in
+        # descending k, the order in which an np.add.at scatter of the window
+        # gradients accumulates, so the two agree bit for bit.
         for k in reversed(range(kernel)):
-            dxp[:, :, k:k + length] += w.data[:, :, k].T @ g
-        return dxp[:, :, pl:pl + length], dw, db
+            dxf[:, k:k + n] += w.data[:, :, k].T @ gf
+        return dxf.reshape(xp.shape)[:, :bsz, pl:pl + length].transpose(1, 0, 2), dw, db
 
     return _make(out, (x, w, b), bwd)
 

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .atomic import write_lines
+from .atomic import csv_lines, write_lines
 from .checkpoint import (CheckpointError, config_fingerprint, load_checkpoint,
                          read_checkpoint, save_checkpoint)
 from .data import (DataError, SplitBundle, load_dataset, load_drugs,
@@ -155,12 +155,6 @@ def _write_manifest(args, config, outputs, t0):
     write_lines(_out(args, "manifest.json"), [json.dumps(manifest, indent=2, sort_keys=True)])
 
 
-def _write_csv(path, header: str, rows):
-    """One line per row; floats as ``.10g``, every other cell as ``str``."""
-    write_lines(path, [header] + [",".join(f"{x:.10g}" if isinstance(x, float) else str(x)
-                                           for x in row) for row in rows])
-
-
 def _out(args, name):
     os.makedirs(args.out_dir, exist_ok=True)
     return os.path.join(args.out_dir, name)
@@ -216,7 +210,7 @@ def cmd_kg_train(args, cfg):
     idx_path = _out(args, "kg_table.index")
     save_table(table, bin_path, idx_path)
     loss_path = _out(args, "kg_loss.csv")
-    _write_csv(loss_path, "epoch,loss", enumerate(history))
+    write_lines(loss_path, csv_lines("epoch,loss", enumerate(history)))
     return [bin_path, idx_path, loss_path]
 
 
@@ -253,7 +247,7 @@ def cmd_pretrain(args, cfg):
     ckpt = _out(args, "pretrained.ckpt")
     save_checkpoint(ckpt, model, epoch=pcfg.epochs, vocab=vocab.tokens)
     loss_path = _out(args, "pretrain_loss.csv")
-    _write_csv(loss_path, "epoch,loss", enumerate(history))
+    write_lines(loss_path, csv_lines("epoch,loss", enumerate(history)))
     return [ckpt, loss_path]
 
 
@@ -341,8 +335,8 @@ def cmd_train(args, cfg):
                                  f"epoch {r.epoch}: loss {r.train_loss:.4f} "
                                  f"train_acc {r.train_accuracy:.3f} eval_acc {r.eval_accuracy:.3f}"))
     hist_path = _out(args, "history.csv")
-    _write_csv(hist_path, "epoch,train_loss,train_accuracy,eval_accuracy",
-               (dataclasses.astuple(r) for r in history))
+    write_lines(hist_path, csv_lines("epoch,train_loss,train_accuracy,eval_accuracy",
+                                     (dataclasses.astuple(r) for r in history)))
     print(f"best eval accuracy {best:.4f}; kg miss rate {embedder.miss_rate:.3f}")
     return [ckpt, hist_path]
 
@@ -400,8 +394,8 @@ def cmd_sts(args, cfg):
                      accs["eval"], accs["u1"], accs["u2"]))
         print(f"sts step {step}: size {len(subset)} eval {accs['eval']:.3f}")
     out = _out(args, "sts.csv")
-    _write_csv(out, "step,train_fraction,train_size,eval_accuracy,u1_accuracy,u2_accuracy",
-               rows)
+    write_lines(out, csv_lines(
+        "step,train_fraction,train_size,eval_accuracy,u1_accuracy,u2_accuracy", rows))
     return [out]
 
 
@@ -413,7 +407,7 @@ def cmd_seqlen(args, cfg):
     rows = [(lo, accuracy(model, idx, events, drugs, vocab, pair_vecs, cfg["batch_size"]),
              len(idx)) for lo, idx in sorted(bins.items())]
     out = _out(args, "seqlen.csv")
-    _write_csv(out, "bin_lo,mean_accuracy,count", rows)
+    write_lines(out, csv_lines("bin_lo,mean_accuracy,count", rows))
     return [out]
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .atomic import csv_lines
+
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
@@ -254,10 +256,6 @@ def curves_to_csv(per_class: dict[int, RocCurve] | dict[int, PrCurve],
         fields = lambda c: (c.recall, c.precision)
     else:
         raise ValueError(kind)
-    lines = [f"class,{cols[0]},{cols[1]}"]
-    for cls, curve in sorted(per_class.items()):
-        xs, ys = fields(curve)
-        lines.extend(f"{cls},{x:.10g},{y:.10g}" for x, y in zip(xs, ys))
-    xs, ys = fields(micro)
-    lines.extend(f"-1,{x:.10g},{y:.10g}" for x, y in zip(xs, ys))
-    return lines
+    rows = ((cls, x, y) for cls, curve in sorted(per_class.items()) + [(-1, micro)]
+            for x, y in zip(*fields(curve)))
+    return csv_lines(f"class,{cols[0]},{cols[1]}", rows)

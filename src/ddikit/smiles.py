@@ -395,8 +395,7 @@ def _refine(labels: dict[int, tuple], adj, members: list[int]) -> dict[int, int]
     while True:
         keys = {}
         for u in members:
-            neigh = sorted((_ORDER_RANK[adjb[1]], ranks[adjb[0]])
-                           for adjb in ((v, bondord) for v, bondord in adj[u]))
+            neigh = sorted((_ORDER_RANK[order], ranks[v]) for v, order in adj[u])
             keys[u] = (ranks[u], tuple(neigh))
         new = _densify(keys, members)
         if new == ranks:
@@ -410,9 +409,8 @@ def _densify(keys: dict[int, tuple], members: list[int]) -> dict[int, int]:
     return {u: lookup[keys[u]] for u in members}
 
 
-def _canon_component(g: MolecularGraph, members: list[int]) -> str:
+def _canon_component(g: MolecularGraph, adj, members: list[int]) -> str:
     adj_orders: list[list[tuple[int, str]]] = [[] for _ in g.atoms]
-    adj = g.adjacency()
     for u in members:
         for v, bi in adj[u]:
             adj_orders[u].append((v, g.bonds[bi].order))
@@ -432,7 +430,7 @@ def _canon_component(g: MolecularGraph, members: list[int]) -> str:
                 return sorted(items, key=lambda vb: final[vb[0]])
 
             start = min(members, key=lambda u: final[u])
-            return _serialize_canonical(g, adj, start, order_neighbors)
+            return _serialize_component(g, adj, start, order_neighbors)
         best = None
         for u in by_rank[ties[0]]:
             seeded = {w: (ranks[w], 1 if w == u else 0) for w in members}
@@ -444,23 +442,17 @@ def _canon_component(g: MolecularGraph, members: list[int]) -> str:
     return search(base)
 
 
-def _serialize_canonical(g, adj, start, order_neighbors) -> str:
-    # same traversal as write_smiles, but with stereo annotations dropped
-    stripped = MolecularGraph(
-        atoms=g.atoms,
-        bonds=[Bond(b.a, b.b, b.order, "") for b in g.bonds],
-        components=g.components,
-    )
-    return _serialize_component(stripped, adj, start, order_neighbors)
-
-
 def canonical_smiles(g: MolecularGraph) -> str:
     """Deterministic canonical form: equal strings iff label-isomorphic graphs
     (stereo annotations excluded)."""
+    stripped = MolecularGraph(g.atoms, [Bond(b.a, b.b, b.order) for b in g.bonds],
+                              g.components)
+    adj = stripped.adjacency()
     comps = defaultdict(list)
     for i, c in enumerate(g.components):
         comps[c].append(i)
-    return ".".join(sorted(_canon_component(g, members) for members in comps.values()))
+    return ".".join(sorted(_canon_component(stripped, adj, members)
+                           for members in comps.values()))
 
 
 # ---------------------------------------------------------------------------

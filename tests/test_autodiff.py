@@ -339,7 +339,8 @@ def _scatter_conv1d_dx(x, w, g):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(2, 3, 7, 3), (4, 8, 17, 5), (2, 4, 9, 4),
-                                   (3, 5, 6, 1), (16, 32, 96, 3), (4, 64, 125, 3)])
+                                   (3, 5, 6, 1), (16, 32, 96, 3), (4, 64, 125, 3),
+                                   (4, 256, 500, 3), (32, 256, 63, 3)])
 def test_conv1d_input_grad_matches_scatter(dtype, shape):
     bsz, c, length, kernel = shape
     rng = np.random.default_rng(sum(shape))

@@ -165,6 +165,44 @@ def test_kg_export_command(world):
     assert len(lines[0].split("\t")[1].split()) == 4
 
 
+def test_kg_train_with_l2_norm(world):
+    out = world / "kg_l2"
+    assert run("kg-train", "--triples", world / "fix/kg.tsv", "--out-dir", out, "--seed", 0,
+               "--set", "dim=4", "--set", "epochs=3", "--set", "norm_p=2") == 0
+    loss = (out / "kg_loss.csv").read_text().splitlines()
+    assert loss[0] == "epoch,loss" and len(loss) == 4
+    assert np.isfinite([float(line.split(",")[1]) for line in loss[1:]]).all()
+    assert json.loads((out / "manifest.json").read_text())["effective_config"]["norm_p"] == 2
+
+
+def test_set_value_that_is_not_json_is_a_string(world):
+    """``--set id_template=DB::{id}`` is not JSON, so it reaches the run as
+    that string: on a copy of the KG table whose drug entities are named
+    ``DB::<id>``, the export matches the default one on the original table."""
+    table = load_table(world / "kg/kg_table.bin", world / "kg/kg_table.index")
+    renamed = {name.replace("Compound::", "DB::"): row
+               for name, row in table.index.entities.items()}
+    assert renamed.keys() != table.index.entities.keys()
+    kg = world / "kg_db"
+    kg.mkdir()
+    save_table(dataclasses.replace(table, index=dataclasses.replace(table.index,
+                                                                    entities=renamed)),
+               kg / "kg_table.bin", kg / "kg_table.index")
+    outs = []
+    for name, table_dir, sets in (("kx_default", world / "kg", []),
+                                  ("kx_db", kg, ["--set", "id_template=DB::{id}"])):
+        outs.append(world / name)
+        assert run("kg-export", "--table", table_dir / "kg_table.bin", "--index",
+                   table_dir / "kg_table.index", "--drugs", world / "fix/drugs.tsv",
+                   "--out-dir", outs[-1], "--seed", 0, *sets) == 0
+    vectors = [(out / "drug_vectors.tsv").read_text() for out in outs]
+    assert vectors[0] == vectors[1]
+    assert any(float(x) != 0.0 for line in vectors[1].splitlines()
+               for x in line.split("\t")[1].split())
+    manifest = json.loads((outs[1] / "manifest.json").read_text())
+    assert manifest["effective_config"]["id_template"] == "DB::{id}"
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
