@@ -174,6 +174,21 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
+def add_rows(M: np.ndarray, rows: np.ndarray, vals: np.ndarray):
+    """``np.add.at(M, rows, vals)`` for a C-contiguous 2-d ``M`` and ``vals``
+    of shape ``[len(rows), M.shape[1]]``, run on flat views.
+
+    numpy's fast ``ufunc.at`` path takes only 1-d targets. Each element of
+    ``M`` still receives its adds in the order of ``rows``, so the result is
+    bit-identical to the 2-d call. Raises ``ValueError`` (``M`` unchanged)
+    when ``M`` is not C-contiguous, since its flat view would be a copy.
+    """
+    d = M.shape[1]
+    flat = M.reshape(-1, copy=False)
+    idx = (rows[:, None] * d + np.arange(d)).reshape(-1)
+    np.add.at(flat, idx, vals.reshape(-1))
+
+
 # ---------------------------------------------------------------------------
 # primitive operations
 # ---------------------------------------------------------------------------
@@ -411,8 +426,8 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     out = table.data[ids]
 
     def bwd(g):
-        dt = np.zeros_like(table.data)
-        np.add.at(dt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        dt = np.zeros(table.data.shape, table.data.dtype)
+        add_rows(dt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
         return (dt,)
 
     return _make(out, (table,), bwd)

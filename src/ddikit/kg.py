@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomic import read_arrays, read_rows, write_arrays, write_lines
+from .autodiff import add_rows
 
 
 # How a dataset drug id is named in the knowledge graph.
@@ -155,12 +156,12 @@ def transe_train_step(batch: np.ndarray, table: EmbeddingTable, config: TransECo
         gp = gp[active] * lr
         gn = gn[active] * lr
         pa, na = pos[active], neg[active]
-        np.add.at(E, pa[:, 0], -gp)
-        np.add.at(E, pa[:, 2], gp)
-        np.add.at(R, pa[:, 1], -gp)
-        np.add.at(E, na[:, 0], gn)
-        np.add.at(E, na[:, 2], -gn)
-        np.add.at(R, na[:, 1], gn)
+        add_rows(E, pa[:, 0], -gp)
+        add_rows(E, pa[:, 2], gp)
+        add_rows(R, pa[:, 1], -gp)
+        add_rows(E, na[:, 0], gn)
+        add_rows(E, na[:, 2], -gn)
+        add_rows(R, na[:, 1], gn)
         touched = np.unique(np.concatenate([pa[:, 0], pa[:, 2], na[:, 0], na[:, 2]]))
         norms = np.linalg.norm(E[touched], axis=1)
         over = norms > 1.0

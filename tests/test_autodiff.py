@@ -201,6 +201,58 @@ def test_embedding_lookup(seed):
     assert check_grads(build, arrays) < TOL
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_add_rows_bit_identical_to_2d_add_at(dtype):
+    """Repeated rows (row 3 hit 25 times), a non-contiguous ``vals`` and an
+    empty ``rows``: every case equals ``np.add.at`` on the 2-d target."""
+    rng = np.random.default_rng(4)
+    M = rng.standard_normal((9, 6)).astype(dtype)
+    rows = np.concatenate([np.full(25, 3), rng.integers(9, size=40)])
+    rng.shuffle(rows)
+    wide = rng.standard_normal((6, 2 * len(rows))).astype(dtype)
+    cases = [(rows, rng.standard_normal((len(rows), 6)).astype(dtype)),
+             (rows, wide[:, ::2].T),
+             (rows[:0], np.zeros((0, 6), dtype))]
+    for r, vals in cases:
+        got, want = M.copy(), M.copy()
+        ad.add_rows(got, r, vals)
+        np.add.at(want, r, vals)
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "column_slice"])
+def test_add_rows_refuses_a_target_that_is_not_c_contiguous(layout):
+    """The flat view of such a target would be a copy, so the adds would be
+    lost; the helper raises instead and leaves the target unchanged."""
+    base = np.arange(24, dtype=np.float64).reshape(4, 6)
+    M = np.asfortranarray(base) if layout == "fortran" else base[:, :3]
+    before = M.copy()
+    with pytest.raises(ValueError):
+        ad.add_rows(M, np.array([0, 2, 2]), np.ones((3, M.shape[1])))
+    assert np.array_equal(M, before)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ids_shape", [(3, 8), (30,)])
+@pytest.mark.parametrize("fortran", [False, True])
+def test_embedding_grad_bit_identical_to_2d_add_at(dtype, ids_shape, fortran):
+    """Ids repeat within the batch; a table whose data is F-ordered gets the
+    same gradient and its backward does not raise."""
+    rng = np.random.default_rng(5)
+    data = rng.standard_normal((5, 7)).astype(dtype)
+    table = Parameter(np.asfortranarray(data) if fortran else data, name="t", dtype=dtype)
+    assert table.data.flags.f_contiguous == fortran
+    ids = rng.integers(5, size=ids_shape)
+    c = rng.standard_normal((*ids_shape, 7)).astype(dtype)
+    tape = Tape()
+    with tape:
+        loss = ad.tsum(ad.mul(ad.embedding_lookup(table, ids), ad.constant(c, dtype)))
+    backward(loss, tape)
+    want = np.zeros((5, 7), dtype)
+    np.add.at(want, ids.reshape(-1), c.reshape(-1, 7))
+    assert table.grad.dtype == dtype and np.array_equal(table.grad, want)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_layer_norm(seed):
     rng = np.random.default_rng(seed)

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ddikit import kg
 from ddikit.atomic import write_arrays
 from ddikit.kg import (EmbeddingTable, EntityIndex, PairEmbedder, TransEConfig,
                        Triple, TripleError, init_table, load_table,
@@ -136,6 +137,69 @@ def test_l2_step_follows_the_margin_loss_gradient():
     assert np.linalg.norm(table.entities, axis=1).max() < 1.0
     for old, new, grad in zip(before, (table.entities, table.relations), want):
         assert rel_err((old - new) / cfg.learning_rate, grad) < 1e-6
+
+
+def _parent_transe_train_step(batch, table, config, rng):
+    """The training step as it was before its scatters went through
+    ``add_rows``: six 2-d ``np.add.at`` calls, the reference formulation."""
+    n_ent = table.entities.shape[0]
+    pos = np.repeat(batch, config.negatives_per_positive, axis=0)
+    neg = pos.copy()
+    flip_head = rng.random(len(neg)) < 0.5
+    repl = rng.integers(n_ent, size=len(neg))
+    neg[flip_head, 0] = repl[flip_head]
+    neg[~flip_head, 2] = repl[~flip_head]
+    E, R = table.entities, table.relations
+    dp = E[pos[:, 0]] + R[pos[:, 1]] - E[pos[:, 2]]
+    dn = E[neg[:, 0]] + R[neg[:, 1]] - E[neg[:, 2]]
+    if config.norm_p == 1:
+        sp, sn = np.abs(dp).sum(axis=1), np.abs(dn).sum(axis=1)
+        gp, gn = np.sign(dp), np.sign(dn)
+    else:
+        sp, sn = np.sqrt((dp * dp).sum(axis=1)), np.sqrt((dn * dn).sum(axis=1))
+        gp = dp / np.maximum(sp[:, None], 1e-12)
+        gn = dn / np.maximum(sn[:, None], 1e-12)
+    viol = config.margin + sp - sn
+    active = viol > 0
+    loss = float(viol[active].sum())
+    if active.any():
+        gp = gp[active] * config.learning_rate
+        gn = gn[active] * config.learning_rate
+        pa, na = pos[active], neg[active]
+        np.add.at(E, pa[:, 0], -gp)
+        np.add.at(E, pa[:, 2], gp)
+        np.add.at(R, pa[:, 1], -gp)
+        np.add.at(E, na[:, 0], gn)
+        np.add.at(E, na[:, 2], -gn)
+        np.add.at(R, na[:, 1], gn)
+        touched = np.unique(np.concatenate([pa[:, 0], pa[:, 2], na[:, 0], na[:, 2]]))
+        norms = np.linalg.norm(E[touched], axis=1)
+        over = norms > 1.0
+        E[touched[over]] /= norms[over][:, None]
+    return loss
+
+
+@pytest.mark.parametrize("norm_p", [1, 2])
+@pytest.mark.parametrize("negatives", [1, 2])
+def test_training_bit_identical_to_2d_add_at_step(monkeypatch, norm_p, negatives):
+    """Three hub heads over three relations, so entity and relation rows
+    repeat within every batch, and hubs that are also tails, so one row gets
+    adds from more than one of the six scatters: the tables and every epoch
+    loss equal those of the reference step exactly."""
+    rows = [(f"hub{i % 3}", f"r{i % 3}", f"e{i % 17}" if i % 4 else f"hub{(i + 1) % 3}")
+            for i in range(60)]
+    triples = [Triple(*r) for r in dict.fromkeys(rows)]
+    ents = sorted({t.head for t in triples} | {t.tail for t in triples})
+    index = EntityIndex({e: i for i, e in enumerate(ents)},
+                        {f"r{i}": i for i in range(3)})
+    cfg = TransEConfig(dim=24, epochs=4, batch_size=16, learning_rate=0.05,
+                       norm_p=norm_p, negatives_per_positive=negatives, seed=3)
+    table, history = train_transe(triples, index, cfg)
+    monkeypatch.setattr(kg, "transe_train_step", _parent_transe_train_step)
+    want_table, want_history = train_transe(triples, index, cfg)
+    assert np.array_equal(table.entities, want_table.entities)
+    assert np.array_equal(table.relations, want_table.relations)
+    assert history == want_history
 
 
 def test_score_translation_invariance():
