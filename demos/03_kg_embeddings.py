@@ -47,13 +47,10 @@ def main():
     ent = table.entities
     rel = table.relations
     pos, neg = [], []
-    for t in triples:
-        h = ent[index.entities[t.head]]
-        r = rel[index.relations[t.relation]]
-        tl = ent[index.entities[t.tail]]
+    for h, r, t in triples:
         fake = ent[rng.integers(len(ent))]
-        pos.append(float(transe_score(h, r, tl, cfg.norm_p)))
-        neg.append(float(transe_score(h, r, fake, cfg.norm_p)))
+        pos.append(float(transe_score(ent[h], rel[r], ent[t], cfg.norm_p)))
+        neg.append(float(transe_score(ent[h], rel[r], fake, cfg.norm_p)))
     print(f"mean score: positives {np.mean(pos):.3f} vs corrupted {np.mean(neg):.3f}"
           " (lower is better)")
     assert np.mean(pos) < np.mean(neg)

@@ -10,8 +10,8 @@ from .data import (DataError, DdiEvent, DrugRecord, SplitBundle, kfold,
                    load_dataset, make_inductive_splits, seqlen_bins,
                    sts_series, stratified_keep, verify_split)
 from .kg import (EmbeddingTable, EntityIndex, PairEmbedder, TransEConfig,
-                 Triple, TripleError, load_table, load_triples, save_table,
-                 train_transe, transe_score)
+                 TripleError, load_table, load_triples, save_table, train_transe,
+                 transe_score)
 from .metrics import (ConfusionMatrix, MetricReport, aggregate, aupr,
                       confusion, evaluate, f1_per_class, mcc, roc_auc)
 from .model import (DdiModel, ModelConfig, MultiHeadAttention, PretrainModel,

@@ -26,13 +26,6 @@ class TripleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Triple:
-    head: str
-    relation: str
-    tail: str
-
-
 @dataclass
 class EntityIndex:
     entities: dict[str, int]
@@ -74,22 +67,26 @@ class EmbeddingTable:
         return self.entities.shape[1]
 
 
-def load_triples(path) -> tuple[list[Triple], EntityIndex]:
-    """Read and deduplicate a triples TSV; index entities/relations in sorted
-    order so the mapping is deterministic."""
-    triples: list[Triple] = []
-    seen = set()
-    for _, fields in read_rows(path, 3, "head<TAB>relation<TAB>tail", TripleError):
-        t = Triple(*fields)
-        if t not in seen:
-            seen.add(t)
-            triples.append(t)
-    if not triples:
+def load_triples(path) -> tuple[np.ndarray, EntityIndex]:
+    """Read a triples TSV into an int64 ``[n, 3]`` array of (head, relation,
+    tail) ids, one row per distinct triple in order of first appearance.
+    Entities and relations are indexed in sorted name order so the mapping
+    is deterministic."""
+    ents: dict[str, int] = {}
+    rels: dict[str, int] = {}
+    rows = ((ents.setdefault(h, len(ents)), rels.setdefault(r, len(rels)),
+             ents.setdefault(t, len(ents)))
+            for _, (h, r, t) in read_rows(path, 3, "head<TAB>relation<TAB>tail", TripleError))
+    triples = np.fromiter(rows, dtype=np.dtype((np.int64, 3)))
+    if not len(triples):
         raise TripleError(f"{path}: no triples")
-    ents = sorted({t.head for t in triples} | {t.tail for t in triples})
-    rels = sorted({t.relation for t in triples})
-    index = EntityIndex({e: i for i, e in enumerate(ents)},
-                        {r: i for i, r in enumerate(rels)})
+    _, first = np.unique(triples, axis=0, return_index=True)
+    triples = triples[np.sort(first)]
+    index = EntityIndex({e: i for i, e in enumerate(sorted(ents))},
+                        {r: i for i, r in enumerate(sorted(rels))})
+    # first-seen id -> sorted-name id
+    triples[:, [0, 2]] = np.array([index.entities[e] for e in ents])[triples[:, [0, 2]]]
+    triples[:, 1] = np.array([index.relations[r] for r in rels])[triples[:, 1]]
     return triples, index
 
 
@@ -110,11 +107,6 @@ def transe_score(h: np.ndarray, r: np.ndarray, t: np.ndarray, p: int = 1) -> np.
     if p == 1:
         return np.abs(d).sum(axis=-1)
     return np.sqrt((d * d).sum(axis=-1))
-
-
-def _encode(triples: list[Triple], index: EntityIndex) -> np.ndarray:
-    return np.array([[index.entities[t.head], index.relations[t.relation],
-                      index.entities[t.tail]] for t in triples], dtype=np.int64)
 
 
 def transe_train_step(batch: np.ndarray, table: EmbeddingTable, config: TransEConfig,
@@ -169,21 +161,26 @@ def transe_train_step(batch: np.ndarray, table: EmbeddingTable, config: TransECo
     return loss
 
 
-def train_transe(triples: list[Triple], index: EntityIndex,
+def train_transe(triples: np.ndarray, index: EntityIndex,
                  config: TransEConfig) -> tuple[EmbeddingTable, list[float]]:
-    """Full training loop; returns the table and per-epoch total losses."""
+    """Full training loop over the ``[n, 3]`` id array from ``load_triples``;
+    returns the table and per-epoch total losses. FloatingPointError as soon
+    as an epoch ends with a non-finite loss, entity or relation."""
     rng = np.random.default_rng(config.seed)
     table = init_table(index, config.dim, rng)
-    encoded = _encode(triples, index)
     history = []
-    for _ in range(config.epochs):
-        order = rng.permutation(len(encoded))
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(triples))
         total = 0.0
         for i in range(0, len(order), config.batch_size):
-            batch = encoded[order[i:i + config.batch_size]]
+            batch = triples[order[i:i + config.batch_size]]
             total += transe_train_step(batch, table, config, rng)
         # safety net: renormalize all rows so the post-epoch invariant holds
         norms = np.linalg.norm(table.entities, axis=1)
+        if not (math.isfinite(total) and np.isfinite(norms).all()
+                and np.isfinite(table.relations).all()):
+            raise FloatingPointError(f"TransE epoch {epoch}: non-finite loss, "
+                                     f"entity or relation")
         over = norms > 1.0
         table.entities[over] /= norms[over][:, None]
         history.append(total)
@@ -235,7 +232,7 @@ def save_table(table: EmbeddingTable, bin_path, index_path):
 def load_table(bin_path, index_path) -> EmbeddingTable:
     """Read a table written by ``save_table``; TripleError unless the array
     file holds only group ``kg``'s two float64 matrices of one width and the
-    index lists that many entities and relations."""
+    index lists that many distinct entities and relations."""
     _, groups = read_arrays(bin_path, TripleError)
     arrays = groups.get("kg", {})
     ent, rel = arrays.get("entities"), arrays.get("relations")
@@ -254,4 +251,6 @@ def load_table(bin_path, index_path) -> EmbeddingTable:
                           f"{n_rel} relations of {bin_path}")
     index = EntityIndex({e: i for i, e in enumerate(lines[1:1 + n_ent])},
                         {r: i for i, r in enumerate(lines[2 + n_ent:])})
+    if len(index.entities) != n_ent or len(index.relations) != n_rel:
+        raise TripleError(f"{index_path}: names an entity or relation twice")
     return EmbeddingTable(ent, rel, index)

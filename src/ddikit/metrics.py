@@ -16,8 +16,6 @@ import numpy as np
 
 from .atomic import csv_lines
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
 
 @dataclass
 class ConfusionMatrix:
@@ -58,11 +56,7 @@ def confusion(preds, truths, n_classes: int) -> ConfusionMatrix:
 
 def f1_per_class(cm: ConfusionMatrix, c: int) -> float:
     """TP / (TP + (FP + FN) / 2) for class c one-vs-rest; 0 when undefined."""
-    tp = float(cm.counts[c, c])
-    fp = float(cm.counts[:, c].sum() - tp)
-    fn = float(cm.counts[c, :].sum() - tp)
-    denom = tp + 0.5 * (fp + fn)
-    return tp / denom if denom > 0 else 0.0
+    return float(_prf(cm)[2][c])
 
 
 def _prf(cm: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -178,7 +172,7 @@ def _binary_roc(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
     if tpr[-1] != 1.0 or fpr[-1] != 1.0:
         tpr = np.r_[tpr, 1.0]
         fpr = np.r_[fpr, 1.0]
-    auc = float(_trapezoid(tpr, fpr))
+    auc = float(np.trapezoid(tpr, fpr))
     return RocCurve(fpr, tpr, auc)
 
 

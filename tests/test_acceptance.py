@@ -19,8 +19,7 @@ from ddikit.cli import main as cli_main
 from ddikit.data import (DdiEvent, DrugRecord, load_dataset,
                          make_inductive_splits, sts_series, verify_split)
 from ddikit.fixtures import make_dataset_fixture, random_smiles_corpus
-from ddikit.kg import (EntityIndex, TransEConfig, Triple, train_transe,
-                       transe_score)
+from ddikit.kg import TransEConfig, train_transe, transe_score
 from ddikit.metrics import aggregate, aupr, confusion, roc_auc
 from ddikit.model import (DdiModel, ModelConfig, MultiHeadAttention,
                           ParamStore, PretrainModel,
@@ -33,6 +32,7 @@ from ddikit.training import (FinetuneConfig, PretrainConfig, finetune,
 
 from conftest import record_criterion
 from gradcheck import check_grads, check_model_grads
+from test_kg import id_triples
 from test_metrics import brute_ap, brute_auc, brute_f1, random_instance
 from test_model import attention_oracle, mha_oracle
 
@@ -405,23 +405,17 @@ def test_criterion_8_transfer_and_checkpoints(tmp_path):
 
 def test_criterion_9_kg_embedding_sanity():
     rows = [(f"e{i}", f"r{i % 3}", f"e{(i + 1) % 8}") for i in range(12)]
-    triples = [Triple(*r) for r in rows]
-    ents = sorted({t.head for t in triples} | {t.tail for t in triples})
-    rels = sorted({t.relation for t in triples})
-    index = EntityIndex({e: i for i, e in enumerate(ents)},
-                        {r: i for i, r in enumerate(rels)})
+    triples, index = id_triples(rows)
     cfg = TransEConfig(dim=16, epochs=200, batch_size=4, learning_rate=0.05,
                        seed=1)
     table, _ = train_transe(triples, index, cfg)
 
     E, R = table.entities, table.relations
-    hs = np.array([index.entities[t.head] for t in triples])
-    rs = np.array([index.relations[t.relation] for t in triples])
-    ts = np.array([index.entities[t.tail] for t in triples])
+    hs, rs, ts = triples.T
     pos = float(transe_score(E[hs], R[rs], E[ts], p=1).mean())
     crng = np.random.default_rng(2)
     neg = float(np.mean([transe_score(E[hs], R[rs],
-                                      E[crng.integers(len(ents), size=len(triples))],
+                                      E[crng.integers(len(index.entities), size=len(triples))],
                                       p=1).mean() for _ in range(20)]))
     max_norm = float(np.linalg.norm(E, axis=1).max())
 

@@ -63,6 +63,16 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def run_subprocess(*argv):
+    """``python -m ddikit.cli argv`` in a child process that imports this
+    ddikit, so stderr holds all the command line would print."""
+    src = str(Path(ddikit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "ddikit.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=30)
+
+
 def trained(world):
     """Path of the fine-tuned checkpoint, training it on first use."""
     ckpt = world / "run/model.ckpt"
@@ -173,6 +183,20 @@ def test_kg_train_with_l2_norm(world):
     assert loss[0] == "epoch,loss" and len(loss) == 4
     assert np.isfinite([float(line.split(",")[1]) for line in loss[1:]]).all()
     assert json.loads((out / "manifest.json").read_text())["effective_config"]["norm_p"] == 2
+
+
+def test_kg_train_that_overflows_exits_4(world, tmp_path, capsys):
+    """A learning rate and margin whose epoch loss overflows: exit 4 naming
+    the epoch, and no table for later commands to reject."""
+    capsys.readouterr()
+    rc = run("kg-train", "--triples", world / "fix/kg.tsv", "--out-dir", tmp_path / "kg",
+             "--set", "dim=8", "--set", "epochs=2", "--set", "learning_rate=1e308",
+             "--set", "margin=1e308")
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 4
+    assert len(err) == 1 and err[0].startswith("ddikit:error:numeric:")
+    assert "epoch 0" in err[0]
+    assert not (tmp_path / "kg/kg_table.bin").exists()
 
 
 def test_set_value_that_is_not_json_is_a_string(world):
@@ -312,13 +336,10 @@ def test_manifest_inputs_are_the_given_files(world, case):
 def test_bad_fixture_size_exits_2(tmp_path, sets):
     # A subprocess with a timeout, so a generator that never ends fails the
     # test instead of hanging the suite.
-    argv = [sys.executable, "-m", "ddikit.cli", "make-fixture", "--out-dir", str(tmp_path)]
+    argv = ["make-fixture", "--out-dir", tmp_path]
     for item in sets:
         argv += ["--set", item]
-    src = str(Path(ddikit.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=30)
+    proc = run_subprocess(*argv)
     err = proc.stderr.splitlines()
     assert proc.returncode == 2
     assert len(err) == 1 and err[0].startswith("ddikit:error:config:")
@@ -445,6 +466,17 @@ def test_bad_array_file_exits_nonzero(world, tmp_path, capsys, case, rc, kind):
     assert run("eval", "--checkpoint", ckpt, "--split", "u1", *argv,
                "--out-dir", tmp_path / "o") == rc
     assert _one_error_line(capsys, kind)
+
+
+def test_numeric_failure_prints_one_line_from_the_command_line(world, tmp_path):
+    """The overflowing-weight checkpoint above, run as a command line, where
+    numpy's warnings are not captured: stderr is the one error line."""
+    ckpt = _with_token_embedding(trained(world), 1e30, tmp_path / "model.ckpt")
+    proc = run_subprocess("eval", "--checkpoint", ckpt, "--split", "u1",
+                          *dataset_args(world), "--out-dir", tmp_path / "o")
+    err = proc.stderr.splitlines()
+    assert proc.returncode == 4
+    assert len(err) == 1 and err[0].startswith("ddikit:error:numeric:")
 
 
 @pytest.mark.parametrize("sub,setting", [("train", "max_len=16"), ("sts", "max_len=16"),

@@ -2,6 +2,7 @@
 training behavior, norm invariants, and the binary table format."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ import pytest
 from ddikit import kg
 from ddikit.atomic import write_arrays
 from ddikit.kg import (EmbeddingTable, EntityIndex, PairEmbedder, TransEConfig,
-                       Triple, TripleError, init_table, load_table,
-                       load_triples, save_table, train_transe,
-                       transe_train_step, transe_score)
+                       TripleError, init_table, load_table, load_triples,
+                       save_table, train_transe, transe_train_step,
+                       transe_score)
 from gradcheck import numeric_grad, rel_err
 
 
@@ -21,6 +22,18 @@ def write_triples(path, rows):
             fh.write("\t".join(r) + "\n")
 
 
+def id_triples(rows):
+    """The id array and sorted-name index of distinct (head, relation, tail)
+    name tuples ``rows``, as ``load_triples`` would return them."""
+    ents = sorted({h for h, _, _ in rows} | {t for _, _, t in rows})
+    rels = sorted({r for _, r, _ in rows})
+    index = EntityIndex({e: i for i, e in enumerate(ents)},
+                        {r: i for i, r in enumerate(rels)})
+    triples = np.array([[index.entities[h], index.relations[r], index.entities[t]]
+                        for h, r, t in rows])
+    return triples, index
+
+
 def test_load_triples_dedup_and_sorted_index(tmp_path):
     p = tmp_path / "kg.tsv"
     write_triples(p, [("b", "r1", "c"), ("a", "r2", "c"), ("b", "r1", "c")])
@@ -28,6 +41,35 @@ def test_load_triples_dedup_and_sorted_index(tmp_path):
     assert len(triples) == 2
     assert list(index.entities) == ["a", "b", "c"]
     assert list(index.relations) == ["r1", "r2"]
+
+
+def test_load_triples_rows_are_first_seen_with_sorted_name_ids(tmp_path):
+    p = tmp_path / "kg.tsv"
+    write_triples(p, [("c", "r2", "a"), ("b", "r1", "c"), ("c", "r2", "a"),
+                      ("a", "r2", "b"), ("b", "r1", "c")])
+    triples, index = load_triples(p)
+    assert triples.dtype == np.int64
+    assert triples.tolist() == [[2, 1, 0], [1, 0, 2], [0, 1, 1]]
+
+
+def test_load_triples_memory_per_triple(tmp_path):
+    """100k triples over 1.65k entities and 107 relations, DRKG's ratios,
+    peak under 200 traced bytes per triple while loading."""
+    n = 100_000
+    rng = np.random.default_rng(0)
+    heads, tails = rng.integers(1650, size=(2, n))
+    rels = rng.integers(107, size=n)
+    p = tmp_path / "kg.tsv"
+    p.write_text("".join(f"Compound::{h}\trel{r}\tCompound::{t}\n"
+                         for h, r, t in zip(heads, rels, tails)))
+    tracemalloc.start()
+    try:
+        triples, _ = load_triples(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(triples) > 0.99 * n
+    assert peak / n < 200
 
 
 def test_load_triples_rejects_bad_line(tmp_path):
@@ -83,22 +125,16 @@ def test_margin_loss_hand_arithmetic():
 def test_training_separates_positive_from_corrupted():
     rng = np.random.default_rng(0)
     rows = [(f"e{i}", f"r{i % 3}", f"e{(i + 1) % 8}") for i in range(12)]
-    triples = [Triple(*r) for r in rows]
-    ents = sorted({t.head for t in triples} | {t.tail for t in triples})
-    rels = sorted({t.relation for t in triples})
-    index = EntityIndex({e: i for i, e in enumerate(ents)},
-                        {r: i for i, r in enumerate(rels)})
+    triples, index = id_triples(rows)
     assert len(triples) == 12
     cfg = TransEConfig(dim=16, epochs=200, batch_size=4, learning_rate=0.05, seed=1)
     table, history = train_transe(triples, index, cfg)
 
     E, R = table.entities, table.relations
-    hs = np.array([index.entities[t.head] for t in triples])
-    rs = np.array([index.relations[t.relation] for t in triples])
-    ts = np.array([index.entities[t.tail] for t in triples])
+    hs, rs, ts = triples.T
     pos = transe_score(E[hs], R[rs], E[ts], p=1).mean()
     corrupt_rng = np.random.default_rng(2)
-    neg_tails = corrupt_rng.integers(len(ents), size=(20, len(triples)))
+    neg_tails = corrupt_rng.integers(len(index.entities), size=(20, len(triples)))
     neg = np.mean([transe_score(E[hs], R[rs], E[nt], p=1).mean() for nt in neg_tails])
     assert pos < neg
     assert history[-1] < history[0]
@@ -106,9 +142,7 @@ def test_training_separates_positive_from_corrupted():
 
 def test_entity_norms_bounded_after_training():
     rows = [(f"e{i}", "r", f"e{(i + 2) % 6}") for i in range(9)]
-    triples = [Triple(*r) for r in rows if r[0] != r[2]]
-    ents = sorted({t.head for t in triples} | {t.tail for t in triples})
-    index = EntityIndex({e: i for i, e in enumerate(ents)}, {"r": 0})
+    triples, index = id_triples([r for r in rows if r[0] != r[2]])
     cfg = TransEConfig(dim=8, epochs=50, batch_size=4, learning_rate=0.1, seed=0)
     table, _ = train_transe(triples, index, cfg)
     norms = np.linalg.norm(table.entities, axis=1)
@@ -188,10 +222,7 @@ def test_training_bit_identical_to_2d_add_at_step(monkeypatch, norm_p, negatives
     loss equal those of the reference step exactly."""
     rows = [(f"hub{i % 3}", f"r{i % 3}", f"e{i % 17}" if i % 4 else f"hub{(i + 1) % 3}")
             for i in range(60)]
-    triples = [Triple(*r) for r in dict.fromkeys(rows)]
-    ents = sorted({t.head for t in triples} | {t.tail for t in triples})
-    index = EntityIndex({e: i for i, e in enumerate(ents)},
-                        {f"r{i}": i for i in range(3)})
+    triples, index = id_triples(list(dict.fromkeys(rows)))
     cfg = TransEConfig(dim=24, epochs=4, batch_size=16, learning_rate=0.05,
                        norm_p=norm_p, negatives_per_positive=negatives, seed=3)
     table, history = train_transe(triples, index, cfg)
@@ -290,7 +321,9 @@ def test_table_load_rejects_every_strict_prefix(tmp_path):
     "entities\t3\nCompound::A\nCompound::B\nrelations\t0\nr\n",
     "entities\t2\nCompound::A\nCompound::B\nr\nrelations\t1\n",
     "Compound::A\t2\nCompound::A\nCompound::B\nrelations\t1\nr\n",
-], ids=["extra-line", "wrong-counts", "no-relations-line", "no-entities-line"])
+    "entities\t2\nCompound::A\nCompound::A\nrelations\t1\nr\n",
+], ids=["extra-line", "wrong-counts", "no-relations-line", "no-entities-line",
+        "entity-twice"])
 def test_table_load_rejects_index_that_does_not_match(tmp_path, index_text):
     b, i = tmp_path / "t.bin", tmp_path / "t.index"
     save_table(make_table(), b, i)
