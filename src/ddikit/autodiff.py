@@ -151,8 +151,8 @@ def backward(loss: Tensor, tape: Tape):
         if g is None:
             continue
         entry.output.grad = None
-        grads = entry.backward_fn(g)
-        for inp, gi in zip(entry.inputs, grads):
+        # no name keeps the returned gradients alive into the next backward
+        for inp, gi in zip(entry.inputs, entry.backward_fn(g)):
             if gi is None or not inp.requires_grad:
                 continue
             if gi.shape != inp.data.shape:  # the op broadcast this input
@@ -341,13 +341,17 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
-    """Fused masked scaled-dot-product attention, softmax(q k^T / sqrt(d_k)) v.
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray] = None,
+              heads: int = 1) -> Tensor:
+    """Fused masked scaled-dot-product attention, softmax(q k^T / sqrt(d_k)) v,
+    in each of ``heads`` heads.
 
-    q, k: [..., n, d_k]; v: [..., n, d_v]; mask: boolean [batch, n] key
-    padding mask (True = real token) or None. Masked keys get a -1e9 score
-    bias; a sample with no real token gets all-zero output rows and zero
-    gradients.
+    q, k: [..., n, heads * d_k]; v: [..., n, heads * d_v]. Head i reads, and
+    writes its output and gradients to, its block of d columns through a
+    [..., heads, n, d] view, so nothing is copied. mask: boolean [batch, n]
+    key padding mask (True = real token) or None. Masked keys get a -1e9
+    score bias; a sample with no real token gets all-zero output rows and
+    zero gradients.
 
     The scores are built and normalised in place one segment at a time, and
     backward keeps only each segment's softmax weights. Without a mask the
@@ -363,35 +367,42 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray] = None
     (float32) or 1e-12 (float64) times max(1, the array's largest
     magnitude).
     """
-    c = 1.0 / math.sqrt(q.data.shape[-1])
+    def by_head(a):  # [..., n, heads * d] -> a [..., heads, n, d] view
+        return np.swapaxes(a.reshape(a.shape[:-1] + (heads, -1)), -2, -3)
+
+    qh, kh, vh = by_head(q.data), by_head(k.data), by_head(v.data)
+    c = 1.0 / math.sqrt(qh.shape[-1])
     if mask is None:
         segments = [(..., k.data.shape[-2])]
     else:
         last = mask.shape[-1] - np.argmax(mask[:, ::-1], axis=-1)
         segments = [(b, last[b]) for b in np.flatnonzero(mask.any(axis=-1))]
     out = np.zeros(q.data.shape[:-1] + v.data.shape[-1:], np.result_type(q.data, k.data, v.data))
+    outh = by_head(out)
     kept = []
     for b, kn in segments:
-        w = q.data[b] @ np.swapaxes(k.data[b][..., :kn, :], -1, -2)
+        w = qh[b] @ np.swapaxes(kh[b][..., :kn, :], -1, -2)
         w *= c
         if mask is not None and not mask[b, :kn].all():  # adding 0.0 changes nothing
             w += np.where(mask[b, :kn], 0.0, -1e9).astype(w.dtype)
         w -= w.max(axis=-1, keepdims=True)
         np.exp(w, out=w)
         w /= w.sum(axis=-1, keepdims=True)
-        np.matmul(w, v.data[b][..., :kn, :], out=out[b])
+        np.matmul(w, vh[b][..., :kn, :], out=outh[b])
         kept.append((b, kn, w))
 
     def bwd(g):
+        gh = by_head(g)
         dq, dk, dv = (np.zeros(t.data.shape, out.dtype) for t in (q, k, v))
+        dqh, dkh, dvh = by_head(dq), by_head(dk), by_head(dv)
         for b, kn, w in kept:
-            ds = g[b] @ np.swapaxes(v.data[b][..., :kn, :], -1, -2)
+            ds = gh[b] @ np.swapaxes(vh[b][..., :kn, :], -1, -2)
             ds -= (ds * w).sum(axis=-1, keepdims=True)
             ds *= w
             ds *= c
-            np.matmul(ds, k.data[b][..., :kn, :], out=dq[b])
-            dk[b][..., :kn, :] = np.swapaxes(np.swapaxes(q.data[b], -1, -2) @ ds, -1, -2)
-            dv[b][..., :kn, :] = np.swapaxes(w, -1, -2) @ g[b]
+            np.matmul(ds, kh[b][..., :kn, :], out=dqh[b])
+            dkh[b][..., :kn, :] = np.swapaxes(np.swapaxes(qh[b], -1, -2) @ ds, -1, -2)
+            dvh[b][..., :kn, :] = np.swapaxes(w, -1, -2) @ gh[b]
         return dq, dk, dv
 
     return _make(out, (q, k, v), bwd)

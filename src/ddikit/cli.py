@@ -342,20 +342,23 @@ def cmd_train(args, cfg):
 
 
 def _select_split(bundle: SplitBundle, name: str) -> list[int]:
+    """The event indices of split ``name``, which may not be empty."""
     if name in ("train", "u1", "u2"):
-        return getattr(bundle, name)
-    if name.startswith("fold"):
+        indices = getattr(bundle, name)
+    elif name.startswith("fold"):
         k = name[4:]
-        return _fold(bundle, int(k) if k.isdecimal() else k)
-    raise ConfigError(f"unknown split {name!r} (use train, u1, u2 or foldK)")
+        indices = _fold(bundle, int(k) if k.isdecimal() else k)
+    else:
+        raise ConfigError(f"unknown split {name!r} (use train, u1, u2 or foldK)")
+    if not indices:
+        raise DataError(f"split {name!r} is empty")
+    return indices
 
 
 def cmd_eval(args, cfg):
     drugs, events, label_map, bundle, vocab, pair_vecs, _ = _load_training_world(args, cfg)
     indices = _select_split(bundle, args.split)
     model = _load_scorer(args, vocab, label_map, pair_vecs)
-    if not indices:
-        raise DataError(f"split {args.split!r} is empty")
     scores = predict_scores(model, indices, events, drugs, vocab, pair_vecs,
                             batch_size=cfg["batch_size"],
                             max_len=model.cfg.max_len)

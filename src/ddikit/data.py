@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import read_rows
-from .smiles import parse_smiles, tokenize, SmilesError
+from .smiles import parse_smiles, tokenize, write_smiles, SmilesError
 
 
 class DataError(ValueError):
@@ -84,9 +84,14 @@ def load_drugs(path) -> dict[str, DrugRecord]:
         if drug_id in drugs:
             raise DataError(f"{path}:{lineno}: duplicate drug_id {drug_id!r}")
         try:
-            parse_smiles(smi)
+            graph = parse_smiles(smi)
         except SmilesError as exc:
             raise DataError(f"{path}:{lineno}: unparsable SMILES for {drug_id!r}: {exc}") from exc
+        try:  # a component's ring bond count, and so this check, is the same in any atom order
+            write_smiles(graph)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: SMILES of {drug_id!r} cannot be "
+                            f"rewritten: {exc}") from exc
         drugs[drug_id] = DrugRecord(drug_id, smi)
     if not drugs:
         raise DataError(f"{path}: no drugs")

@@ -46,8 +46,9 @@ class ModelConfig:
                           ("kg_dim", 1), ("kg_heads", 1), ("conv_blocks", 0),
                           ("conv_kernel", 1), ("pool_stride", 1), ("mlp1_hidden", 1),
                           ("mlp1_out", 1), ("mlp2_hidden", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
         if not 0 <= self.dropout < 1:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
         if self.dtype not in ("float32", "float64"):
@@ -151,25 +152,13 @@ class MultiHeadAttention:
 
     def __init__(self, store: ParamStore, name: str, d_model: int, n_heads: int):
         self.n_heads = n_heads
-        self.d_k = d_model // n_heads
         self.w_q = Linear(store, f"{name}.w_q", d_model, d_model)
         self.w_k = Linear(store, f"{name}.w_k", d_model, d_model)
         self.w_v = Linear(store, f"{name}.w_v", d_model, d_model)
         self.w_o = Linear(store, f"{name}.w_o", d_model, d_model)
 
-    def _split(self, x: Tensor) -> Tensor:
-        b, n, d = x.shape
-        x = ad.reshape(x, (b, n, self.n_heads, self.d_k))
-        return ad.transpose(x, (0, 2, 1, 3))
-
     def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        b, n, d = x.shape
-        q = self._split(self.w_q(x))
-        k = self._split(self.w_k(x))
-        v = self._split(self.w_v(x))
-        heads = ad.attention(q, k, v, mask)
-        merged = ad.reshape(ad.transpose(heads, (0, 2, 1, 3)), (b, n, d))
-        return self.w_o(merged)
+        return self.w_o(ad.attention(self.w_q(x), self.w_k(x), self.w_v(x), mask, self.n_heads))
 
 
 class FeedForward:

@@ -273,7 +273,7 @@ def _bond_token(bond: Bond, g: MolecularGraph, ring_closure: bool) -> str:
 
 def _ring_digit(num: int) -> str:
     if num > 99:
-        raise ValueError("more than 99 open ring closures")
+        raise ValueError("more than 99 ring bonds in one component")
     return str(num) if num < 10 else f"%{num:02d}"
 
 

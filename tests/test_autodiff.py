@@ -562,6 +562,31 @@ def test_backward_consumes_the_tape_and_frees_what_it_walked():
     assert np.array_equal(leaf.grad, np.ones(2**18, np.float32))
 
 
+def test_backward_frees_an_ops_gradients_before_the_next_op_runs():
+    """Three linears on one 3-d input, as attention's q/k/v projections are.
+    Each weight gradient starts as a [batch, d_in, d_out] stack; backward
+    lets it go before the next linear's backward makes its own, so at most
+    one stack is alive at a time."""
+    rng = np.random.default_rng(0)
+    b, n, d = 16, 2, 200
+    stack = b * d * d * 4
+    x = Parameter(rng.standard_normal((b, n, d)), name="x", dtype=np.float32)
+    layers = [(Parameter(rng.standard_normal((d, d)), name=f"w{i}", dtype=np.float32),
+               Parameter(np.zeros(d), name=f"b{i}", dtype=np.float32)) for i in range(3)]
+    tape = Tape()
+    with tape:
+        ys = [ad.linear(x, w, bias) for w, bias in layers]
+        loss = ad.tsum(ad.add(ad.add(ys[0], ys[1]), ys[2]))
+    del ys
+    tracemalloc.start()
+    try:
+        backward(loss, tape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stack <= peak < 1.5 * stack
+
+
 def test_second_backward_on_a_consumed_tape_raises():
     p = Parameter(np.array([2.0, 3.0]), name="p", dtype=np.float64)
     tape = Tape()

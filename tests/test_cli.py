@@ -648,6 +648,17 @@ def test_drug_with_a_non_ascii_digit_exits_3(world, tmp_path, capsys):
     assert _one_error_line(capsys, "data")
 
 
+def test_drug_whose_smiles_cannot_be_rewritten_exits_3(world, tmp_path, capsys):
+    """Writing a molecule gives each ring bond of a component its own digit,
+    so 100 rings in one chain load as an error, not a crash mid-training."""
+    assert _split_with_first_smiles(world, tmp_path, "C1CC1" * 99) == 0
+    capsys.readouterr()
+    assert _split_with_first_smiles(world, tmp_path, "C1CC1" * 100) == 3
+    drug_id = (world / "fix/drugs.tsv").read_text().split("\t", 1)[0]
+    err = capsys.readouterr().err
+    assert "drugs.tsv:1:" in err and repr(drug_id) in err and "99 ring bonds" in err
+
+
 @pytest.mark.parametrize("smiles", ["[C+" + "1" * 5000 + "]", "[" + "1" * 5000 + "C]",
                                     "[CH" + "1" * 5000 + "]"],
                          ids=["charge", "isotope", "hydrogen-count"])
@@ -703,13 +714,14 @@ def _rename_a_buffer(header):
 @pytest.mark.parametrize("edit", [
     lambda h: h["meta"]["config"].update(bogus=1),
     lambda h: h["meta"]["config"].update(d_model=0),
+    lambda h: h["meta"]["config"].update(d_ff=8.5),
     lambda h: h["meta"].pop("config_fingerprint"),
     lambda h: h["meta"].pop("model_rng"),
     lambda h: h["meta"]["model_rng"].pop("state"),
     _drop_bn_statistics,
     _rename_a_buffer,
-], ids=["unknown-config-key", "zero-d_model", "no-fingerprint", "no-model-rng",
-        "bad-model-rng", "no-bn-statistics", "renamed-buffer"])
+], ids=["unknown-config-key", "zero-d_model", "float-d_ff", "no-fingerprint",
+        "no-model-rng", "bad-model-rng", "no-bn-statistics", "renamed-buffer"])
 def test_malformed_checkpoint_meta_exits_3(world, tmp_path, capsys, edit):
     """Header edits the loader must refuse. A checkpoint without its stored
     batch-norm statistics would otherwise load with fresh ones."""
@@ -822,6 +834,23 @@ def test_empty_training_fold_exits_3(world, tmp_path, capsys):
     assert _one_error_line(capsys, "data")
     assert run("eval", "--checkpoint", trained(world), "--split", "fold0", *argv,
                "--out-dir", tmp_path / "ev") == 0
+
+
+@pytest.mark.parametrize("sub", ["eval", "seqlen"])
+def test_empty_split_exits_3(world, tmp_path, capsys, sub):
+    """A split with no events has nothing to score: seqlen would write a
+    header-only CSV."""
+    d = json.loads((world / "split/splits.json").read_text())
+    d["u2"] = []
+    splits = tmp_path / "splits.json"
+    splits.write_text(json.dumps(d))
+    argv = _replace_arg(dataset_args(world), "--splits", splits)
+    capsys.readouterr()
+    rc = run(sub, "--checkpoint", trained(world), "--split", "u2", *argv,
+             "--out-dir", tmp_path / "o")
+    assert rc == 3
+    assert _one_error_line(capsys, "data")
+    assert not (tmp_path / "o").exists()
 
 
 # Bytes that frame or mean something to one of the readers.

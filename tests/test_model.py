@@ -252,6 +252,35 @@ def test_attention_scores_take_memory_for_real_keys_only():
     assert peak < b * h * n * n * 4 / 2  # half of one [b, h, n, n] float32 buffer
 
 
+def split_merge_attention(q, k, v, mask, heads):
+    """Multi-head attention as separate tape ops: reshape -> transpose to
+    [b, heads, n, d] -> one-head attention -> transpose -> reshape back."""
+    def split(x):
+        b, n, d = x.shape
+        return ad.transpose(ad.reshape(x, (b, n, heads, d // heads)), (0, 2, 1, 3))
+
+    out = ad.attention(split(q), split(k), split(v), mask)
+    b, h, n, d = out.shape
+    return ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (b, n, h * d))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lengths", [None, (7, 0, 4), (7, 7, 7)])
+def test_multi_head_attention_op_bit_identical_to_split_and_merge(dtype, lengths):
+    rng = np.random.default_rng(11 if lengths is None else sum(lengths))
+    n, heads = 7, 2
+    # d_k = 3 makes the 1/sqrt(d_k) scale inexact, so operation order shows
+    q, k, v, g = (rng.standard_normal((3, n, heads * d)).astype(dtype) for d in (3, 3, 5, 5))
+    mask = None if lengths is None else np.arange(n)[None, :] < np.array(lengths)[:, None]
+    want_out, want_grads = _attention_with_grads(
+        lambda *a: split_merge_attention(*a, heads), q, k, v, mask, g)
+    got_out, got_grads = _attention_with_grads(
+        lambda *a: ad.attention(*a, heads=heads), q, k, v, mask, g)
+    for got, want in zip([got_out] + got_grads, [want_out] + want_grads):
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 def test_multi_head_attention_records_one_attention_entry():
     b, n, h, d_k = 2, 5, 3, 4
     store = ParamStore(np.random.default_rng(0), np.float64)
@@ -261,14 +290,8 @@ def test_multi_head_attention_records_one_attention_entry():
     tape = Tape()
     with tape:
         mha(T(x), mask)
-
-    def io_shapes(e):
-        return e.inputs[0].shape, e.output.shape
-
-    split, merge = ((b, n, h, d_k), (b, h, n, d_k)), ((b, h, n, d_k), (b, n, h, d_k))
-    last_split = max(i for i, e in enumerate(tape.entries) if io_shapes(e) == split)
-    merge_at = [i for i, e in enumerate(tape.entries) if io_shapes(e) == merge]
-    assert merge_at == [last_split + 2]
+    ops = [e.backward_fn.__qualname__.split(".")[0] for e in tape.entries]
+    assert ops == ["linear"] * 3 + ["attention", "linear"]
     assert all(e.output.shape != (b, h, n, n) for e in tape.entries)
 
 
