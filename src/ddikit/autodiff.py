@@ -63,7 +63,10 @@ class Parameter(Tensor):
     __slots__ = ("name",)
 
     def __init__(self, data, name: str, dtype=None):
-        super().__init__(data, requires_grad=True, dtype=dtype)
+        # astype copies, and without a dtype np.array does: the optimizer
+        # updates .data in place, so it must not be an array the caller holds
+        super().__init__(data if dtype is not None else np.array(data),
+                         requires_grad=True, dtype=dtype)
         self.name = name
 
 
@@ -117,14 +120,18 @@ def active_tape() -> Optional[Tape]:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
+def _recording(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op on ``inputs`` goes on the tape, so its backward runs."""
+    return active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
 def _make(out_data, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
-    tape = active_tape()
-    needs = tape is not None and any(t.requires_grad for t in inputs)
+    needs = _recording(inputs)
     # The output keeps the array the op made: no op writes into its inputs
     # or into an output the tape keeps.
     out = Tensor(out_data, requires_grad=needs)
     if needs:
-        tape.entries.append(_TapeEntry(out, tuple(inputs), backward_fn))
+        active_tape().entries.append(_TapeEntry(out, tuple(inputs), backward_fn))
     return out
 
 
@@ -237,9 +244,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def bwd(g):
-        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
+        db = _weight_grad(a.data, g) if b.data.ndim == 2 else np.swapaxes(a.data, -1, -2) @ g
+        return g @ np.swapaxes(b.data, -1, -2), db
 
     return _make(out, (a, b), bwd)
+
+
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of a 2-d ``w`` in ``x @ w`` with output gradient ``g``: one
+    [d_in, rows] x [rows, d_out] product over all of x's leading axes, so a
+    batch never makes a [batch, d_in, d_out] stack to be summed."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -253,7 +268,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     np.add(out, b.data, out=out, casting="safe")
 
     def bwd(g):
-        return g @ np.swapaxes(w.data, -1, -2), np.swapaxes(x.data, -1, -2) @ g, g
+        return g @ np.swapaxes(w.data, -1, -2), _weight_grad(x.data, g), g
 
     return _make(out, (x, w, b), bwd)
 
@@ -282,6 +297,20 @@ def reshape(a: Tensor, shape) -> Tensor:
 
     def bwd(g):
         return (g.reshape(a.data.shape),)
+
+    return _make(out, (a,), bwd)
+
+
+def leading_rows(a: Tensor, n: int) -> Tensor:
+    """``a[:, :n]``, such as the first n positions of each sample of a
+    [batch, length, d] array. The output is a view; the backward returns
+    zeros for the rows past n."""
+    out = a.data[:, :n]
+
+    def bwd(g):
+        da = np.zeros(a.data.shape, g.dtype)
+        da[:, :n] = g
+        return (da,)
 
     return _make(out, (a,), bwd)
 
@@ -346,40 +375,51 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray] = None
     """Fused masked scaled-dot-product attention, softmax(q k^T / sqrt(d_k)) v,
     in each of ``heads`` heads.
 
-    q, k: [..., n, heads * d_k]; v: [..., n, heads * d_v]. Head i reads, and
-    writes its output and gradients to, its block of d columns through a
-    [..., heads, n, d] view, so nothing is copied. mask: boolean [batch, n]
-    key padding mask (True = real token) or None. Masked keys get a -1e9
-    score bias; a sample with no real token gets all-zero output rows and
-    zero gradients.
+    q: [..., n_q, heads * d_k]; k: [..., n_k, heads * d_k]; v: [..., n_k,
+    heads * d_v]. Queries may outnumber keys: a caller that knows every
+    position past n_k is padding passes only the first n_k positions as keys
+    and values. Head i reads, and writes its output and gradients to, its
+    block of d columns through a [..., heads, n, d] view, so nothing is
+    copied. mask: boolean [batch, n_k] key padding mask (True = real token)
+    or None; any other mask shape, or k and v of different key counts,
+    raises ``ShapeError``. Masked keys get a -1e9 score bias; a sample with
+    no real token gets all-zero output rows and zero gradients.
 
-    The scores are built and normalised in place one segment at a time, and
-    backward keeps only each segment's softmax weights. Without a mask the
-    whole array is one segment over all n keys. With a mask each sample b
-    that has a real token is a segment whose [..., n, kmax_b] buffer holds
-    only its keys up to one past its last real one: the keys beyond would
-    get weight exp(-1e9) = 0, and their rows of dk and dv stay zero. The
-    query axis is never cut. Only the length of the row sums and matmul
-    reductions changes, so against the same arithmetic over all n keys
-    (scale -> bias add -> softmax -> row-zero multiply -> matmul as separate
-    ops) outputs and gradients are bit-identical when there is no mask or
-    every sample's last key is real, and otherwise differ by at most 1e-6
-    (float32) or 1e-12 (float64) times max(1, the array's largest
-    magnitude).
+    The scores are built and normalised in place one segment at a time.
+    When the op is recorded for backward it keeps each segment's softmax
+    weights; otherwise each segment's weights are freed before the next is
+    built. Without a mask the whole array is one segment over all n_k keys.
+    With a mask each sample b that has a real token is a segment whose
+    [..., n_q, kmax_b] buffer holds only its keys up to one past its last
+    real one: the keys beyond would get weight exp(-1e9) = 0, and their rows
+    of dk and dv stay zero. The query axis is never cut. Only the length of
+    the row sums and matmul reductions changes, so against the same
+    arithmetic over all n_k keys (scale -> bias add -> softmax -> row-zero
+    multiply -> matmul as separate ops) outputs and gradients are
+    bit-identical when there is no mask or every sample's last key is real,
+    and otherwise differ by at most 1e-6 (float32) or 1e-12 (float64) times
+    max(1, the array's largest magnitude).
     """
     def by_head(a):  # [..., n, heads * d] -> a [..., heads, n, d] view
         return np.swapaxes(a.reshape(a.shape[:-1] + (heads, -1)), -2, -3)
 
+    n_keys = k.data.shape[-2]
+    if v.data.shape[-2] != n_keys:
+        raise ShapeError(f"attention keys {k.data.shape} and values {v.data.shape} "
+                         f"differ in key count")
+    if mask is not None and (k.data.ndim < 3 or mask.shape != (k.data.shape[0], n_keys)):
+        raise ShapeError(f"attention mask {mask.shape} is not [batch, n_keys] of keys "
+                         f"{k.data.shape}")
     qh, kh, vh = by_head(q.data), by_head(k.data), by_head(v.data)
     c = 1.0 / math.sqrt(qh.shape[-1])
     if mask is None:
-        segments = [(..., k.data.shape[-2])]
+        segments = [(..., n_keys)]
     else:
         last = mask.shape[-1] - np.argmax(mask[:, ::-1], axis=-1)
         segments = [(b, last[b]) for b in np.flatnonzero(mask.any(axis=-1))]
     out = np.zeros(q.data.shape[:-1] + v.data.shape[-1:], np.result_type(q.data, k.data, v.data))
     outh = by_head(out)
-    kept = []
+    kept = [] if _recording((q, k, v)) else None
     for b, kn in segments:
         w = qh[b] @ np.swapaxes(kh[b][..., :kn, :], -1, -2)
         w *= c
@@ -389,7 +429,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray] = None
         np.exp(w, out=w)
         w /= w.sum(axis=-1, keepdims=True)
         np.matmul(w, vh[b][..., :kn, :], out=outh[b])
-        kept.append((b, kn, w))
+        if kept is not None:
+            kept.append((b, kn, w))
 
     def bwd(g):
         gh = by_head(g)
@@ -448,16 +489,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """Normalize over the last axis per position, then apply learnable gain/bias."""
     # The mean of the squared centred values is x.var's own arithmetic.
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + eps)
+    sq = np.square(xhat)
+    inv = 1.0 / np.sqrt(sq.mean(axis=-1, keepdims=True) + eps)
     xhat *= inv
-    out = gain.data * xhat
+    out = np.multiply(gain.data, xhat, out=sq)
     out += bias.data
 
     def bwd(g):
+        # inv * ((gx - mean(gx)) - xhat * mean(gx * xhat)) in that order, in
+        # two buffers: gx becomes dx, and t the gain's gradient g * xhat
         gx = g * gain.data
-        dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
-                    - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
-        return dx, g * xhat, g
+        t = gx * xhat
+        mean_gx_xhat = t.mean(axis=-1, keepdims=True)
+        gx -= gx.mean(axis=-1, keepdims=True)
+        gx -= np.multiply(xhat, mean_gx_xhat, out=t)
+        gx *= inv
+        return gx, np.multiply(g, xhat, out=t), g
 
     return _make(out, (x, gain, bias), bwd)
 

@@ -3,7 +3,8 @@ buffer, adam_m and adam_v, and a meta holding the epoch counter, optimizer
 scalars, RNG state, the architecture config and its fingerprint, the
 sha256 of the vocabulary and label lists the model was trained with (when
 given), and free-form extras. Arrays keep their training dtype, so save ->
-load -> forward is bit-identical."""
+load -> forward is bit-identical. The Adam moments are in their parameter's
+dtype; float64 moments of older checkpoints are cast to it on load."""
 
 from __future__ import annotations
 
@@ -127,6 +128,9 @@ def load_checkpoint(path, model, optimizer: AdamState | None = None,
     if optimizer is not None:
         for key in _ADAM_SCALARS:
             setattr(optimizer, key, o[key])
-        optimizer.m = dict(groups.get("adam_m", {}))
-        optimizer.v = dict(groups.get("adam_v", {}))
+        optimizer.m, optimizer.v = {}, {}
+        for group, moments in (("adam_m", optimizer.m), ("adam_v", optimizer.v)):
+            for name, arr in groups.get(group, {}).items():
+                # older checkpoints hold float64 moments of float32 parameters
+                moments[name] = arr.astype(params[name].data.dtype, copy=False)
     return meta

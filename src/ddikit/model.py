@@ -158,7 +158,12 @@ class MultiHeadAttention:
         self.w_o = Linear(store, f"{name}.w_o", d_model, d_model)
 
     def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        return self.w_o(ad.attention(self.w_q(x), self.w_k(x), self.w_v(x), mask, self.n_heads))
+        """x: [batch, n, d_model]; mask: boolean [batch, n_keys] key padding
+        mask (n_keys <= n) or None. Keys and values are projected from the
+        first n_keys positions of x only, all n without a mask, so every
+        position past n_keys must be padding."""
+        kv = x if mask is None else ad.leading_rows(x, mask.shape[1])
+        return self.w_o(ad.attention(self.w_q(x), self.w_k(kv), self.w_v(kv), mask, self.n_heads))
 
 
 class FeedForward:
@@ -208,6 +213,13 @@ class Encoder:
         self.layers = [EncoderLayer(store, f"{name}.{i}", cfg) for i in range(cfg.n_layers)]
 
     def __call__(self, x: Tensor, mask, rng, training: bool) -> Tensor:
+        # Keys stop one past the batch's last real token, so no layer projects
+        # keys or values for the all-padding tail. At least two stay: numpy
+        # takes a one-row product by another kernel, whose rounding differs
+        # from that of the same row in the product over every position.
+        real = np.flatnonzero(mask.any(axis=0))
+        span = real[-1] + 1 if len(real) else 0
+        mask = mask[:, :max(span, 2)]
         for layer in self.layers:
             x = layer(x, mask, rng, training)
         return x

@@ -26,8 +26,17 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+# An overflow shows as a non-finite v or update, which adam_step raises on.
+@np.errstate(over="ignore", invalid="ignore")
 def adam_step(params: dict[str, Parameter], state: AdamState):
-    """One Adam update over all parameters with populated gradients."""
+    """One Adam update over all parameters with populated gradients.
+
+    The moments are kept in each parameter's dtype, and ``m``, ``v`` and
+    ``p.data`` are updated in place, so a float32 model makes no float64
+    copies. In float64 this is the arithmetic of the textbook recurrence,
+    operation for operation. Raises ``FloatingPointError`` naming the
+    parameter, before its ``p.data`` changes, when its gradient, its ``v``
+    or its update is not finite (in float32, ``g * g`` can overflow)."""
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
@@ -35,22 +44,33 @@ def adam_step(params: dict[str, Parameter], state: AdamState):
     for name, p in params.items():
         if p.grad is None:
             continue
-        g = p.grad.astype(np.float64)
+        g = p.grad
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"NaN/Inf gradient for parameter {name!r}")
         if state.weight_decay:
-            g = g + state.weight_decay * p.data.astype(np.float64)
+            g = g + state.weight_decay * p.data
         if name not in state.m:
-            state.m[name] = np.zeros(p.data.shape, dtype=np.float64)
-            state.v[name] = np.zeros(p.data.shape, dtype=np.float64)
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        tmp = np.multiply(1.0 - state.beta1, g)
+        m += tmp
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        update = state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
-        p.data = (p.data.astype(np.float64) - update).astype(p.data.dtype)
+        np.multiply(1.0 - state.beta2, g, out=tmp)
+        tmp *= g
+        v += tmp
+        # update = lr * (m / bc1) / (sqrt(v / bc2) + eps), with tmp as the denominator
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.epsilon
+        update = np.divide(m, bc1)
+        update *= state.learning_rate
+        update /= tmp
+        if not (np.isfinite(v).all() and np.isfinite(update).all()):
+            raise FloatingPointError(f"non-finite Adam moment or update for parameter {name!r}")
+        p.data -= update
 
 
 def zero_grads(params: dict[str, Parameter]):

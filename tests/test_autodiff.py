@@ -142,6 +142,51 @@ def test_linear_bit_identical_to_matmul_add(dtype, lead):
         assert got.dtype == dtype and np.array_equal(got, want)
 
 
+def _linear_and_matmul(x, w, b):
+    return ad.concat([ad.linear(x, w, b), ad.matmul(x, w)], axis=-1)
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+@pytest.mark.parametrize("lead", [(4, 50), (2, 3, 40), (16, 2)])
+def test_3d_weight_gradient_within_tolerance_of_stack_and_sum(dtype, tol, lead):
+    """The weight gradient of a batched input is one GEMM over all rows; the
+    per-sample [batch, d_in, d_out] stack summed over the batch adds the same
+    terms in another order, so the two agree to tol of the largest entry."""
+    rng = np.random.default_rng(len(lead))
+    x, g = r(rng, *lead, 64).astype(dtype), r(rng, *lead, 96).astype(dtype)
+    w, b = Parameter(r(rng, 64, 48), name="w", dtype=dtype), Parameter(r(rng, 48), name="b", dtype=dtype)
+    tape = Tape()
+    with tape:
+        loss = ad.tsum(ad.mul(_linear_and_matmul(Tensor(x), w, b), ad.constant(g, dtype=dtype)))
+    backward(loss, tape)
+    stack = sum(np.swapaxes(x, -1, -2) @ gi for gi in (g[..., :48], g[..., 48:]))
+    want = stack.reshape(-1, 64, 48).sum(axis=0)
+    assert w.grad.dtype == dtype
+    assert np.abs(w.grad - want).max() <= tol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("op", [ad.linear, lambda x, w, b: ad.matmul(x, w)],
+                         ids=["linear", "matmul"])
+def test_3d_weight_gradient_builds_no_batch_stack(op):
+    b, n, d = 64, 2, 100
+    rng = np.random.default_rng(0)
+    x = Tensor(r(rng, b, n, d), requires_grad=True, dtype=np.float32)
+    w, bias = Tensor(r(rng, d, d), requires_grad=True, dtype=np.float32), \
+        Tensor(np.zeros(d), requires_grad=True, dtype=np.float32)
+    tape = Tape()
+    with tape:
+        op(x, w, bias)
+    g = np.ones((b, n, d), np.float32)
+    tracemalloc.start()
+    try:
+        dw = tape.entries[-1].backward_fn(g)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dw.shape == (d, d)
+    assert peak < b * d * d * 4 / 8  # an eighth of one [b, d, d] float32 stack
+
+
 def test_linear_rejects_mismatched_shapes_and_a_wider_bias():
     with pytest.raises(ad.ShapeError, match=r"\(2, 3\) x \(4, 5\)"):
         ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
@@ -301,6 +346,25 @@ def test_layer_norm_bit_identical_to_two_pass_formula(dtype, shape):
     for a, b in zip(got, want):
         assert a.dtype == b.dtype == dtype
         assert np.array_equal(a, b)
+
+
+def test_layer_norm_backward_works_in_two_buffers():
+    """The backward's temporaries are the two arrays it returns for x and
+    the gain: its peak stays under 2.5 arrays of x's size."""
+    rng = np.random.default_rng(0)
+    x, g = (rng.standard_normal((4, 50, 256)).astype(np.float32) for _ in range(2))
+    tape = Tape()
+    with tape:
+        ad.layer_norm(*(Tensor(a, requires_grad=True) for a in
+                        (x, np.ones(256, np.float32), np.zeros(256, np.float32))))
+    tracemalloc.start()
+    try:
+        grads = tape.entries[-1].backward_fn(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [a.shape for a in grads] == [x.shape] * 3
+    assert peak < 2.5 * x.nbytes
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -564,12 +628,14 @@ def test_backward_consumes_the_tape_and_frees_what_it_walked():
 
 def test_backward_frees_an_ops_gradients_before_the_next_op_runs():
     """Three linears on one 3-d input, as attention's q/k/v projections are.
-    Each weight gradient starts as a [batch, d_in, d_out] stack; backward
-    lets it go before the next linear's backward makes its own, so at most
-    one stack is alive at a time."""
+    While one linear's backward runs, backward holds that linear's output
+    gradient and the gradients it returns, but no earlier op's: above the
+    leaves' .grad arrays, the peak stays under two linears' returned
+    gradients (dx, dw and db), where keeping one op's into the next reads
+    2.5 of them."""
     rng = np.random.default_rng(0)
-    b, n, d = 16, 2, 200
-    stack = b * d * d * 4
+    b, n, d = 8, 25, 200  # dx and dw of one size, so keeping either shows
+    returned = (b * n * d + d * d + d) * 4
     x = Parameter(rng.standard_normal((b, n, d)), name="x", dtype=np.float32)
     layers = [(Parameter(rng.standard_normal((d, d)), name=f"w{i}", dtype=np.float32),
                Parameter(np.zeros(d), name=f"b{i}", dtype=np.float32)) for i in range(3)]
@@ -584,7 +650,8 @@ def test_backward_frees_an_ops_gradients_before_the_next_op_runs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert stack <= peak < 1.5 * stack
+    leaves = sum(t.grad.nbytes for t in [x] + [p for layer in layers for p in layer])
+    assert peak - leaves < 2 * returned
 
 
 def test_second_backward_on_a_consumed_tape_raises():
@@ -623,6 +690,52 @@ def test_adam_matches_oracle_on_quadratic(wd):
         adam_step(params, state)
         assert np.abs(p.data - w).max() < 1e-12
     assert state.step_count == 10
+
+
+@pytest.mark.parametrize("lr", [1e-3, 0.5])
+@pytest.mark.parametrize("wd", [0.0, 0.01])
+def test_float32_adam_within_tolerance_of_float64_moments(lr, wd):
+    """Adam keeps m and v in the parameter's dtype and updates m, v and
+    p.data in place. Against float64 moments with p rounded to float32 after
+    each step, every float32 parameter stays within 1e-5 * lr plus one
+    float32 spacing of the largest |p| over 10 steps."""
+    rng = np.random.default_rng(7)
+    p = Parameter(rng.standard_normal(1000), name="w", dtype=np.float32)
+    data = p.data
+    state = AdamState(learning_rate=lr, weight_decay=wd)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    w = p.data.copy()
+    m = np.zeros(1000)
+    v = np.zeros(1000)
+    for t in range(1, 11):
+        p.grad = (rng.standard_normal(1000) * 10.0 ** rng.uniform(-6, 2, 1000)).astype(np.float32)
+        g = p.grad.astype(np.float64) + wd * w.astype(np.float64)
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        step = lr * (m / (1 - beta1 ** t)) / (np.sqrt(v / (1 - beta2 ** t)) + eps)
+        w = (w - step).astype(np.float32)
+        adam_step({"w": p}, state)
+        assert p.data is data and p.data.dtype == np.float32
+        assert np.abs(p.data - w).max() <= 1e-5 * lr + np.spacing(np.abs(w).max())
+    assert state.m["w"].dtype == state.v["w"].dtype == np.float32
+
+
+def test_adam_raises_when_a_float32_moment_overflows():
+    p = Parameter(np.ones(3), name="enc.w", dtype=np.float32)
+    p.grad = np.array([1.0, 1e30, 1.0], np.float32)  # finite, but g * g is not
+    with pytest.raises(FloatingPointError, match="enc.w"):
+        adam_step({"enc.w": p}, AdamState(learning_rate=0.1))
+    assert np.array_equal(p.data, np.ones(3))
+
+
+def test_adam_leaves_the_array_a_parameter_was_built_from_alone():
+    """A Parameter built without a dtype copies its data, so the in-place
+    update never writes into the caller's array."""
+    a = np.ones(3)
+    p = Parameter(a, name="w")
+    p.grad = np.ones(3)
+    adam_step({"w": p}, AdamState(learning_rate=0.1))
+    assert np.array_equal(a, np.ones(3)) and not np.array_equal(p.data, a)
 
 
 def test_adam_rejects_nonfinite_grad():

@@ -252,6 +252,37 @@ def test_attention_scores_take_memory_for_real_keys_only():
     assert peak < b * h * n * n * 4 / 2  # half of one [b, h, n, n] float32 buffer
 
 
+def test_attention_under_no_grad_keeps_no_segment_weights():
+    """With nothing to back-propagate, each sample's [h, n, n_b] softmax
+    weights are dropped before the next sample's are built, so the peak is
+    the output plus at most two segments, not all eight."""
+    rng = np.random.default_rng(6)
+    b, h, n, d = 8, 2, 64, 8
+    q, k, v = (Tensor(rng.standard_normal((b, n, h * d))) for _ in range(3))
+    mask = np.arange(n)[None, :] < np.array([64, 60, 56, 64, 50, 64, 62, 58])[:, None]
+    segment = h * n * n * 8
+    tracemalloc.start()
+    try:
+        with no_grad():
+            out = ad.attention(q, k, v, mask, heads=h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.data.nbytes + 2.5 * segment
+
+
+def test_attention_rejects_keys_values_and_masks_that_do_not_match():
+    q, k = Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ad.ShapeError, match="key count"):
+        ad.attention(q, k, Tensor(np.zeros((2, 4, 4))))
+    v = Tensor(np.zeros((2, 3, 4)))
+    ad.attention(q, k, v, np.ones((2, 3), dtype=bool))  # queries may outnumber keys
+    for mask in (np.ones((2, 5), dtype=bool), np.ones((2, 2), dtype=bool),
+                 np.ones((1, 3), dtype=bool), np.ones(3, dtype=bool)):
+        with pytest.raises(ad.ShapeError, match="mask"):
+            ad.attention(q, k, v, mask)
+
+
 def split_merge_attention(q, k, v, mask, heads):
     """Multi-head attention as separate tape ops: reshape -> transpose to
     [b, heads, n, d] -> one-head attention -> transpose -> reshape back."""
@@ -409,6 +440,57 @@ def test_encoder_output_insensitive_to_pad_token_ids():
         a = model.encode(ids, segs, mask).data
         b = model.encode(ids2, segs, mask).data
     assert np.abs(a[0, :5] - b[0, :5]).max() < 1e-10
+
+
+def _encoder_with_grads(model, x0, mask, g, cut: bool):
+    """The encoder's output, input gradient and parameter gradients. With
+    ``cut`` it runs as ``Encoder`` does; without, every layer gets the whole
+    mask, so keys and values are projected for every position."""
+    for p in model.parameters().values():
+        p.grad = None
+    x = Parameter(x0, name="x", dtype=x0.dtype)
+    tape = Tape()
+    with tape:
+        if cut:
+            h = model.encoder(x, mask, model.rng, False)
+        else:
+            h = x
+            for layer in model.encoder.layers:
+                h = layer(h, mask, model.rng, False)
+        loss = ad.tsum(ad.mul(h, ad.constant(g, dtype=g.dtype)))
+    backward(loss, tape)
+    return h.data, x.grad, {n: p.grad for n, p in model.parameters().items()
+                            if n.startswith("encoder.")}
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+@pytest.mark.parametrize("lengths", [(7, 0, 4), (12, 3, 0), (5, 12, 12), (1, 0, 0),
+                                     (0, 0, 0)])
+def test_encoder_key_span_cut_matches_the_uncut_path(dtype, tol, lengths):
+    """Keys and values are projected only up to one past the batch's last
+    real token, and for at least two positions. Outputs and the
+    input gradient are exact; the w_k and w_v weight gradients sum fewer
+    rows, so they are within ``tol`` of their largest magnitude."""
+    cfg = tiny_config(d_model=8, n_layers=2, max_len=12, dtype=np.dtype(dtype).name)
+    model = DdiModel(cfg, seed=3)
+    rng = np.random.default_rng(sum(lengths))
+    x0, g = (rng.standard_normal((3, 12, 8)).astype(dtype) for _ in range(2))
+    mask = np.arange(12)[None, :] < np.array(lengths)[:, None]
+    tape = Tape()
+    with tape:
+        model.encoder(Tensor(x0, requires_grad=True), mask, model.rng, False)
+    ops = [e.backward_fn.__qualname__.split(".")[0] for e in tape.entries]
+    assert ops.count("leading_rows") == cfg.n_layers
+    assert tape.entries[0].output.shape == (3, max(lengths + (2,)), 8)
+    got_out, got_dx, got = _encoder_with_grads(model, x0, mask, g, cut=True)
+    want_out, want_dx, want = _encoder_with_grads(model, x0, mask, g, cut=False)
+    assert np.array_equal(got_out, want_out) and np.array_equal(got_dx, want_dx)
+    assert got.keys() == want.keys()
+    for name in got:
+        if name.endswith((".w_k.w", ".w_v.w")):
+            assert np.abs(got[name] - want[name]).max() <= tol * np.abs(want[name]).max()
+        else:
+            assert np.array_equal(got[name], want[name]), name
 
 
 def test_conv_module_output_shape():

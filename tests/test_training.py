@@ -287,6 +287,28 @@ def test_checkpoint_restores_optimizer_state(tmp_path):
         assert np.array_equal(p.data, model2.parameters()[name].data)
 
 
+def test_float64_adam_moments_load_into_float32_adam(tmp_path):
+    """A checkpoint written while Adam kept float64 moments loads with each
+    moment cast to its parameter's dtype, and Adam steps on in float32."""
+    model = DdiModel(small_config(8), seed=0)
+    rng = np.random.default_rng(0)
+    params = model.parameters()
+    m = {name: rng.standard_normal(p.data.shape) for name, p in params.items()}
+    v = {name: rng.random(p.data.shape) for name, p in params.items()}
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, optimizer=AdamState(learning_rate=1e-3, step_count=3, m=m, v=v))
+    assert read_checkpoint(path)[1]["adam_v"]["embed.token"].dtype == np.float64
+    opt = AdamState(learning_rate=0.0)
+    load_checkpoint(path, model, optimizer=opt)
+    for name, p in params.items():
+        assert opt.m[name].dtype == opt.v[name].dtype == p.data.dtype == np.float32
+        assert np.array_equal(opt.v[name], v[name].astype(np.float32))
+        p.grad = np.ones_like(p.data)
+    adam_step(params, opt)
+    assert opt.step_count == 4
+    assert {a.dtype for a in list(opt.m.values()) + list(opt.v.values())} == {np.dtype(np.float32)}
+
+
 def test_checkpoint_fingerprint_mismatch(tmp_path):
     vocab = Vocabulary.build(["CCO"])
     model = DdiModel(small_config(len(vocab)), seed=0)
