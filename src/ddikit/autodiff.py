@@ -337,7 +337,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    keep = a.data > 0
+    keep = a.data > 0 if _recording((a,)) else None
     out = np.maximum(a.data, 0)
 
     def bwd(g):
@@ -605,20 +605,31 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def max_pool1d(x: Tensor, stride: int) -> Tensor:
     """Max pooling over the last axis in non-overlapping windows of ``stride``,
-    with ceil-mode right padding."""
+    with ceil-mode right padding.
+
+    Each window's maximum is a running ``np.maximum`` over the stride phases
+    ``x[..., j::stride]``, keeping the earlier element on a tie (so a window
+    of -0.0 and 0.0 gives the first) and propagating NaN, as the argmax over
+    the -inf-padded windows would. Only a recorded op finds that argmax, which
+    its backward routes the gradient to.
+    """
     bsz, c, length = x.data.shape
     out_len = -(-length // stride)
-    pad = out_len * stride - length
-    xp = np.pad(x.data, ((0, 0), (0, 0), (0, pad)), constant_values=-np.inf) if pad else x.data
-    windows = xp.reshape(bsz, c, out_len, stride)
-    arg = windows.argmax(axis=3)
-    out = np.take_along_axis(windows, arg[..., None], axis=3)[..., 0]
+    out = x.data[..., ::stride].copy()
+    for j in range(1, stride):
+        phase = x.data[..., j::stride]
+        head = out[..., :phase.shape[-1]]  # a last window cut short lacks phase j
+        np.maximum(phase, head, out=head)
+    arg = None
+    if _recording((x,)):
+        pad = out_len * stride - length
+        xp = np.pad(x.data, ((0, 0), (0, 0), (0, pad)), constant_values=-np.inf) if pad else x.data
+        arg = xp.reshape(bsz, c, out_len, stride).argmax(axis=3)
 
     def bwd(g):
-        dxp = np.zeros(xp.shape, xp.dtype)
-        np.put_along_axis(dxp.reshape(bsz, c, out_len, stride), arg[..., None],
-                          g[..., None], axis=3)
-        return (dxp[:, :, :length],)
+        dxp = np.zeros((bsz, c, out_len, stride), x.data.dtype)
+        np.put_along_axis(dxp, arg[..., None], g[..., None], axis=3)
+        return (dxp.reshape(bsz, c, -1)[:, :, :length],)
 
     return _make(out, (x,), bwd)
 

@@ -18,6 +18,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, Parameter
 
+# An eval forward runs the embed -> encoder -> conv trunk on tiles of samples
+# whose [tile, max_len, d_model] activation fits this many bytes, the L2 cache
+# of a typical core, so the trunk's elementwise passes stay in cache.
+EVAL_TILE_BYTES = 2 << 20
+
 
 @dataclass
 class ModelConfig:
@@ -338,12 +343,30 @@ class DdiModel(EncoderModel):
         self.mlp2 = MlpModule(self.store, "mlp2", cfg.mlp1_out + cfg.kg_dim,
                               cfg.mlp2_hidden, cfg.n_classes)
 
+    def eval_tile(self) -> int:
+        """Samples per trunk tile in eval mode: as many as fit
+        ``EVAL_TILE_BYTES`` at [max_len, d_model] each, and at least one."""
+        cfg = self.cfg
+        sample_bytes = cfg.max_len * cfg.d_model * np.dtype(cfg.np_dtype).itemsize
+        return max(1, EVAL_TILE_BYTES // sample_bytes)
+
     def forward(self, ids: np.ndarray, segment_ids: np.ndarray, mask: np.ndarray,
                 pair_vec: np.ndarray) -> Tensor:
         """ids/segment_ids: int [batch, max_len]; mask: bool [batch, max_len];
-        pair_vec: [batch, kg_dim]. Returns logits [batch, n_classes]."""
-        hidden = self.encode(ids, segment_ids, mask)
-        seq_feat = self.mlp1(self.conv(hidden, self.training), self.training)
+        pair_vec: [batch, kg_dim]. Returns logits [batch, n_classes].
+
+        In eval mode no sample's embed -> encoder -> conv path reads another
+        sample, so it runs on slices of ``eval_tile()`` samples, each with its
+        own key span, and the conv features keep the bits of one pass over the
+        batch. The head runs once on the whole batch: its GEMMs round
+        differently on fewer rows. Training runs the batch as one slice, as
+        batch norm needs the batch's statistics."""
+        tile = len(ids) if self.training else self.eval_tile()
+        feats = [self.conv(self.encode(ids[lo:lo + tile], segment_ids[lo:lo + tile],
+                                       mask[lo:lo + tile]), self.training)
+                 for lo in range(0, len(ids), tile)]
+        conv_feat = feats[0] if len(feats) == 1 else ad.concat(feats, axis=0)
+        seq_feat = self.mlp1(conv_feat, self.training)
         kg_feat = self.kg_attn(ad.constant(pair_vec, dtype=self.cfg.np_dtype))
         fused = ad.concat([seq_feat, kg_feat], axis=1)
         return self.mlp2(fused, self.training)

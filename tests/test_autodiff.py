@@ -508,11 +508,28 @@ def test_conv1d_output_and_weight_grad_match_im2col(dtype, shape):
 
 
 def test_max_pool_ceil_mode():
-    x = Tensor(np.arange(5, dtype=np.float64).reshape(1, 1, 5))
+    """The same maxima under no_grad, where no argmax is taken, as on a tape."""
+    x = Tensor(np.arange(5, dtype=np.float64).reshape(1, 1, 5), requires_grad=True)
     with no_grad():
         y = ad.max_pool1d(x, 2).data
+    tape = Tape()
+    with tape:
+        y_taped = ad.max_pool1d(x, 2).data
     assert y.shape == (1, 1, 3)
-    assert np.array_equal(y[0, 0], [1.0, 3.0, 4.0])
+    assert np.array_equal(y[0, 0], [1.0, 3.0, 4.0]) and np.array_equal(y_taped, y)
+    dx = tape.entries[-1].backward_fn(np.array([[[1.0, 2.0, 3.0]]]))[0]
+    assert np.array_equal(dx[0, 0], [0.0, 1.0, 0.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_max_pool_keeps_the_first_of_tied_maxima_and_propagates_nan(dtype):
+    """As the argmax over each window would: a window of -0.0 then 0.0 gives
+    -0.0, one of 0.0 then -0.0 gives 0.0, and a NaN anywhere gives NaN."""
+    x = np.array([-0.0, 0.0, 0.0, -0.0, np.nan, 1.0, 2.0, np.nan, 5.0], dtype)[None, None]
+    with no_grad():
+        y = ad.max_pool1d(Tensor(x), 2).data[0, 0]
+    assert np.array_equal(np.signbit(y[:2]), [True, False])
+    assert np.isnan(y[2:4]).all() and y[4] == 5.0
 
 
 @pytest.mark.parametrize("length", [8, 9, 12, 13])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ddikit import autodiff as ad
+from ddikit import model as model_module
 from ddikit.autodiff import Parameter, Tape, Tensor, backward, no_grad
 from ddikit.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from ddikit.model import (DdiModel, KgSelfAttention, ModelConfig,
@@ -583,6 +584,109 @@ def test_float64_checkpoint_buffers_load_into_float32_model(tmp_path, monkeypatc
     save_checkpoint(tmp_path / "new.ckpt", model)
     assert {a.dtype for a in read_checkpoint(tmp_path / "new.ckpt")[1]["buffer"].values()} \
         == {np.dtype(np.float32)}
+
+
+# ---------------------------------------------------------------------------
+# eval trunk tiles
+# ---------------------------------------------------------------------------
+
+def _set_tile(monkeypatch, model, samples: int):
+    """Size the eval tile budget so the trunk runs ``samples`` at a time."""
+    cfg = model.cfg
+    monkeypatch.setattr(model_module, "EVAL_TILE_BYTES",
+                        samples * cfg.max_len * cfg.d_model * np.dtype(cfg.np_dtype).itemsize)
+    assert model.eval_tile() == samples
+
+
+def _count_calls(model, attr: str) -> list:
+    """Wrap ``model.<attr>`` on the instance; returns the batch size of each call."""
+    sizes, inner = [], getattr(model, attr)
+
+    def spy(x, *args, **kwargs):
+        sizes.append(len(x.data) if isinstance(x, Tensor) else len(x))
+        return inner(x, *args, **kwargs)
+
+    setattr(model, attr, spy)
+    return sizes
+
+
+def test_eval_tile_fits_the_byte_budget():
+    def tile(**cfg):
+        return DdiModel(ModelConfig(vocab_size=10, n_classes=3, n_layers=0, **cfg)).eval_tile()
+
+    assert tile() == 4  # 2 MB over [500, 256] float32
+    assert tile(d_model=32, n_heads=4, max_len=96) == 170
+    assert tile(max_len=2048, dtype="float64") == 1
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_eval_forward_in_tiles_keeps_the_bits_of_one_pass(monkeypatch, dtype):
+    """Tiles of 2 over a batch of 7: sample 1 has no real token, tile [2, 3]
+    has none at all and the last tile holds one sample. The logits equal
+    those of one encode -> conv pass over the whole batch and the same head."""
+    model = DdiModel(tiny_config(d_model=8, n_layers=2, max_len=12, dtype=dtype), seed=4)
+    model.eval()
+    rng = np.random.default_rng(9)
+    lengths = np.array([5, 0, 0, 0, 12, 3, 1])
+    ids = rng.integers(4, 12, size=(7, 12))
+    ids[np.arange(12)[None, :] >= lengths[:, None]] = 0
+    segs = (np.arange(12) >= 6).astype(np.int64) * np.ones((7, 1), dtype=np.int64)
+    pair = rng.standard_normal((7, 4))
+    encodes = _count_calls(model, "encode")
+    _set_tile(monkeypatch, model, 7)
+    with no_grad():
+        whole = model.forward(ids, segs, ids != 0, pair).data
+    _set_tile(monkeypatch, model, 2)
+    with no_grad():
+        tiled = model.forward(ids, segs, ids != 0, pair).data
+    assert encodes == [7, 2, 2, 2, 1]
+    assert tiled.dtype == np.dtype(dtype) and np.isfinite(tiled).all()
+    assert np.array_equal(tiled, whole)
+
+
+def test_training_forward_runs_one_trunk_pass_per_batch(monkeypatch):
+    """Batch norm needs the batch's statistics, so a training forward does
+    not tile however small the eval tile is."""
+    model = DdiModel(tiny_config(), seed=0)
+    _set_tile(monkeypatch, model, 1)
+    encodes, convs = _count_calls(model, "encode"), _count_calls(model, "conv")
+    rng = np.random.default_rng(2)
+    ids = rng.integers(4, 12, size=(5, 8))
+    tape = Tape()
+    with tape:
+        model.forward(ids, np.zeros_like(ids), ids != 0, rng.standard_normal((5, 4)))
+    assert encodes == [5] and convs == [5]
+    ops = [e.backward_fn.__qualname__.split(".")[0] for e in tape.entries]
+    assert ops.count("conv1d") == 2 * model.cfg.conv_blocks
+    assert ops.count("concat") == 1  # the fusion, no join of tiles
+
+
+def _eval_forward_peak(model, batch: int) -> int:
+    rng = np.random.default_rng(batch)
+    ids = rng.integers(4, 12, size=(batch, model.cfg.max_len))
+    ids[:, model.cfg.max_len // 2:] = 0
+    pair = rng.standard_normal((batch, model.cfg.kg_dim))
+    model.eval()
+    tracemalloc.start()
+    try:
+        with no_grad():
+            model.forward(ids, np.zeros_like(ids), ids != 0, pair)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_eval_forward_memory_grows_by_the_head_not_the_trunk(monkeypatch):
+    """Four tiles' worth of samples peak at under twice the memory of one
+    tile: only the conv features and the head grow with the batch. One pass
+    over the whole batch measured a ratio of 3.5, tiles of 4 a ratio of 1.07."""
+    model = DdiModel(tiny_config(vocab_size=12, d_model=32, n_layers=1, n_heads=4, d_ff=32,
+                                 max_len=128, conv_blocks=3, dtype="float32"), seed=0)
+    _set_tile(monkeypatch, model, 4)
+    one = _eval_forward_peak(model, 4)
+    four = _eval_forward_peak(model, 16)
+    assert four < 2 * one, (four, one)
 
 
 @pytest.mark.parametrize("seed", range(3))
