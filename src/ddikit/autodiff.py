@@ -1,11 +1,12 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
 A ``Tensor`` wraps an ndarray; differentiable operations record themselves on
-the active ``Tape`` (a Wengert list). ``backward`` consumes the tape from the
-end, visiting each recorded operation exactly once and accumulating gradients
-additively, so a parameter used several times receives the sum of all its
-contributions. An operation's output, its gradient and its backward closure
-are released as soon as its own backward has run.
+the calling thread's active ``Tape`` (a Wengert list). ``backward`` consumes
+the tape from the end, visiting each recorded operation exactly once and
+accumulating gradients additively, so a parameter used several times
+receives the sum of all its contributions. An operation's output, its
+gradient and its backward closure are released as soon as its own backward
+has run.
 
 Only the operations needed by the DDI model are implemented. Training runs in
 float32; float64 is available for gradient checking.
@@ -14,6 +15,7 @@ float32; float64 is available for gradient checking.
 from __future__ import annotations
 
 import math
+import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -91,25 +93,33 @@ class Tape:
         return len(self.entries)
 
     def __enter__(self):
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.tapes.append(self)
         return self
 
     def __exit__(self, *exc):
-        _TAPE_STACK.pop()
+        _TAPE_STACK.tapes.pop()
         return False
 
 
 class _NoGrad:
     def __enter__(self):
-        _TAPE_STACK.append(None)
+        _TAPE_STACK.tapes.append(None)
         return self
 
     def __exit__(self, *exc):
-        _TAPE_STACK.pop()
+        _TAPE_STACK.tapes.pop()
         return False
 
 
-_TAPE_STACK: list[Optional[Tape]] = []
+class _ThreadTapes(threading.local):
+    """Each thread's stack of entered tapes, None for ``no_grad``. A thread
+    starts with an empty stack, so it records only on a tape it entered."""
+
+    def __init__(self):
+        self.tapes: list[Optional[Tape]] = []
+
+
+_TAPE_STACK = _ThreadTapes()
 
 
 def no_grad() -> _NoGrad:
@@ -117,7 +127,8 @@ def no_grad() -> _NoGrad:
 
 
 def active_tape() -> Optional[Tape]:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    tapes = _TAPE_STACK.tapes
+    return tapes[-1] if tapes else None
 
 
 def _recording(inputs: Sequence[Tensor]) -> bool:
@@ -557,6 +568,14 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     return _make(out, (x, gamma, beta), bwd)
 
 
+# OpenBLAS's small-matrix sgemm/dgemm kernels round the last 1-8 columns of a
+# 16-column block differently from a full block, so a product's column bits
+# would depend on how many columns it has. Measured on its Haswell kernels:
+# with the column count rounded up to a multiple of 16, each column of a
+# [m, k] x [k, n] product is equal for every n and at 1 or 2 BLAS threads.
+_CONV_COLUMN_BLOCK = 16
+
+
 def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Stride-1 1-d convolution with zero "same" padding: (kernel - 1) // 2
     zeros on the left, the rest on the right.
@@ -568,6 +587,10 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     whole batch: the samples lie end to end along one axis, each with its own
     zero padding, and an output column whose window straddles two samples is
     computed and dropped.
+
+    The forward's products run over a multiple of ``_CONV_COLUMN_BLOCK``
+    columns, the tail past the last sample being zeros, so a sample's output
+    keeps its bits whatever else is in the batch.
     """
     bsz, cin, length = x.data.shape
     cout, cin_w, kernel = w.data.shape
@@ -576,14 +599,15 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     pl = (kernel - 1) // 2
     span = length + kernel - 1
     n = bsz * span
-    xp = np.zeros((cin, bsz + 1, span), x.data.dtype)  # a zero sample past the last
-    xp[:, :bsz, pl:pl + length] = x.data.transpose(1, 0, 2)
-    xf = xp.reshape(cin, -1)
-    acc = w.data[:, :, 0] @ xf[:, :n]
+    cols = -(-n // _CONV_COLUMN_BLOCK) * _CONV_COLUMN_BLOCK
+    xf = np.zeros((cin, cols + kernel - 1), x.data.dtype)
+    xp = xf[:, :n].reshape(cin, bsz, span)
+    xp[:, :, pl:pl + length] = x.data.transpose(1, 0, 2)
+    acc = w.data[:, :, 0] @ xf[:, :cols]
     for k in range(1, kernel):
-        acc += w.data[:, :, k] @ xf[:, k:k + n]
+        acc += w.data[:, :, k] @ xf[:, k:k + cols]
     out = np.empty((bsz, cout, length), np.result_type(acc, b.data))
-    np.add(acc.reshape(cout, bsz, span)[:, :, :length].transpose(1, 0, 2),
+    np.add(acc[:, :n].reshape(cout, bsz, span)[:, :, :length].transpose(1, 0, 2),
            b.data[:, None], out=out)
 
     def bwd(g):
@@ -592,13 +616,14 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         gf = gf.reshape(cout, n)
         dw = np.stack([gf @ xf[:, k:k + n].T for k in range(kernel)], axis=-1)
         db = g.sum(axis=(0, 2))
-        dxf = np.zeros(xf.shape, x.data.dtype)
+        dxf = np.zeros((cin, n + kernel - 1), x.data.dtype)
         # Tap k of output column j lands on padded input column j + k. Taps go in
         # descending k, the order in which an np.add.at scatter of the window
         # gradients accumulates, so the two agree bit for bit.
         for k in reversed(range(kernel)):
             dxf[:, k:k + n] += w.data[:, :, k].T @ gf
-        return dxf.reshape(xp.shape)[:, :bsz, pl:pl + length].transpose(1, 0, 2), dw, db
+        dx = dxf[:, :n].reshape(xp.shape)[:, :, pl:pl + length].transpose(1, 0, 2)
+        return dx, dw, db
 
     return _make(out, (x, w, b), bwd)
 

@@ -2,9 +2,9 @@
 
 Subcommands: make-fixture, vocab, kg-train, kg-export, split, pretrain,
 train, eval, sts, seqlen. Every run writes a manifest (config fingerprint,
-seed, input checksums, outputs, wall time) into --out-dir, and all
-randomness derives from --seed, so a run is reproducible from its manifest
-at a fixed thread count.
+seed, input checksums, outputs, wall time, environment) into --out-dir, and
+all randomness derives from --seed, so a run is reproducible from its
+manifest at a fixed thread count.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -16,13 +16,14 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, blas
 from .atomic import csv_lines, write_lines
 from .checkpoint import (CheckpointError, config_fingerprint, load_checkpoint,
                          read_checkpoint, save_checkpoint)
@@ -151,8 +152,22 @@ def _write_manifest(args, config, outputs, t0):
         "inputs": {str(p): _sha256(p) for p in inputs if p},
         "outputs": [os.path.basename(str(p)) for p in outputs],
         "wall_clock_seconds": round(time.time() - t0, 3),
+        "environment": _environment(),
     }
     write_lines(_out(args, "manifest.json"), [json.dumps(manifest, indent=2, sort_keys=True)])
+
+
+def _environment() -> dict:
+    """What the run's numbers came from: the BLAS numpy was built with and
+    the thread count read back from it (None without OpenBLAS), the cores
+    this process may run on and the machine's RAM."""
+    built = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": built.get("name"), "blas_version": built.get("version"),
+            "blas_threads": blas.threads(),
+            "cores": len(cores) if cores else os.cpu_count(),
+            "ram_mb": os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2**20}
 
 
 def _out(args, name):

@@ -10,17 +10,23 @@ two 400-wide tokens inside the KG self-attention block.
 
 from __future__ import annotations
 
+import contextvars
+import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import autodiff as ad
+from . import blas
 from .autodiff import Tensor, Parameter
 
 # An eval forward runs the embed -> encoder -> conv trunk on tiles of samples
-# whose [tile, max_len, d_model] activation fits this many bytes, the L2 cache
-# of a typical core, so the trunk's elementwise passes stay in cache.
+# whose [tile, max_len, d_model] activations, summed over the tiles in flight
+# at once, fit this many bytes, the L2 cache of a typical core, so the
+# trunk's elementwise passes stay in cache.
 EVAL_TILE_BYTES = 2 << 20
 
 
@@ -344,11 +350,22 @@ class DdiModel(EncoderModel):
                               cfg.mlp2_hidden, cfg.n_classes)
 
     def eval_tile(self) -> int:
-        """Samples per trunk tile in eval mode: as many as fit
+        """Samples per trunk tile in eval mode on one worker: as many as fit
         ``EVAL_TILE_BYTES`` at [max_len, d_model] each, and at least one."""
         cfg = self.cfg
         sample_bytes = cfg.max_len * cfg.d_model * np.dtype(cfg.np_dtype).itemsize
         return max(1, EVAL_TILE_BYTES // sample_bytes)
+
+    def eval_workers(self, batch: int) -> int:
+        """Threads that run an eval forward's trunk tiles over ``batch``
+        samples: one per BLAS thread, at most one per core and one per
+        ``eval_tile()`` tile. One without OpenBLAS, and while a tape records,
+        as a helper thread records on no tape."""
+        threads = blas.threads()
+        if threads is None or ad.active_tape() is not None:
+            return 1
+        tiles = -(-batch // self.eval_tile())
+        return max(1, min(threads, len(os.sched_getaffinity(0)), tiles))
 
     def forward(self, ids: np.ndarray, segment_ids: np.ndarray, mask: np.ndarray,
                 pair_vec: np.ndarray) -> Tensor:
@@ -356,15 +373,26 @@ class DdiModel(EncoderModel):
         pair_vec: [batch, kg_dim]. Returns logits [batch, n_classes].
 
         In eval mode no sample's embed -> encoder -> conv path reads another
-        sample, so it runs on slices of ``eval_tile()`` samples, each with its
-        own key span, and the conv features keep the bits of one pass over the
-        batch. The head runs once on the whole batch: its GEMMs round
-        differently on fewer rows. Training runs the batch as one slice, as
-        batch norm needs the batch's statistics."""
-        tile = len(ids) if self.training else self.eval_tile()
-        feats = [self.conv(self.encode(ids[lo:lo + tile], segment_ids[lo:lo + tile],
-                                       mask[lo:lo + tile]), self.training)
-                 for lo in range(0, len(ids), tile)]
+        sample, so it runs on slices of samples, each with its own key span,
+        and the conv features keep the bits of one pass over the batch. The
+        slices run on ``eval_workers()`` threads, each with one BLAS thread;
+        the tiles in flight share ``EVAL_TILE_BYTES``. The head runs once on
+        the whole batch, with the BLAS threads the caller set: its GEMMs
+        round differently on fewer rows. Training runs the batch as one
+        slice, as batch norm needs the batch's statistics."""
+        if self.training:
+            workers, tile = 1, len(ids)
+        else:
+            workers = self.eval_workers(len(ids))
+            tile = max(1, self.eval_tile() // workers)
+
+        def trunk(lo):
+            return self.conv(self.encode(ids[lo:lo + tile], segment_ids[lo:lo + tile],
+                                         mask[lo:lo + tile]), self.training)
+
+        starts = range(0, len(ids), tile)
+        feats = [trunk(lo) for lo in starts] if workers == 1 else \
+            _map_in_threads(trunk, starts, workers)
         conv_feat = feats[0] if len(feats) == 1 else ad.concat(feats, axis=0)
         seq_feat = self.mlp1(conv_feat, self.training)
         kg_feat = self.kg_attn(ad.constant(pair_vec, dtype=self.cfg.np_dtype))
@@ -389,6 +417,40 @@ class PretrainModel(EncoderModel):
         flat = ad.reshape(hidden, (b * n, d))
         picked = ad.embedding_lookup(flat, flat_positions)
         return self.lm_head(picked)
+
+
+def _map_in_threads(fn, items, workers: int) -> list:
+    """``[fn(x) for x in items]`` on the calling thread and ``workers - 1``
+    helper threads, with one BLAS thread each; the count is restored after.
+    Each thread takes the next item no thread has taken. A helper runs in a
+    copy of the caller's context, so numpy's ``errstate`` holds in it. The
+    first exception reaches the caller once every thread has stopped."""
+    out = [None] * len(items)
+    claims = itertools.count()
+    errors = []
+
+    def work():
+        for i in claims:
+            if i >= len(items) or errors:
+                return
+            try:
+                out[i] = fn(items[i])
+            except BaseException as exc:
+                errors.append(exc)
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
+               for _ in range(workers - 1)]
+    with blas.single_threaded():
+        for helper in helpers:
+            helper.start()
+        try:
+            work()
+        finally:
+            for helper in helpers:
+                helper.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 TRANSFER_PREFIXES = ("embed.", "encoder.")

@@ -1,6 +1,7 @@
 """Finite-difference checks for every differentiable primitive plus an
 independent oracle for the Adam update recurrence."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -507,6 +508,22 @@ def test_conv1d_output_and_weight_grad_match_im2col(dtype, shape):
         assert np.abs(got - want).max() <= 16 * np.finfo(dtype).eps * np.abs(want).max()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c,length", [(64, 96), (32, 96), (8, 12), (64, 4), (256, 4)])
+def test_conv1d_output_of_a_sample_does_not_depend_on_the_batch(dtype, c, length):
+    """Each slice of 1, 2, 3 or 5 samples gives the bits of the same samples
+    in one batch of 18, as an eval forward's trunk tiles rely on."""
+    rng = np.random.default_rng(c + length)
+    x = rng.standard_normal((18, c, length)).astype(dtype)
+    w = (rng.standard_normal((c, c, 3)) / c).astype(dtype)
+    b = rng.standard_normal(c).astype(dtype)
+    whole = ad.conv1d(Tensor(x), Tensor(w), Tensor(b)).data
+    for size in (1, 2, 3, 5):
+        for lo in range(0, 18, size):
+            part = ad.conv1d(Tensor(x[lo:lo + size]), Tensor(w), Tensor(b)).data
+            assert np.array_equal(part, whole[lo:lo + size]), (size, lo)
+
+
 def test_max_pool_ceil_mode():
     """The same maxima under no_grad, where no argmax is taken, as on a tape."""
     x = Tensor(np.arange(5, dtype=np.float64).reshape(1, 1, 5), requires_grad=True)
@@ -586,6 +603,36 @@ def test_no_grad_records_nothing():
         with no_grad():
             ad.tsum(ad.mul(p, p))
     assert len(tape) == 0
+
+
+def test_tapes_and_no_grad_belong_to_the_thread_that_entered_them():
+    """A thread starts with no active tape: an op it runs while another
+    thread records goes on no tape, and its ``no_grad`` leaves the other
+    thread recording."""
+    p = Parameter(np.ones(3), name="p", dtype=np.float64)
+    seen = {}
+    in_no_grad, main_done = threading.Event(), threading.Event()
+
+    def other():
+        seen["tape"] = ad.active_tape()
+        seen["recorded"] = ad.tsum(ad.mul(p, p)).requires_grad
+        with no_grad():
+            in_no_grad.set()
+            main_done.wait(10)
+            seen["inner"] = ad.active_tape()
+
+    tape = Tape()
+    with tape:
+        helper = threading.Thread(target=other)
+        helper.start()
+        assert in_no_grad.wait(10)
+        ad.tsum(ad.mul(p, p))
+        assert ad.active_tape() is tape
+        main_done.set()
+        helper.join(10)
+        assert not helper.is_alive() and ad.active_tape() is tape
+    assert seen == {"tape": None, "recorded": False, "inner": None}
+    assert len(tape) == 2 and ad.active_tape() is None
 
 
 def test_grad_accumulates_across_reuse():

@@ -4,6 +4,7 @@ files, and rerun determinism. Commands run in process through cli.main."""
 import dataclasses
 import json
 import os
+import platform
 import random
 import re
 import struct
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ddikit
-from ddikit import cli
+from ddikit import blas, cli
 from ddikit.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from ddikit.cli import main
 from ddikit.data import SplitBundle
@@ -101,6 +102,18 @@ def test_every_run_writes_a_manifest(world):
         for path, digest in m["inputs"].items():
             assert len(digest) == 64
             assert os.path.exists(path)
+
+
+def test_manifest_records_the_environment(world):
+    """The versions, the BLAS and the thread count read back from it, the
+    cores and the RAM the run had."""
+    env = json.loads((world / "split" / "manifest.json").read_text())["environment"]
+    built = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    assert env == {"python": platform.python_version(), "numpy": np.__version__,
+                   "blas": built["name"], "blas_version": built["version"],
+                   "blas_threads": blas.threads(), "cores": len(os.sched_getaffinity(0)),
+                   "ram_mb": env["ram_mb"]}
+    assert 0 < env["ram_mb"] < 2**30
 
 
 def test_manifest_effective_config_holds_defaults(world):

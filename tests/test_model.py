@@ -6,12 +6,17 @@ insensitivity, swap equivariance), and a full-model finite-difference
 gradient check."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from ddikit import autodiff as ad
+from ddikit import blas
 from ddikit import model as model_module
 from ddikit.autodiff import Parameter, Tape, Tensor, backward, no_grad
 from ddikit.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
@@ -619,6 +624,17 @@ def test_eval_tile_fits_the_byte_budget():
     assert tile(max_len=2048, dtype="float64") == 1
 
 
+def _batch_of_seven(model):
+    """The bits test's batch: sample 1 and tile [2, 3] have no real token."""
+    n = model.cfg.max_len
+    rng = np.random.default_rng(9)
+    lengths = np.array([5, 0, 0, 0, n, 3, 1])
+    ids = rng.integers(4, 12, size=(7, n))
+    ids[np.arange(n)[None, :] >= lengths[:, None]] = 0
+    segs = (np.arange(n) >= n // 2).astype(np.int64) * np.ones((7, 1), dtype=np.int64)
+    return ids, segs, ids != 0, rng.standard_normal((7, model.cfg.kg_dim))
+
+
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_eval_forward_in_tiles_keeps_the_bits_of_one_pass(monkeypatch, dtype):
     """Tiles of 2 over a batch of 7: sample 1 has no real token, tile [2, 3]
@@ -626,22 +642,214 @@ def test_eval_forward_in_tiles_keeps_the_bits_of_one_pass(monkeypatch, dtype):
     those of one encode -> conv pass over the whole batch and the same head."""
     model = DdiModel(tiny_config(d_model=8, n_layers=2, max_len=12, dtype=dtype), seed=4)
     model.eval()
-    rng = np.random.default_rng(9)
-    lengths = np.array([5, 0, 0, 0, 12, 3, 1])
-    ids = rng.integers(4, 12, size=(7, 12))
-    ids[np.arange(12)[None, :] >= lengths[:, None]] = 0
-    segs = (np.arange(12) >= 6).astype(np.int64) * np.ones((7, 1), dtype=np.int64)
-    pair = rng.standard_normal((7, 4))
+    batch = _batch_of_seven(model)
     encodes = _count_calls(model, "encode")
+    monkeypatch.setattr(blas, "threads", lambda: 1)  # one worker takes every tile
     _set_tile(monkeypatch, model, 7)
     with no_grad():
-        whole = model.forward(ids, segs, ids != 0, pair).data
+        whole = model.forward(*batch).data
     _set_tile(monkeypatch, model, 2)
     with no_grad():
-        tiled = model.forward(ids, segs, ids != 0, pair).data
+        tiled = model.forward(*batch).data
     assert encodes == [7, 2, 2, 2, 1]
     assert tiled.dtype == np.dtype(dtype) and np.isfinite(tiled).all()
     assert np.array_equal(tiled, whole)
+
+
+def _force_workers(monkeypatch, workers: int):
+    """Make an eval forward see ``workers`` BLAS threads and cores, whatever
+    the host has."""
+    monkeypatch.setattr(blas, "threads", lambda: workers)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+
+
+def _spy_tiles(model, on_tile=None):
+    """Wrap ``model.encode``; returns one (on the main thread?, samples) per
+    call. The first tile of each of two threads waits for the other's, so
+    the main thread and a helper both run tiles; ``on_tile(is_main)`` runs
+    in each call."""
+    calls, inner = [], model.encode
+    first_two = threading.Barrier(2, timeout=10)
+
+    def spy(ids, *args):
+        is_main = threading.current_thread() is threading.main_thread()
+        first = is_main not in {m for m, _ in calls}
+        calls.append((is_main, len(ids)))
+        if first:
+            first_two.wait()
+        if on_tile:
+            on_tile(is_main)
+        return inner(ids, *args)
+
+    model.encode = spy
+    return calls
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_eval_forward_on_two_workers_keeps_the_bits_of_one(monkeypatch, dtype):
+    """Two workers share a budget of 2 samples, so each takes tiles of one
+    sample, on the main thread and on a helper, both under the caller's
+    numpy ``errstate``; the logits equal those of one worker taking tiles of
+    2, with empty samples and a short last tile."""
+    model = DdiModel(tiny_config(d_model=8, n_layers=2, max_len=12, dtype=dtype), seed=4)
+    model.eval()
+    batch = _batch_of_seven(model)
+    _set_tile(monkeypatch, model, 2)
+    _force_workers(monkeypatch, 1)
+    with no_grad():
+        one = model.forward(*batch).data
+    _force_workers(monkeypatch, 2)
+    assert model.eval_workers(7) == 2
+    overs = []
+    calls = _spy_tiles(model, lambda is_main: overs.append(np.geterr()["over"]))
+    with no_grad(), np.errstate(over="raise"):
+        two = model.forward(*batch).data
+    assert sorted(n for _, n in calls) == [1] * 7
+    assert {is_main for is_main, _ in calls} == {True, False} and set(overs) == {"raise"}
+    assert two.dtype == np.dtype(dtype) and np.array_equal(two, one)
+
+
+def test_more_workers_than_cores_take_every_tile_once(monkeypatch):
+    """Four workers with thread switches every microsecond: each of 21 tiles
+    of one sample is encoded once, and the logits keep the serial bits."""
+    model = DdiModel(tiny_config(d_model=8, n_layers=2, max_len=12), seed=4)
+    model.eval()
+    batch = tuple(np.concatenate([a] * 3) for a in _batch_of_seven(model))
+    _set_tile(monkeypatch, model, 4)
+    _force_workers(monkeypatch, 1)
+    with no_grad():
+        serial = model.forward(*batch).data
+    _force_workers(monkeypatch, 4)
+    starts = []
+    encode = model.encode
+    model.encode = lambda ids, *a: starts.append(ids.ctypes.data) or encode(ids, *a)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with no_grad():
+            parallel = model.forward(*batch).data
+    finally:
+        sys.setswitchinterval(interval)
+    ids = batch[0]
+    assert sorted(starts) == [ids.ctypes.data + i * ids.strides[0] for i in range(21)]
+    assert np.array_equal(parallel, serial)
+
+
+def test_eval_workers_stop_at_the_tiles_the_cores_and_a_recording_tape(monkeypatch):
+    model = DdiModel(tiny_config(), seed=0)
+    model.eval()
+    _set_tile(monkeypatch, model, 2)
+    _force_workers(monkeypatch, 4)
+    assert [model.eval_workers(n) for n in (1, 2, 3, 5, 7, 9)] == [1, 1, 2, 3, 4, 4]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert model.eval_workers(9) == 2
+    with Tape():
+        assert model.eval_workers(9) == 1
+    with Tape(), no_grad():
+        assert model.eval_workers(9) == 2
+    monkeypatch.setattr(blas, "threads", lambda: None)  # no OpenBLAS found
+    assert model.eval_workers(9) == 1
+
+
+def test_an_error_in_a_helper_tile_reaches_the_caller_and_blas_threads_return(monkeypatch):
+    """Tiles run with one BLAS thread and the head with the caller's count;
+    an exception raised in a helper's tile is raised by forward, and the
+    count is restored."""
+    readback = blas.threads
+    before = readback()
+    model = DdiModel(tiny_config(), seed=0)
+    model.eval()
+    batch = _batch_of_seven(model)
+    _set_tile(monkeypatch, model, 2)
+    _force_workers(monkeypatch, 2)
+    in_tiles, in_head = [], []
+    head = model.mlp1
+    model.mlp1 = lambda *a: in_head.append(readback()) or head(*a)
+
+    def on_tile(is_main):
+        in_tiles.append(readback())
+        if not is_main:
+            raise KeyError("planted")
+
+    _spy_tiles(model, on_tile)
+    with no_grad(), pytest.raises(KeyError, match="planted"):
+        model.forward(*batch)
+    assert readback() == before and in_head == []
+    assert set(in_tiles) == ({1} if before is not None else {None})
+    del model.encode
+    with no_grad():
+        model.forward(*batch)
+    assert readback() == before and in_head == [before]
+
+
+def test_recorded_eval_forward_runs_its_tiles_in_order_on_one_thread(monkeypatch):
+    """Helper threads record on no tape, so a forward under a tape keeps one
+    worker however many BLAS threads there are: every op is on the tape
+    once, tile after tile, as with one BLAS thread."""
+    model = DdiModel(tiny_config(), seed=0)
+    model.eval()
+    batch = _batch_of_seven(model)
+    _set_tile(monkeypatch, model, 2)
+
+    def recorded():
+        encodes = _count_calls(model, "encode")
+        threads, conv = [], model.conv
+        model.conv = lambda x, training: threads.append(threading.current_thread()) \
+            or conv(x, training)
+        tape = Tape()
+        with tape:
+            model.forward(*batch)
+        del model.encode
+        model.conv = conv
+        return encodes, set(threads), [(e.backward_fn.__qualname__, e.output.shape)
+                                       for e in tape.entries]
+
+    _force_workers(monkeypatch, 1)
+    encodes, threads, serial = recorded()
+    _force_workers(monkeypatch, 2)
+    encodes2, threads2, entries = recorded()
+    assert encodes == encodes2 == [2, 2, 2, 1]
+    assert threads == threads2 == {threading.main_thread()}
+    assert entries == serial
+    convs = [shape[0] for name, shape in entries if name.startswith("conv1d")]
+    assert convs == [2] * 6 * model.cfg.conv_blocks + [1] * 2 * model.cfg.conv_blocks
+
+
+_BLAS_THREADS_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from ddikit import model as m
+from ddikit.autodiff import no_grad
+cfg = m.ModelConfig(vocab_size=12, n_classes=5, d_model=64, n_layers=2, n_heads=4, d_ff=64,
+                    max_len=96, kg_dim=16, kg_heads=2, conv_blocks=3, dtype="float32")
+m.EVAL_TILE_BYTES = 4 * cfg.max_len * cfg.d_model * 4
+model = m.DdiModel(cfg, seed=3)
+model.eval()
+rng = np.random.default_rng(5)
+ids = rng.integers(4, 12, size=(18, cfg.max_len))
+ids[np.arange(cfg.max_len)[None, :] >= rng.integers(0, cfg.max_len, 18)[:, None]] = 0
+with no_grad():
+    logits = model.forward(ids, np.zeros_like(ids), ids != 0, rng.standard_normal((18, 16))).data
+print(model.eval_tile(), model.eval_workers(18), hashlib.sha256(logits.tobytes()).hexdigest())
+"""
+
+
+def test_eval_logits_keep_their_bytes_across_blas_thread_counts():
+    """``OPENBLAS_NUM_THREADS`` sets how many workers take the 5 tiles of an
+    eval forward over 18 samples; the logits keep their bytes."""
+    src = os.path.dirname(os.path.dirname(model_module.__file__))
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs[threads] = proc.stdout.split()
+    cores = len(os.sched_getaffinity(0))
+    workers = {t: w for t, (_, w, _) in runs.items()}
+    assert runs["1"][0] == "4" and workers == {"1": "1", "2": str(min(2, cores))}
+    assert runs["1"][2] == runs["2"][2]
 
 
 def test_training_forward_runs_one_trunk_pass_per_batch(monkeypatch):
