@@ -6,7 +6,8 @@ the tape from the end, visiting each recorded operation exactly once and
 accumulating gradients additively, so a parameter used several times
 receives the sum of all its contributions. An operation's output, its
 gradient and its backward closure are released as soon as its own backward
-has run.
+has run. ``join_tiles`` runs one computation in tiles on several threads,
+each on a tape of its own, and records them as one entry.
 
 Only the operations needed by the DDI model are implemented. Training runs in
 float32; float64 is available for gradient checking.
@@ -19,6 +20,8 @@ import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+from . import blas
 
 
 class ShapeError(ValueError):
@@ -146,9 +149,16 @@ def _make(out_data, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
     return out
 
 
-def backward(loss: Tensor, tape: Tape):
+def backward(output: Tensor, tape: Tape, grad: Optional[np.ndarray] = None,
+             into: Optional[dict] = None):
     """Populate ``.grad`` on every leaf tensor, such as a parameter, that
-    influenced a scalar loss.
+    influenced a scalar loss ``output``.
+
+    With ``grad``, back-propagation starts from that gradient of ``output``,
+    of its shape, instead of a scalar loss's 1. With ``into``, a dict, the
+    gradient of each ``Parameter`` is added into ``into[parameter]`` instead
+    of its ``.grad``, so threads that back-propagate their own tapes through
+    the same parameters write nothing they share.
 
     The tape is consumed: each entry is popped, back-propagated and dropped,
     so by the time an op's entry comes up every consumer of its output has
@@ -156,12 +166,17 @@ def backward(loss: Tensor, tape: Tape):
     freed right after. Afterwards the tape is empty and only leaves keep
     ``.grad``. A second call on the same tape raises ``ValueError``.
     """
-    if loss.data.size != 1:
-        raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    if grad is None:
+        if output.data.size != 1:
+            raise ShapeError(f"backward requires a scalar loss, got shape {output.data.shape}")
+        grad = np.ones_like(output.data)
+    elif grad.shape != output.data.shape:
+        raise ShapeError(f"gradient of shape {grad.shape} for an output of shape "
+                         f"{output.data.shape}")
     if tape.consumed:
         raise ValueError("backward has already consumed this tape")
     tape.consumed = True
-    loss.grad = np.ones_like(loss.data)
+    output.grad = grad
     entries = tape.entries
     while entries:
         entry = entries.pop()
@@ -176,11 +191,61 @@ def backward(loss: Tensor, tape: Tape):
             if gi.shape != inp.data.shape:  # the op broadcast this input
                 gi = _unbroadcast(gi, inp.data.shape)
             gi = np.asarray(gi, dtype=inp.data.dtype)
-            if inp.grad is None:
-                # a copy, so backward owns every .grad it adds into
-                inp.grad = gi.copy()
+            to_dict = into is not None and isinstance(inp, Parameter)
+            held = into.get(inp) if to_dict else inp.grad
+            if held is not None:
+                held += gi
+            elif to_dict:
+                # a copy, so backward owns every gradient it adds into
+                into[inp] = gi.copy()
             else:
-                inp.grad += gi
+                inp.grad = gi.copy()
+
+
+def join_tiles(run, starts, workers: int) -> Tensor:
+    """``run(lo)`` for each tile start on ``workers`` threads, the outputs
+    joined along axis 0 in tile order.
+
+    Under a recording tape each tile records on a tape of its own, and the
+    caller's tape gets one entry whose inputs are the parameters the tiles
+    read. Its backward back-propagates each tile's tape on the same workers,
+    each into a gradient dict of its own, and adds the dicts in tile order,
+    with at most ``workers`` of them held at once. The sums' bits then do
+    not depend on the number of workers, and no two threads write one
+    ``.grad``."""
+    if active_tape() is None:
+        return concat(blas.map_in_threads(run, starts, workers), axis=0)
+
+    def recorded(lo):
+        tape = Tape()
+        with tape:
+            return tape, run(lo)
+
+    tiles = blas.map_in_threads(recorded, starts, workers)
+    params = list(dict.fromkeys(inp for tape, _ in tiles for entry in tape.entries
+                                for inp in entry.inputs if isinstance(inp, Parameter)))
+    bounds = np.cumsum([0] + [len(out.data) for _, out in tiles])
+
+    def bwd(g):
+        sums = {}
+
+        def tile_grads(i):
+            tape, out = tiles[i]
+            grads = {}
+            backward(out, tape, g[bounds[i]:bounds[i + 1]], grads)
+            return grads
+
+        def add(grads):
+            for p, gp in grads.items():
+                if p in sums:
+                    sums[p] += gp
+                else:
+                    sums[p] = gp
+
+        blas.map_in_threads(tile_grads, range(len(tiles)), workers, fold=add)
+        return tuple(sums.get(p) for p in params)
+
+    return _make(np.concatenate([out.data for _, out in tiles]), params, bwd)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -659,10 +724,21 @@ def max_pool1d(x: Tensor, stride: int) -> Tensor:
     return _make(out, (x,), bwd)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
-    if not training or p <= 0.0:
-        return x
-    keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype) / (1.0 - p)
+def dropout_keep(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray:
+    """A dropout keep mask: 0 with probability p, else 1 / (1 - p)."""
+    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
+
+
+def dropout(x: Tensor, p: float = 0.0, rng: Optional[np.random.Generator] = None,
+            training: bool = True, keep: Optional[np.ndarray] = None) -> Tensor:
+    """x times a keep mask: ``keep``, drawn beforehand by ``dropout_keep`` (a
+    caller that runs one batch in slices draws it for the whole batch and
+    passes each slice its rows), or else one drawn from ``rng`` in training
+    with p > 0. Otherwise x itself."""
+    if keep is None:
+        if not training or p <= 0.0:
+            return x
+        keep = dropout_keep(x.data.shape, p, rng, x.data.dtype)
     out = x.data * keep
 
     def bwd(g):

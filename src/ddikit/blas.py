@@ -1,17 +1,21 @@
-"""The thread count of the OpenBLAS that numpy loaded: read it back, and run
-a block with one thread.
+"""The thread count of the OpenBLAS that numpy loaded: read it back, run a
+block with one thread, and run work on one Python thread per BLAS thread,
+each with one BLAS thread.
 
 The library is found through ``/proc/self/maps``, so on a build without
-OpenBLAS (MKL, Accelerate) or off Linux ``threads()`` is None and
-``single_threaded()`` changes nothing.
+OpenBLAS (MKL, Accelerate) or off Linux ``threads()`` is None,
+``single_threaded()`` changes nothing and ``workers()`` is 1.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
 import functools
+import itertools
 import os
+import threading
 
 # (get, set) symbol pairs: numpy's bundled scipy-openblas, then ILP64 and
 # LP64 builds of OpenBLAS itself.
@@ -67,3 +71,66 @@ def single_threaded():
         yield
     finally:
         put(before)
+
+
+def workers(jobs: int) -> int:
+    """Threads to run ``jobs`` independent jobs on: one per BLAS thread, at
+    most one per core and one per job; 1 without OpenBLAS."""
+    count = threads()
+    if count is None:
+        return 1
+    return max(1, min(count, len(os.sched_getaffinity(0)), jobs))
+
+
+def map_in_threads(fn, items, workers: int, fold=None) -> list | None:
+    """``[fn(x) for x in items]`` on the calling thread and ``workers - 1``
+    helper threads, with one BLAS thread each; the count is restored after.
+    Each thread takes the next item no thread has taken. A helper runs in a
+    copy of the caller's context, so numpy's ``errstate`` holds in it. The
+    first exception reaches the caller once every thread has stopped.
+
+    With ``fold``, each result is passed to ``fold`` instead, in the order of
+    ``items``: a thread whose result comes early waits until the results
+    before it are folded, so at most ``workers`` results are held at once and
+    no two folds overlap. Returns None then."""
+    out = [None] * len(items)
+    claims = itertools.count()
+    folded = 0
+    errors = []
+    turn = threading.Condition()
+
+    def work():
+        nonlocal folded
+        for i in claims:
+            if i >= len(items) or errors:
+                return
+            try:
+                result = fn(items[i])
+                if fold is None:
+                    out[i] = result
+                    continue
+                with turn:
+                    turn.wait_for(lambda: folded == i or errors)
+                    if errors:
+                        return
+                    fold(result)
+                    folded += 1
+                    turn.notify_all()
+            except BaseException as exc:
+                with turn:
+                    errors.append(exc)
+                    turn.notify_all()
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
+               for _ in range(workers - 1)]
+    with single_threaded():
+        for helper in helpers:
+            helper.start()
+        try:
+            work()
+        finally:
+            for helper in helpers:
+                helper.join()
+    if errors:
+        raise errors[0]
+    return None if fold is not None else out

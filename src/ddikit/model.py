@@ -10,11 +10,8 @@ two 400-wide tokens inside the KG self-attention block.
 
 from __future__ import annotations
 
-import contextvars
-import itertools
 import math
 import os
-import threading
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -23,11 +20,12 @@ from . import autodiff as ad
 from . import blas
 from .autodiff import Tensor, Parameter
 
-# An eval forward runs the embed -> encoder -> conv trunk on tiles of samples
-# whose [tile, max_len, d_model] activations, summed over the tiles in flight
-# at once, fit this many bytes, the L2 cache of a typical core, so the
-# trunk's elementwise passes stay in cache.
-EVAL_TILE_BYTES = 2 << 20
+# The trunk (embed -> encoder, and conv in eval) runs on tiles of samples
+# whose [tile, max_len, d_model] activations fit this many bytes, one
+# paper-size float32 sample, so each worker's elementwise passes stay in its
+# core's L2 cache. The size does not depend on the number of workers, so
+# neither do a tile's bits.
+TILE_BYTES = 512 << 10
 
 
 @dataclass
@@ -68,6 +66,10 @@ class ModelConfig:
             raise ValueError("d_model must be divisible by n_heads")
         if self.kg_dim % 2 or (self.kg_dim // 2) % self.kg_heads:
             raise ValueError("kg_dim must be even and half divisible by kg_heads")
+        need, ram = self.build_bytes(), _ram_bytes()
+        if ram is not None and need > ram:
+            raise ValueError(f"building this model takes {need / 2**30:.1f} GiB, more than "
+                             f"this machine's {ram / 2**30:.1f} GiB of RAM")
 
     @property
     def np_dtype(self):
@@ -81,6 +83,39 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    def parameter_sizes(self) -> list[int]:
+        """The element count of each of a DdiModel's parameters."""
+        d, half = self.d_model, self.kg_dim // 2
+
+        def linear(d_in, d_out):
+            return [d_in * d_out, d_out]
+
+        def mlp(d_in, d_hidden, d_out):
+            return linear(d_in, d_hidden) + [d_hidden] * 2 + linear(d_hidden, d_out)
+
+        return ([self.vocab_size * d, self.n_segments * d, self.max_len * d]
+                + self.n_layers * (4 * linear(d, d) + [d] * 2 + linear(d, self.d_ff)
+                                   + linear(self.d_ff, d) + [d] * 2)
+                + self.conv_blocks * 2 * [d * d * self.conv_kernel, d, d, d]
+                + mlp(self.conv_out_len() * d, self.mlp1_hidden, self.mlp1_out)
+                + 4 * linear(half, half) + [half] * 2
+                + mlp(self.mlp1_out + self.kg_dim, self.mlp2_hidden, self.n_classes))
+
+    def build_bytes(self) -> int:
+        """Peak bytes of building a DdiModel's parameters: all of them in the
+        model's dtype, plus the float64 array ``ParamStore.param`` draws the
+        largest into before casting it."""
+        sizes = self.parameter_sizes()
+        return sum(sizes) * np.dtype(self.np_dtype).itemsize + max(sizes) * 8
+
+
+def _ram_bytes() -> int | None:
+    """The machine's physical memory, None where the OS does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 class ParamStore:
@@ -194,12 +229,13 @@ class EncoderLayer:
         self.norm1 = LayerNorm(store, f"{name}.norm1", cfg.d_model)
         self.ffn = FeedForward(store, f"{name}.ffn", cfg.d_model, cfg.d_ff)
         self.norm2 = LayerNorm(store, f"{name}.norm2", cfg.d_model)
-        self.dropout = cfg.dropout
 
-    def __call__(self, x: Tensor, mask, rng, training: bool) -> Tensor:
-        a = ad.dropout(self.attn(x, mask), self.dropout, rng, training)
+    def __call__(self, x: Tensor, mask, keeps=(None, None)) -> Tensor:
+        """keeps: the dropout keep masks after attention and after the
+        feedforward, each None for no dropout."""
+        a = ad.dropout(self.attn(x, mask), keep=keeps[0])
         x = self.norm1(ad.add(x, a))
-        f = ad.dropout(self.ffn(x), self.dropout, rng, training)
+        f = ad.dropout(self.ffn(x), keep=keeps[1])
         return self.norm2(ad.add(x, f))
 
 
@@ -223,7 +259,9 @@ class Encoder:
     def __init__(self, store: ParamStore, name: str, cfg: ModelConfig):
         self.layers = [EncoderLayer(store, f"{name}.{i}", cfg) for i in range(cfg.n_layers)]
 
-    def __call__(self, x: Tensor, mask, rng, training: bool) -> Tensor:
+    def __call__(self, x: Tensor, mask, keeps=None) -> Tensor:
+        """keeps: two dropout keep masks per layer, in layer order, as
+        ``EncoderModel.dropout_keeps`` draws them; None for no dropout."""
         # Keys stop one past the batch's last real token, so no layer projects
         # keys or values for the all-padding tail. At least two stay: numpy
         # takes a one-row product by another kernel, whose rounding differs
@@ -231,8 +269,8 @@ class Encoder:
         real = np.flatnonzero(mask.any(axis=0))
         span = real[-1] + 1 if len(real) else 0
         mask = mask[:, :max(span, 2)]
-        for layer in self.layers:
-            x = layer(x, mask, rng, training)
+        for i, layer in enumerate(self.layers):
+            x = layer(x, mask, (None, None) if keeps is None else keeps[2 * i:2 * i + 2])
         return x
 
 
@@ -330,9 +368,59 @@ class EncoderModel:
     def eval(self):
         self.training = False
 
-    def encode(self, ids: np.ndarray, segment_ids: np.ndarray, mask: np.ndarray) -> Tensor:
-        x = self.embeddings(ids, segment_ids)
-        return self.encoder(x, mask, self.rng, self.training)
+    def tile(self) -> int:
+        """Samples per trunk tile: as many as fit ``TILE_BYTES`` at [max_len,
+        d_model] each, and at least one."""
+        cfg = self.cfg
+        sample_bytes = cfg.max_len * cfg.d_model * np.dtype(cfg.np_dtype).itemsize
+        return max(1, TILE_BYTES // sample_bytes)
+
+    def workers(self, batch: int) -> int:
+        """Threads that run the trunk's tiles over ``batch`` samples."""
+        return blas.workers(-(-batch // self.tile()))
+
+    def dropout_keeps(self, shape) -> list[np.ndarray] | None:
+        """The encoder's dropout keep masks over a [batch, length] ``shape``:
+        two per layer, in the order the layers apply them, drawn from
+        ``self.rng`` one at a time. None out of training or at dropout 0."""
+        cfg = self.cfg
+        if not self.training or cfg.dropout <= 0:
+            return None
+        return [ad.dropout_keep(tuple(shape) + (cfg.d_model,), cfg.dropout, self.rng,
+                                cfg.np_dtype) for _ in range(2 * cfg.n_layers)]
+
+    def encode(self, ids: np.ndarray, segment_ids: np.ndarray, mask: np.ndarray,
+               keeps=None) -> Tensor:
+        """embed -> encoder over one slice of samples. ``keeps``: the slice's
+        rows of the batch's ``dropout_keeps``; drawn here when not given."""
+        if keeps is None:
+            keeps = self.dropout_keeps(ids.shape)
+        return self.encoder(self.embeddings(ids, segment_ids), mask, keeps)
+
+    def trunk(self, ids: np.ndarray, segment_ids: np.ndarray, mask: np.ndarray,
+              tail=None) -> Tensor:
+        """``encode`` and then ``tail`` over the batch in ``tile()``-sample
+        tiles, the outputs joined in tile order.
+
+        No sample's path through the trunk reads another sample, so each
+        tile runs with its own key span and the outputs keep the bits of one
+        pass over the batch. The dropout masks are drawn for the whole batch
+        first, so the rng stream is that of one pass too. A batch of one tile
+        runs here as that one pass, with the BLAS threads the caller set.
+        More tiles run on ``workers()`` threads, each with one BLAS thread;
+        see ``autodiff.join_tiles``."""
+        keeps = self.dropout_keeps(ids.shape)
+        size = self.tile()
+
+        def run(lo):
+            rows = slice(lo, lo + size)
+            out = self.encode(ids[rows], segment_ids[rows], mask[rows],
+                              None if keeps is None else [k[rows] for k in keeps])
+            return out if tail is None else tail(out)
+
+        if len(ids) <= size:
+            return run(0)
+        return ad.join_tiles(run, range(0, len(ids), size), self.workers(len(ids)))
 
 
 class DdiModel(EncoderModel):
@@ -349,51 +437,20 @@ class DdiModel(EncoderModel):
         self.mlp2 = MlpModule(self.store, "mlp2", cfg.mlp1_out + cfg.kg_dim,
                               cfg.mlp2_hidden, cfg.n_classes)
 
-    def eval_tile(self) -> int:
-        """Samples per trunk tile in eval mode on one worker: as many as fit
-        ``EVAL_TILE_BYTES`` at [max_len, d_model] each, and at least one."""
-        cfg = self.cfg
-        sample_bytes = cfg.max_len * cfg.d_model * np.dtype(cfg.np_dtype).itemsize
-        return max(1, EVAL_TILE_BYTES // sample_bytes)
-
-    def eval_workers(self, batch: int) -> int:
-        """Threads that run an eval forward's trunk tiles over ``batch``
-        samples: one per BLAS thread, at most one per core and one per
-        ``eval_tile()`` tile. One without OpenBLAS, and while a tape records,
-        as a helper thread records on no tape."""
-        threads = blas.threads()
-        if threads is None or ad.active_tape() is not None:
-            return 1
-        tiles = -(-batch // self.eval_tile())
-        return max(1, min(threads, len(os.sched_getaffinity(0)), tiles))
-
     def forward(self, ids: np.ndarray, segment_ids: np.ndarray, mask: np.ndarray,
                 pair_vec: np.ndarray) -> Tensor:
         """ids/segment_ids: int [batch, max_len]; mask: bool [batch, max_len];
         pair_vec: [batch, kg_dim]. Returns logits [batch, n_classes].
 
-        In eval mode no sample's embed -> encoder -> conv path reads another
-        sample, so it runs on slices of samples, each with its own key span,
-        and the conv features keep the bits of one pass over the batch. The
-        slices run on ``eval_workers()`` threads, each with one BLAS thread;
-        the tiles in flight share ``EVAL_TILE_BYTES``. The head runs once on
-        the whole batch, with the BLAS threads the caller set: its GEMMs
-        round differently on fewer rows. Training runs the batch as one
-        slice, as batch norm needs the batch's statistics."""
+        The trunk runs in tiles (see ``trunk``): embed -> encoder in training,
+        where conv runs on the joined batch, as batch norm needs the batch's
+        statistics, and embed -> encoder -> conv in eval. The head runs once
+        on the whole batch, with the BLAS threads the caller set: its GEMMs
+        round differently on fewer rows."""
         if self.training:
-            workers, tile = 1, len(ids)
+            conv_feat = self.conv(self.trunk(ids, segment_ids, mask), True)
         else:
-            workers = self.eval_workers(len(ids))
-            tile = max(1, self.eval_tile() // workers)
-
-        def trunk(lo):
-            return self.conv(self.encode(ids[lo:lo + tile], segment_ids[lo:lo + tile],
-                                         mask[lo:lo + tile]), self.training)
-
-        starts = range(0, len(ids), tile)
-        feats = [trunk(lo) for lo in starts] if workers == 1 else \
-            _map_in_threads(trunk, starts, workers)
-        conv_feat = feats[0] if len(feats) == 1 else ad.concat(feats, axis=0)
+            conv_feat = self.trunk(ids, segment_ids, mask, lambda h: self.conv(h, False))
         seq_feat = self.mlp1(conv_feat, self.training)
         kg_feat = self.kg_attn(ad.constant(pair_vec, dtype=self.cfg.np_dtype))
         fused = ad.concat([seq_feat, kg_feat], axis=1)
@@ -412,45 +469,11 @@ class PretrainModel(EncoderModel):
     def masked_logits(self, ids, segment_ids, mask, flat_positions: np.ndarray) -> Tensor:
         """Logits only at the masked positions (flat indices into the
         flattened [batch * max_len] sequence)."""
-        hidden = self.encode(ids, segment_ids, mask)
+        hidden = self.trunk(ids, segment_ids, mask)
         b, n, d = hidden.shape
         flat = ad.reshape(hidden, (b * n, d))
         picked = ad.embedding_lookup(flat, flat_positions)
         return self.lm_head(picked)
-
-
-def _map_in_threads(fn, items, workers: int) -> list:
-    """``[fn(x) for x in items]`` on the calling thread and ``workers - 1``
-    helper threads, with one BLAS thread each; the count is restored after.
-    Each thread takes the next item no thread has taken. A helper runs in a
-    copy of the caller's context, so numpy's ``errstate`` holds in it. The
-    first exception reaches the caller once every thread has stopped."""
-    out = [None] * len(items)
-    claims = itertools.count()
-    errors = []
-
-    def work():
-        for i in claims:
-            if i >= len(items) or errors:
-                return
-            try:
-                out[i] = fn(items[i])
-            except BaseException as exc:
-                errors.append(exc)
-
-    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
-               for _ in range(workers - 1)]
-    with blas.single_threaded():
-        for helper in helpers:
-            helper.start()
-        try:
-            work()
-        finally:
-            for helper in helpers:
-                helper.join()
-    if errors:
-        raise errors[0]
-    return out
 
 
 TRANSFER_PREFIXES = ("embed.", "encoder.")

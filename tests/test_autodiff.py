@@ -1,6 +1,7 @@
 """Finite-difference checks for every differentiable primitive plus an
 independent oracle for the Adam update recurrence."""
 
+import os
 import threading
 import tracemalloc
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from ddikit import autodiff as ad
+from ddikit import blas, optim
 from ddikit.autodiff import Parameter, Tape, Tensor, backward, no_grad
 from ddikit.optim import AdamState, adam_step, zero_grads
 
@@ -807,6 +809,58 @@ def test_adam_rejects_nonfinite_grad():
     p.grad = np.array([1.0, np.nan])
     with pytest.raises(FloatingPointError, match="w"):
         adam_step({"w": p}, AdamState(learning_rate=0.1))
+
+
+def _two_adam_workers(monkeypatch):
+    """Let ``adam_step`` cut any parameters into two runs on two workers."""
+    monkeypatch.setattr(blas, "threads", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(optim, "RUN_BYTES", 1)
+
+
+def _adam_params(sizes, seed=0):
+    rng = np.random.default_rng(seed)
+    params = {}
+    for i, n in enumerate(sizes):
+        p = Parameter(rng.standard_normal(n), name=f"p{i}", dtype=np.float32)
+        p.grad = rng.standard_normal(n).astype(np.float32)
+        params[p.name] = p
+    return params
+
+
+def test_adam_on_two_workers_keeps_the_bits_of_one(monkeypatch):
+    one, two = _adam_params([5000, 7, 3000, 12000, 1]), _adam_params([5000, 7, 3000, 12000, 1])
+    state1, state2 = AdamState(learning_rate=0.1, weight_decay=0.01), \
+        AdamState(learning_rate=0.1, weight_decay=0.01)
+    for _ in range(3):
+        adam_step(one, state1)
+    _two_adam_workers(monkeypatch)
+    threads = []
+    update = optim._adam_update
+    monkeypatch.setattr(optim, "_adam_update",
+                        lambda *a: threads.append(threading.current_thread()) or update(*a))
+    for _ in range(3):
+        adam_step(two, state2)
+    assert {t is threading.main_thread() for t in threads} == {True, False}
+    assert list(state2.m) == list(state1.m) == list(one)
+    for name in one:
+        assert np.array_equal(one[name].data, two[name].data)
+        assert np.array_equal(state1.m[name], state2.m[name])
+        assert np.array_equal(state1.v[name], state2.v[name])
+
+
+def test_adam_on_two_workers_names_the_first_bad_parameter_in_dict_order(monkeypatch):
+    """p1 ends the first worker's run, behind a large parameter; p2 starts
+    the second's, so the second worker fails first. The error names p1, and
+    p1 is left as it was."""
+    params = _adam_params([200000, 3, 3, 200000])
+    params["p1"].grad[1] = np.nan
+    params["p2"].grad[0] = np.inf
+    before = params["p1"].data.copy()
+    _two_adam_workers(monkeypatch)
+    with pytest.raises(FloatingPointError, match="'p1'"):
+        adam_step(params, AdamState(learning_rate=0.1))
+    assert np.array_equal(params["p1"].data, before)
 
 
 def test_zero_grads():

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import ddikit
 from ddikit import blas, cli
+from ddikit import model as model_module
 from ddikit.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from ddikit.cli import main
 from ddikit.data import SplitBundle
@@ -539,6 +540,46 @@ def test_bad_config_value_exits_2(world, tmp_path, capsys, sub, setting):
     rc = run(sub, *files, *other, "--set", setting, "--out-dir", tmp_path / "o")
     assert rc == 2
     assert _one_error_line(capsys, "config")
+
+
+_UNDER_2_GIB = """
+import resource, runpy, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+sys.argv = ["ddikit"] + sys.argv[1:]
+runpy.run_module("ddikit.cli", run_name="__main__")
+"""
+
+
+def test_a_model_larger_than_ram_exits_2_before_it_is_drawn(world, tmp_path):
+    """``mlp1.fc1.w`` alone, at max_len * 256 * 512 float64 values, is past
+    the machine's RAM. The config is refused from its closed-form size;
+    drawing it would raise MemoryError under the child's 2 GiB address-space
+    limit, and without one page the machine until the kernel kills it."""
+    ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    max_len = ram // (256 * 512 * 8) + 1
+    _, files, other = _manifest_case(world, "train")
+    src = str(Path(ddikit.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _UNDER_2_GIB, "train", *map(str, files), *map(str, other),
+         "--set", "conv_blocks=0", "--set", f"max_len={max_len}", "--set", "d_model=256",
+         "--set", "n_heads=8", "--set", "mlp1_hidden=512", "--set", 'dtype="float64"',
+         "--out-dir", str(tmp_path / "o")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    err = proc.stderr.splitlines()
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert len(err) == 1 and err[0].startswith("ddikit:error:config: building this model")
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_checkpoint_of_a_model_larger_than_ram_exits_3(world, tmp_path, capsys,
+                                                         monkeypatch):
+    _, files, other = _manifest_case(world, "eval")
+    monkeypatch.setattr(model_module, "_ram_bytes", lambda: 1)
+    capsys.readouterr()
+    rc = run("eval", *files, *other, "--out-dir", tmp_path / "o")
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "stored config is not a model config: building this model" in err[0]
 
 
 @pytest.mark.parametrize("sub,key", [

@@ -419,6 +419,28 @@ def test_default_parameter_count_regression():
     assert model.n_parameters() == want
 
 
+@pytest.mark.parametrize("over", [{}, {"dtype": "float32"}, {"n_layers": 0, "conv_blocks": 0},
+                                  {"d_ff": 6, "max_len": 11, "conv_kernel": 5, "n_segments": 3}])
+def test_parameter_sizes_are_those_the_model_builds(over):
+    cfg = tiny_config(**over)
+    model = DdiModel(cfg, seed=0)
+    assert sorted(cfg.parameter_sizes()) == sorted(p.data.size for p in model.parameters().values())
+    itemsize = np.dtype(cfg.np_dtype).itemsize
+    assert cfg.build_bytes() == model.n_parameters() * itemsize + \
+        max(p.data.size for p in model.parameters().values()) * 8
+
+
+def test_config_refuses_a_model_larger_than_ram(monkeypatch):
+    cfg = tiny_config()
+    monkeypatch.setattr(model_module, "_ram_bytes", lambda: cfg.build_bytes() - 1)
+    with pytest.raises(ValueError, match="more than this machine's"):
+        tiny_config()
+    monkeypatch.setattr(model_module, "_ram_bytes", lambda: cfg.build_bytes())
+    tiny_config()
+    monkeypatch.setattr(model_module, "_ram_bytes", lambda: None)
+    tiny_config(max_len=10 ** 12)
+
+
 def test_encoder_zero_layers_is_embedding_identity():
     cfg = tiny_config(n_layers=0)
     model = DdiModel(cfg, seed=0)
@@ -458,11 +480,11 @@ def _encoder_with_grads(model, x0, mask, g, cut: bool):
     tape = Tape()
     with tape:
         if cut:
-            h = model.encoder(x, mask, model.rng, False)
+            h = model.encoder(x, mask)
         else:
             h = x
             for layer in model.encoder.layers:
-                h = layer(h, mask, model.rng, False)
+                h = layer(h, mask)
         loss = ad.tsum(ad.mul(h, ad.constant(g, dtype=g.dtype)))
     backward(loss, tape)
     return h.data, x.grad, {n: p.grad for n, p in model.parameters().items()
@@ -484,7 +506,7 @@ def test_encoder_key_span_cut_matches_the_uncut_path(dtype, tol, lengths):
     mask = np.arange(12)[None, :] < np.array(lengths)[:, None]
     tape = Tape()
     with tape:
-        model.encoder(Tensor(x0, requires_grad=True), mask, model.rng, False)
+        model.encoder(Tensor(x0, requires_grad=True), mask)
     ops = [e.backward_fn.__qualname__.split(".")[0] for e in tape.entries]
     assert ops.count("leading_rows") == cfg.n_layers
     assert tape.entries[0].output.shape == (3, max(lengths + (2,)), 8)
@@ -592,15 +614,15 @@ def test_float64_checkpoint_buffers_load_into_float32_model(tmp_path, monkeypatc
 
 
 # ---------------------------------------------------------------------------
-# eval trunk tiles
+# trunk tiles
 # ---------------------------------------------------------------------------
 
 def _set_tile(monkeypatch, model, samples: int):
-    """Size the eval tile budget so the trunk runs ``samples`` at a time."""
+    """Size the tile budget so the trunk runs ``samples`` at a time."""
     cfg = model.cfg
-    monkeypatch.setattr(model_module, "EVAL_TILE_BYTES",
+    monkeypatch.setattr(model_module, "TILE_BYTES",
                         samples * cfg.max_len * cfg.d_model * np.dtype(cfg.np_dtype).itemsize)
-    assert model.eval_tile() == samples
+    assert model.tile() == samples
 
 
 def _count_calls(model, attr: str) -> list:
@@ -617,10 +639,10 @@ def _count_calls(model, attr: str) -> list:
 
 def test_eval_tile_fits_the_byte_budget():
     def tile(**cfg):
-        return DdiModel(ModelConfig(vocab_size=10, n_classes=3, n_layers=0, **cfg)).eval_tile()
+        return DdiModel(ModelConfig(vocab_size=10, n_classes=3, n_layers=0, **cfg)).tile()
 
-    assert tile() == 4  # 2 MB over [500, 256] float32
-    assert tile(d_model=32, n_heads=4, max_len=96) == 170
+    assert tile() == 1  # 512 KiB over [500, 256] float32
+    assert tile(d_model=32, n_heads=4, max_len=96) == 42
     assert tile(max_len=2048, dtype="float64") == 1
 
 
@@ -657,8 +679,8 @@ def test_eval_forward_in_tiles_keeps_the_bits_of_one_pass(monkeypatch, dtype):
 
 
 def _force_workers(monkeypatch, workers: int):
-    """Make an eval forward see ``workers`` BLAS threads and cores, whatever
-    the host has."""
+    """Make the trunk see ``workers`` BLAS threads and cores, whatever the
+    host has."""
     monkeypatch.setattr(blas, "threads", lambda: workers)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
 
@@ -687,10 +709,10 @@ def _spy_tiles(model, on_tile=None):
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_eval_forward_on_two_workers_keeps_the_bits_of_one(monkeypatch, dtype):
-    """Two workers share a budget of 2 samples, so each takes tiles of one
-    sample, on the main thread and on a helper, both under the caller's
-    numpy ``errstate``; the logits equal those of one worker taking tiles of
-    2, with empty samples and a short last tile."""
+    """Two workers take the tiles of 2, on the main thread and on a helper,
+    both under the caller's numpy ``errstate``; the logits equal those of
+    one worker taking the same tiles, with empty samples and a short last
+    tile. The tile does not shrink with the number of workers."""
     model = DdiModel(tiny_config(d_model=8, n_layers=2, max_len=12, dtype=dtype), seed=4)
     model.eval()
     batch = _batch_of_seven(model)
@@ -699,12 +721,12 @@ def test_eval_forward_on_two_workers_keeps_the_bits_of_one(monkeypatch, dtype):
     with no_grad():
         one = model.forward(*batch).data
     _force_workers(monkeypatch, 2)
-    assert model.eval_workers(7) == 2
+    assert model.workers(7) == 2
     overs = []
     calls = _spy_tiles(model, lambda is_main: overs.append(np.geterr()["over"]))
     with no_grad(), np.errstate(over="raise"):
         two = model.forward(*batch).data
-    assert sorted(n for _, n in calls) == [1] * 7
+    assert sorted(n for _, n in calls) == [1, 2, 2, 2]
     assert {is_main for is_main, _ in calls} == {True, False} and set(overs) == {"raise"}
     assert two.dtype == np.dtype(dtype) and np.array_equal(two, one)
 
@@ -715,7 +737,7 @@ def test_more_workers_than_cores_take_every_tile_once(monkeypatch):
     model = DdiModel(tiny_config(d_model=8, n_layers=2, max_len=12), seed=4)
     model.eval()
     batch = tuple(np.concatenate([a] * 3) for a in _batch_of_seven(model))
-    _set_tile(monkeypatch, model, 4)
+    _set_tile(monkeypatch, model, 1)
     _force_workers(monkeypatch, 1)
     with no_grad():
         serial = model.forward(*batch).data
@@ -735,20 +757,21 @@ def test_more_workers_than_cores_take_every_tile_once(monkeypatch):
     assert np.array_equal(parallel, serial)
 
 
-def test_eval_workers_stop_at_the_tiles_the_cores_and_a_recording_tape(monkeypatch):
+def test_workers_stop_at_the_tiles_and_the_cores(monkeypatch):
+    """One worker per BLAS thread, at most one per core and one per tile, in
+    training and eval, under a recording tape or not; one without OpenBLAS."""
     model = DdiModel(tiny_config(), seed=0)
     model.eval()
     _set_tile(monkeypatch, model, 2)
     _force_workers(monkeypatch, 4)
-    assert [model.eval_workers(n) for n in (1, 2, 3, 5, 7, 9)] == [1, 1, 2, 3, 4, 4]
+    assert [model.workers(n) for n in (1, 2, 3, 5, 7, 9)] == [1, 1, 2, 3, 4, 4]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert model.eval_workers(9) == 2
+    assert model.workers(9) == 2
+    model.train()
     with Tape():
-        assert model.eval_workers(9) == 1
-    with Tape(), no_grad():
-        assert model.eval_workers(9) == 2
+        assert model.workers(9) == 2
     monkeypatch.setattr(blas, "threads", lambda: None)  # no OpenBLAS found
-    assert model.eval_workers(9) == 1
+    assert model.workers(9) == 1
 
 
 def test_an_error_in_a_helper_tile_reaches_the_caller_and_blas_threads_return(monkeypatch):
@@ -782,37 +805,136 @@ def test_an_error_in_a_helper_tile_reaches_the_caller_and_blas_threads_return(mo
     assert readback() == before and in_head == [before]
 
 
-def test_recorded_eval_forward_runs_its_tiles_in_order_on_one_thread(monkeypatch):
-    """Helper threads record on no tape, so a forward under a tape keeps one
-    worker however many BLAS threads there are: every op is on the tape
-    once, tile after tile, as with one BLAS thread."""
+def test_an_error_in_a_helper_tile_backward_reaches_the_caller_and_blas_threads_return(
+        monkeypatch):
+    """The trunk entry's backward runs each tile's tape on the workers with
+    one BLAS thread; an exception raised in a helper's tile backward is
+    raised by ``backward``, with the count restored and no thread left."""
+    readback = blas.threads
+    before = readback()
+    model = DdiModel(tiny_config(), seed=0)
+    batch = _batch_of_seven(model)
+    _set_tile(monkeypatch, model, 2)
+    _force_workers(monkeypatch, 2)
+    tape = Tape()
+    with tape:
+        loss = ad.cross_entropy_loss(model.forward(*batch), [0, 1, 2, 0, 1, 2, 0])
+    real, in_tiles = ad.backward, []
+    first_two = threading.Barrier(2, timeout=10)
+
+    def spy(out, tile_tape, grad=None, into=None):
+        is_main = threading.current_thread() is threading.main_thread()
+        if not in_tiles or len(in_tiles) == 1 and in_tiles[0][0] != is_main:
+            in_tiles.append((is_main, readback()))
+            first_two.wait()
+        if not is_main:
+            raise KeyError("planted")
+        return real(out, tile_tape, grad, into)
+
+    monkeypatch.setattr(ad, "backward", spy)
+    with pytest.raises(KeyError, match="planted"):
+        real(loss, tape)
+    assert readback() == before and threading.active_count() == 1
+    assert {t for _, t in in_tiles} == ({1} if before is not None else {None})
+
+
+def _training_step(model, batch):
+    """A training forward, its loss and backward; returns the caller's tape
+    entries as (op, output shape), the logits, and every parameter's
+    gradient."""
+    for p in model.parameters().values():
+        p.grad = None
+    tape = Tape()
+    with tape:
+        logits = model.forward(*batch)
+        loss = ad.cross_entropy_loss(logits, np.arange(len(logits.data)) % 3)
+    entries = [(e.backward_fn.__qualname__.split(".")[0], e.output.shape) for e in tape.entries]
+    backward(loss, tape)
+    return entries, logits.data, {n: p.grad for n, p in model.parameters().items()}
+
+
+def test_training_forward_runs_conv_once_on_the_joined_tiles(monkeypatch):
+    """Batch norm needs the batch's statistics, so a training forward runs
+    the embed -> encoder tiles, then conv once over the joined batch. The
+    caller's tape holds the trunk as one entry."""
+    model = DdiModel(tiny_config(), seed=0)
+    _set_tile(monkeypatch, model, 1)
+    encodes, convs = _count_calls(model, "encode"), _count_calls(model, "conv")
+    rng = np.random.default_rng(2)
+    ids = rng.integers(4, 12, size=(5, 8))
+    entries, _, _ = _training_step(model, (ids, np.zeros_like(ids), ids != 0,
+                                          rng.standard_normal((5, 4))))
+    assert encodes == [1] * 5 and convs == [5]
+    ops = [op for op, _ in entries]
+    assert ops.count("join_tiles") == 1 and entries[0] == ("join_tiles", (5, 8, 4))
+    assert "embedding_lookup" not in ops
+    assert ops.count("conv1d") == 2 * model.cfg.conv_blocks
+    assert ops.count("concat") == 1  # the fusion
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_training_gradients_on_two_workers_keep_the_bits_of_one(monkeypatch, dtype):
+    """Tiles of 2 over ``_batch_of_seven``, with dropout: two workers give
+    the logits and every gradient of one worker, bit for bit."""
+    model = DdiModel(tiny_config(d_model=8, n_layers=2, max_len=12, dropout=0.2, dtype=dtype),
+                     seed=4)
+    batch = _batch_of_seven(model)
+    _set_tile(monkeypatch, model, 2)
+    runs = []
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        model.rng = np.random.default_rng(11)
+        encodes = _count_calls(model, "encode")
+        runs.append(_training_step(model, batch))
+        del model.encode
+        assert sorted(encodes) == [1, 2, 2, 2]
+    (entries, logits, grads), (entries2, logits2, grads2) = runs
+    assert entries == entries2 and np.array_equal(logits, logits2)
+    assert all(g.dtype == np.dtype(dtype) for g in grads.values())
+    assert all(np.array_equal(grads[n], grads2[n]) for n in grads)
+
+
+def test_recorded_eval_forward_records_one_trunk_entry_with_the_gradients_of_one_worker(
+        monkeypatch):
+    """An eval forward under a tape records its embed -> encoder -> conv
+    tiles as one entry of the caller's tape, on one worker or two, and the
+    gradients keep their bits."""
     model = DdiModel(tiny_config(), seed=0)
     model.eval()
     batch = _batch_of_seven(model)
     _set_tile(monkeypatch, model, 2)
-
-    def recorded():
+    runs = []
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
         encodes = _count_calls(model, "encode")
-        threads, conv = [], model.conv
-        model.conv = lambda x, training: threads.append(threading.current_thread()) \
-            or conv(x, training)
-        tape = Tape()
-        with tape:
-            model.forward(*batch)
+        runs.append(_training_step(model, batch))
         del model.encode
-        model.conv = conv
-        return encodes, set(threads), [(e.backward_fn.__qualname__, e.output.shape)
-                                       for e in tape.entries]
+        assert sorted(encodes) == [1, 2, 2, 2]
+    (entries, logits, grads), (entries2, logits2, grads2) = runs
+    assert entries == entries2 and np.array_equal(logits, logits2)
+    ops = [op for op, _ in entries]
+    assert ops.count("join_tiles") == 1 and "conv1d" not in ops
+    assert all(np.array_equal(grads[n], grads2[n]) for n in grads)
 
-    _force_workers(monkeypatch, 1)
-    encodes, threads, serial = recorded()
-    _force_workers(monkeypatch, 2)
-    encodes2, threads2, entries = recorded()
-    assert encodes == encodes2 == [2, 2, 2, 1]
-    assert threads == threads2 == {threading.main_thread()}
-    assert entries == serial
-    convs = [shape[0] for name, shape in entries if name.startswith("conv1d")]
-    assert convs == [2] * 6 * model.cfg.conv_blocks + [1] * 2 * model.cfg.conv_blocks
+
+def test_tiled_training_trunk_draws_the_dropout_masks_of_one_pass(monkeypatch):
+    """The 2 x n_layers keep masks are drawn for the whole batch, one after
+    another, before the tiles run: the hidden states equal those of one
+    pass, and the rng's next draw is the one after those masks."""
+    model = PretrainModel(tiny_config(d_model=8, n_layers=2, max_len=12, dropout=0.3), seed=2)
+    ids, segs, mask, _ = _batch_of_seven(model)
+    hidden = []
+    for samples, workers in ((7, 1), (2, 2)):
+        _set_tile(monkeypatch, model, samples)
+        _force_workers(monkeypatch, workers)
+        model.rng = np.random.default_rng(5)
+        with no_grad():
+            hidden.append(model.trunk(ids, segs, mask).data)
+        hidden.append(model.rng.random())
+    ref = np.random.default_rng(5)
+    for _ in range(2 * model.cfg.n_layers):
+        ref.random((7, 12, 8))
+    assert np.array_equal(hidden[0], hidden[2]) and hidden[1] == hidden[3] == ref.random()
 
 
 _BLAS_THREADS_SCRIPT = """
@@ -822,7 +944,7 @@ from ddikit import model as m
 from ddikit.autodiff import no_grad
 cfg = m.ModelConfig(vocab_size=12, n_classes=5, d_model=64, n_layers=2, n_heads=4, d_ff=64,
                     max_len=96, kg_dim=16, kg_heads=2, conv_blocks=3, dtype="float32")
-m.EVAL_TILE_BYTES = 4 * cfg.max_len * cfg.d_model * 4
+m.TILE_BYTES = 4 * cfg.max_len * cfg.d_model * 4
 model = m.DdiModel(cfg, seed=3)
 model.eval()
 rng = np.random.default_rng(5)
@@ -830,43 +952,66 @@ ids = rng.integers(4, 12, size=(18, cfg.max_len))
 ids[np.arange(cfg.max_len)[None, :] >= rng.integers(0, cfg.max_len, 18)[:, None]] = 0
 with no_grad():
     logits = model.forward(ids, np.zeros_like(ids), ids != 0, rng.standard_normal((18, 16))).data
-print(model.eval_tile(), model.eval_workers(18), hashlib.sha256(logits.tobytes()).hexdigest())
+print(model.tile(), model.workers(18), hashlib.sha256(logits.tobytes()).hexdigest())
 """
 
 
-def test_eval_logits_keep_their_bytes_across_blas_thread_counts():
-    """``OPENBLAS_NUM_THREADS`` sets how many workers take the 5 tiles of an
-    eval forward over 18 samples; the logits keep their bytes."""
+def _run_at_blas_threads(script: str) -> dict[str, list[str]]:
+    """The words ``script`` prints, run at ``OPENBLAS_NUM_THREADS`` 1 and 2."""
     src = os.path.dirname(os.path.dirname(model_module.__file__))
     runs = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_SCRIPT], env=env,
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         runs[threads] = proc.stdout.split()
+    return runs
+
+
+def test_eval_logits_keep_their_bytes_across_blas_thread_counts():
+    """``OPENBLAS_NUM_THREADS`` sets how many workers take the 5 tiles of an
+    eval forward over 18 samples; the logits keep their bytes."""
+    runs = _run_at_blas_threads(_BLAS_THREADS_SCRIPT)
     cores = len(os.sched_getaffinity(0))
     workers = {t: w for t, (_, w, _) in runs.items()}
     assert runs["1"][0] == "4" and workers == {"1": "1", "2": str(min(2, cores))}
     assert runs["1"][2] == runs["2"][2]
 
 
-def test_training_forward_runs_one_trunk_pass_per_batch(monkeypatch):
-    """Batch norm needs the batch's statistics, so a training forward does
-    not tile however small the eval tile is."""
-    model = DdiModel(tiny_config(), seed=0)
-    _set_tile(monkeypatch, model, 1)
-    encodes, convs = _count_calls(model, "encode"), _count_calls(model, "conv")
-    rng = np.random.default_rng(2)
-    ids = rng.integers(4, 12, size=(5, 8))
-    tape = Tape()
-    with tape:
-        model.forward(ids, np.zeros_like(ids), ids != 0, rng.standard_normal((5, 4)))
-    assert encodes == [5] and convs == [5]
-    ops = [e.backward_fn.__qualname__.split(".")[0] for e in tape.entries]
-    assert ops.count("conv1d") == 2 * model.cfg.conv_blocks
-    assert ops.count("concat") == 1  # the fusion, no join of tiles
+_TRUNK_GRADS_SCRIPT = """
+import hashlib
+import numpy as np
+from ddikit import autodiff as ad
+from ddikit.model import DdiModel, ModelConfig
+model = DdiModel(ModelConfig(vocab_size=40, n_classes=7, n_layers=2, conv_blocks=2), seed=1)
+rng = np.random.default_rng(3)
+ids = rng.integers(4, 40, size=(4, 500))
+ids[np.arange(500)[None, :] >= np.array([146, 141, 129, 101])[:, None]] = 0
+tape = ad.Tape()
+with tape:
+    logits = model.forward(ids, np.zeros_like(ids), ids != 0, rng.standard_normal((4, 800)))
+    loss = ad.cross_entropy_loss(logits, [0, 3, 5, 6])
+ad.backward(loss, tape)
+trunk = hashlib.sha256()
+for name, p in model.parameters().items():
+    if name.startswith(("embed.", "encoder.")):
+        trunk.update(p.grad.tobytes())
+print(model.tile(), model.workers(4), trunk.hexdigest())
+"""
+
+
+def test_trunk_gradients_keep_their_bytes_across_blas_thread_counts():
+    """A paper-shaped trunk (d_model 256, 8 heads, max_len 500, float32) over
+    4 one-sample tiles: at 1 and 2 BLAS threads every embed and encoder
+    gradient keeps its bytes, as each tile runs at one BLAS thread and the
+    tiles' gradients add in tile order. One pass at 2 BLAS threads rounds
+    attention's key and value gradients differently."""
+    runs = _run_at_blas_threads(_TRUNK_GRADS_SCRIPT)
+    cores = len(os.sched_getaffinity(0))
+    assert runs["1"][:2] == ["1", "1"] and runs["2"][:2] == ["1", str(min(2, cores))]
+    assert runs["1"][2] == runs["2"][2]
 
 
 def _eval_forward_peak(model, batch: int) -> int:
@@ -886,14 +1031,16 @@ def _eval_forward_peak(model, batch: int) -> int:
 
 
 def test_eval_forward_memory_grows_by_the_head_not_the_trunk(monkeypatch):
-    """Four tiles' worth of samples peak at under twice the memory of one
-    tile: only the conv features and the head grow with the batch. One pass
-    over the whole batch measured a ratio of 3.5, tiles of 4 a ratio of 1.07."""
+    """Each worker holds one tile at a time, so four times the samples of
+    one tile per worker peak at under twice the memory: only the conv
+    features and the head grow with the batch. One pass over the whole batch
+    measured a ratio of 3.5, tiles of 4 on one worker a ratio of 1.07."""
     model = DdiModel(tiny_config(vocab_size=12, d_model=32, n_layers=1, n_heads=4, d_ff=32,
                                  max_len=128, conv_blocks=3, dtype="float32"), seed=0)
     _set_tile(monkeypatch, model, 4)
-    one = _eval_forward_peak(model, 4)
-    four = _eval_forward_peak(model, 16)
+    workers = model.workers(16)
+    one = _eval_forward_peak(model, 4 * workers)
+    four = _eval_forward_peak(model, 16 * workers)
     assert four < 2 * one, (four, one)
 
 
@@ -931,6 +1078,37 @@ def test_pretrain_model_gradients_match_finite_differences():
         logits = model.masked_logits(ids, segs, mask, flat_positions)
         return ad.cross_entropy_loss(logits, targets)
 
+    assert check_model_grads(model, build_loss) < 1e-4
+
+
+@pytest.mark.parametrize("model_cls", [DdiModel, PretrainModel])
+def test_tiled_trunk_gradients_match_finite_differences(monkeypatch, model_cls):
+    """Tiles of one sample on two workers, with dropout masks drawn afresh
+    from the same seed for every evaluation: the gradients the trunk entry
+    adds up from its tiles match finite differences."""
+    model = model_cls(tiny_config(dropout=0.2), seed=5)
+    _set_tile(monkeypatch, model, 1)
+    _force_workers(monkeypatch, 2)
+    rng = np.random.default_rng(15)
+    ids = rng.integers(4, 12, size=(3, 8))
+    ids[:, 6:] = 0
+    ids[1, 3:] = 0
+    segs = (np.arange(8) >= 4).astype(np.int64) * np.ones((3, 1), dtype=np.int64)
+    pair = rng.standard_normal((3, 4))
+    flat_positions = np.array([1, 5, 9, 17, 20])
+
+    def build_loss():
+        model.rng = np.random.default_rng(6)
+        if model_cls is DdiModel:
+            logits = model.forward(ids, segs, ids != 0, pair)
+            return ad.cross_entropy_loss(logits, [2, 0, 1])
+        logits = model.masked_logits(ids, segs, ids != 0, flat_positions)
+        return ad.cross_entropy_loss(logits, [4, 7, 5, 9, 11])
+
+    tape = Tape()
+    with tape:
+        build_loss()
+    assert [e.backward_fn.__qualname__.split(".")[0] for e in tape.entries].count("join_tiles") == 1
     assert check_model_grads(model, build_loss) < 1e-4
 
 
