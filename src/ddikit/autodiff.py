@@ -209,10 +209,9 @@ def join_tiles(run, starts, workers: int) -> Tensor:
     Under a recording tape each tile records on a tape of its own, and the
     caller's tape gets one entry whose inputs are the parameters the tiles
     read. Its backward back-propagates each tile's tape on the same workers,
-    each into a gradient dict of its own, and adds the dicts in tile order,
-    with at most ``workers`` of them held at once. The sums' bits then do
-    not depend on the number of workers, and no two threads write one
-    ``.grad``."""
+    each into a gradient dict of its own, so no two threads write one
+    ``.grad``; the calling thread then adds the dicts in tile order, so the
+    sums' bits do not depend on the number of workers."""
     if active_tape() is None:
         return concat(blas.map_in_threads(run, starts, workers), axis=0)
 
@@ -227,22 +226,19 @@ def join_tiles(run, starts, workers: int) -> Tensor:
     bounds = np.cumsum([0] + [len(out.data) for _, out in tiles])
 
     def bwd(g):
-        sums = {}
-
         def tile_grads(i):
             tape, out = tiles[i]
             grads = {}
             backward(out, tape, g[bounds[i]:bounds[i + 1]], grads)
             return grads
 
-        def add(grads):
+        sums = {}
+        for grads in blas.map_in_threads(tile_grads, range(len(tiles)), workers):
             for p, gp in grads.items():
                 if p in sums:
                     sums[p] += gp
                 else:
                     sums[p] = gp
-
-        blas.map_in_threads(tile_grads, range(len(tiles)), workers, fold=add)
         return tuple(sums.get(p) for p in params)
 
     return _make(np.concatenate([out.data for _, out in tiles]), params, bwd)

@@ -82,44 +82,26 @@ def workers(jobs: int) -> int:
     return max(1, min(count, len(os.sched_getaffinity(0)), jobs))
 
 
-def map_in_threads(fn, items, workers: int, fold=None) -> list | None:
+def map_in_threads(fn, items, workers: int) -> list:
     """``[fn(x) for x in items]`` on the calling thread and ``workers - 1``
     helper threads, with one BLAS thread each; the count is restored after.
-    Each thread takes the next item no thread has taken. A helper runs in a
-    copy of the caller's context, so numpy's ``errstate`` holds in it. The
-    first exception reaches the caller once every thread has stopped.
-
-    With ``fold``, each result is passed to ``fold`` instead, in the order of
-    ``items``: a thread whose result comes early waits until the results
-    before it are folded, so at most ``workers`` results are held at once and
-    no two folds overlap. Returns None then."""
+    Each thread takes the next item no thread has taken, and every item runs.
+    A helper runs in a copy of the caller's context, so numpy's ``errstate``
+    holds in it. Once every thread has stopped, the results come back in the
+    order of ``items``; if items raised, the exception of the first of them
+    in that order is raised instead."""
     out = [None] * len(items)
+    errors = [None] * len(items)
     claims = itertools.count()
-    folded = 0
-    errors = []
-    turn = threading.Condition()
 
     def work():
-        nonlocal folded
         for i in claims:
-            if i >= len(items) or errors:
+            if i >= len(items):
                 return
             try:
-                result = fn(items[i])
-                if fold is None:
-                    out[i] = result
-                    continue
-                with turn:
-                    turn.wait_for(lambda: folded == i or errors)
-                    if errors:
-                        return
-                    fold(result)
-                    folded += 1
-                    turn.notify_all()
+                out[i] = fn(items[i])
             except BaseException as exc:
-                with turn:
-                    errors.append(exc)
-                    turn.notify_all()
+                errors[i] = exc
 
     helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
                for _ in range(workers - 1)]
@@ -131,6 +113,7 @@ def map_in_threads(fn, items, workers: int, fold=None) -> list | None:
         finally:
             for helper in helpers:
                 helper.join()
-    if errors:
-        raise errors[0]
-    return None if fold is not None else out
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return out

@@ -190,10 +190,14 @@ def _pair_vectors(events, table, id_template) -> tuple[np.ndarray, PairEmbedder]
     return vecs, embedder
 
 
-def _build_model(cfg: dict, vocab_size: int, n_classes: int, kg_dim: int,
-                 seed: int) -> DdiModel:
-    return DdiModel(_take_fields(cfg, ModelConfig, vocab_size=vocab_size,
-                                 n_classes=n_classes, kg_dim=kg_dim), seed=seed)
+def _build_model(model_cls, cfg: dict, seed: int, **fixed):
+    """``model_cls`` with the ModelConfig fields in cfg and ``fixed``; one
+    larger than this machine's RAM is a config error too."""
+    mcfg = _take_fields(cfg, ModelConfig, **fixed)
+    try:
+        return model_cls(mcfg, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +259,7 @@ def cmd_pretrain(args, cfg):
     pcfg = _take_fields(cfg, PretrainConfig, seed=args.seed)
     corpus = _read_corpus(args.corpus, least=2)  # each molecule is paired with another
     vocab = Vocabulary.load(args.vocab)
-    mcfg = _take_fields(cfg, ModelConfig, vocab_size=len(vocab), n_classes=2)
-    model = PretrainModel(mcfg, seed=args.seed)
+    model = _build_model(PretrainModel, cfg, args.seed, vocab_size=len(vocab), n_classes=2)
     history = mlm_pretrain(model, corpus, vocab, pcfg,
                            progress=lambda e, l: print(f"epoch {e}: mlm loss {l:.4f}"))
     ckpt = _out(args, "pretrained.ckpt")
@@ -286,10 +289,9 @@ def _load_model(path, model_cls, seed: int, vocab: Vocabulary, labels=None):
     trained with ``vocab`` and, if given, ``labels`` (in class-id order)."""
     meta, _ = read_checkpoint(path)
     try:
-        cfg = ModelConfig(**meta["config"])
+        model = model_cls(ModelConfig(**meta["config"]), seed=seed)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: stored config is not a model config: {exc}") from exc
-    model = model_cls(cfg, seed=seed)
     load_checkpoint(path, model, vocab=vocab.tokens, labels=labels)
     return model
 
@@ -339,7 +341,8 @@ def cmd_train(args, cfg):
     drugs, events, label_map, bundle, vocab, pair_vecs, embedder = \
         _load_training_world(args, cfg)
     train_idx, eval_idx = _cv_fold(bundle, cfg["eval_fold"])
-    model = _build_model(cfg, len(vocab), len(label_map), pair_vecs.shape[1], args.seed)
+    model = _build_model(DdiModel, cfg, args.seed, vocab_size=len(vocab),
+                         n_classes=len(label_map), kg_dim=pair_vecs.shape[1])
     if args.pretrained:
         _transfer(_load_model(args.pretrained, PretrainModel, args.seed, vocab), model)
     ckpt = _out(args, "model.ckpt")
@@ -400,8 +403,8 @@ def cmd_sts(args, cfg):
     rows = []
     start = len(series[0])
     for step, subset in enumerate(series):
-        model = _build_model(cfg, len(vocab), len(label_map), pair_vecs.shape[1],
-                             args.seed + step)
+        model = _build_model(DdiModel, cfg, args.seed + step, vocab_size=len(vocab),
+                             n_classes=len(label_map), kg_dim=pair_vecs.shape[1])
         if pretrained is not None:
             _transfer(pretrained, model)
         finetune(model, subset, [], events, drugs, vocab, pair_vecs, fcfg)

@@ -66,10 +66,6 @@ class ModelConfig:
             raise ValueError("d_model must be divisible by n_heads")
         if self.kg_dim % 2 or (self.kg_dim // 2) % self.kg_heads:
             raise ValueError("kg_dim must be even and half divisible by kg_heads")
-        need, ram = self.build_bytes(), _ram_bytes()
-        if ram is not None and need > ram:
-            raise ValueError(f"building this model takes {need / 2**30:.1f} GiB, more than "
-                             f"this machine's {ram / 2**30:.1f} GiB of RAM")
 
     @property
     def np_dtype(self):
@@ -83,31 +79,6 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def parameter_sizes(self) -> list[int]:
-        """The element count of each of a DdiModel's parameters."""
-        d, half = self.d_model, self.kg_dim // 2
-
-        def linear(d_in, d_out):
-            return [d_in * d_out, d_out]
-
-        def mlp(d_in, d_hidden, d_out):
-            return linear(d_in, d_hidden) + [d_hidden] * 2 + linear(d_hidden, d_out)
-
-        return ([self.vocab_size * d, self.n_segments * d, self.max_len * d]
-                + self.n_layers * (4 * linear(d, d) + [d] * 2 + linear(d, self.d_ff)
-                                   + linear(self.d_ff, d) + [d] * 2)
-                + self.conv_blocks * 2 * [d * d * self.conv_kernel, d, d, d]
-                + mlp(self.conv_out_len() * d, self.mlp1_hidden, self.mlp1_out)
-                + 4 * linear(half, half) + [half] * 2
-                + mlp(self.mlp1_out + self.kg_dim, self.mlp2_hidden, self.n_classes))
-
-    def build_bytes(self) -> int:
-        """Peak bytes of building a DdiModel's parameters: all of them in the
-        model's dtype, plus the float64 array ``ParamStore.param`` draws the
-        largest into before casting it."""
-        sizes = self.parameter_sizes()
-        return sum(sizes) * np.dtype(self.np_dtype).itemsize + max(sizes) * 8
 
 
 def _ram_bytes() -> int | None:
@@ -126,10 +97,20 @@ class ParamStore:
         self.dtype = dtype
         self.params: dict[str, Parameter] = {}
         self.buffers: dict[str, np.ndarray] = {}
+        self.nbytes = 0  # of the parameters built so far
 
     def param(self, name: str, shape, init: str = "normal", std: float = 0.02) -> Parameter:
+        """A new parameter, drawn in float64 and cast to the store's dtype.
+        Refuses, with ``ValueError``, one whose draw and cast, on top of the
+        parameters built so far, take more than the machine's RAM: the peak
+        of building the model, checked before it is reached."""
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name!r}")
+        need = self.nbytes + math.prod(shape) * (8 + np.dtype(self.dtype).itemsize)
+        ram = _ram_bytes()
+        if ram is not None and need > ram:
+            raise ValueError(f"building this model takes {need / 2**30:.1f} GiB at {name!r}, "
+                             f"more than this machine's {ram / 2**30:.1f} GiB of RAM")
         if init == "normal":
             data = self.rng.normal(0.0, std, size=shape)
         elif init == "zeros":
@@ -140,6 +121,7 @@ class ParamStore:
             raise ValueError(init)
         p = Parameter(data, name=name, dtype=self.dtype)
         self.params[name] = p
+        self.nbytes += p.data.nbytes
         return p
 
     def buffer(self, name: str, data: np.ndarray) -> np.ndarray:

@@ -52,9 +52,9 @@ def adam_step(params: dict[str, Parameter], state: AdamState):
 
     Raises ``FloatingPointError`` naming the first parameter in dict order
     whose gradient, ``v`` or update is not finite (in float32, ``g * g`` can
-    overflow), before that parameter's ``p.data`` changes. Each worker stops
-    at its first bad parameter, but parameters later in dict order, in
-    another worker's run, may have been updated."""
+    overflow), before that parameter's ``p.data`` changes: each run stops at
+    its first bad parameter, and the first failing run's error is raised.
+    Parameters later in dict order, in another run, may have been updated."""
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
@@ -72,16 +72,10 @@ def adam_step(params: dict[str, Parameter], state: AdamState):
         start += p.data.nbytes
 
     def update(run):
-        try:
-            for name, p in run:
-                _adam_update(name, p, state, bc1, bc2)
-        except FloatingPointError as exc:
-            return exc
-        return None
+        for name, p in run:
+            _adam_update(name, p, state, bc1, bc2)
 
-    bad = [exc for exc in blas.map_in_threads(update, runs, count) if exc is not None]
-    if bad:
-        raise bad[0]
+    blas.map_in_threads(update, runs, count)
 
 
 def _adam_update(name: str, p: Parameter, state: AdamState, bc1: float, bc2: float):

@@ -1,9 +1,12 @@
 """Shared pytest hooks: collects one pass/fail line per acceptance criterion
-and prints them in the terminal summary, and makes hypothesis tests
-deterministic (fixed draws, no example database, no deadline)."""
+and prints them in the terminal summary, makes hypothesis tests
+deterministic (fixed draws, no example database, no deadline) and fails a
+test that leaves a thread it started running."""
 
 import tempfile
+import threading
 
+import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -13,6 +16,15 @@ settings.load_profile("ddikit")
 # that cache in a directory removed at exit instead of ./.hypothesis.
 _hypothesis_home = tempfile.TemporaryDirectory(prefix="ddikit-hypothesis-")
 set_hypothesis_home_dir(_hypothesis_home.name)
+
+
+@pytest.fixture(autouse=True)
+def _no_thread_left_running():
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert not left, f"threads left running after the test: {left}"
+
 
 _criterion_lines: list[str] = []
 

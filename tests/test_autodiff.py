@@ -818,6 +818,39 @@ def _two_adam_workers(monkeypatch):
     monkeypatch.setattr(optim, "RUN_BYTES", 1)
 
 
+def test_map_in_threads_runs_every_item_and_raises_the_first_failure_in_item_order():
+    """Item 1 raises first and item 0 after it: items 2 and 3 still run, and
+    the caller gets item 0's error once both threads have stopped."""
+    ran, item1_raised = [], threading.Event()
+
+    def fn(i):
+        ran.append(i)
+        if i == 0:
+            assert item1_raised.wait(10)
+            raise KeyError("item 0")
+        if i == 1:
+            item1_raised.set()
+            raise KeyError("item 1")
+
+    with pytest.raises(KeyError, match="item 0"):
+        blas.map_in_threads(fn, range(4), 2)
+    assert sorted(ran) == [0, 1, 2, 3]
+
+
+def test_map_in_threads_returns_the_results_in_item_order():
+    """Item 0 finishes last, after item 3; the results are in item order."""
+    item3_done = threading.Event()
+
+    def square(i):
+        if i == 0:
+            assert item3_done.wait(10)
+        if i == 3:
+            item3_done.set()
+        return i * i
+
+    assert blas.map_in_threads(square, range(4), 2) == [0, 1, 4, 9]
+
+
 def _adam_params(sizes, seed=0):
     rng = np.random.default_rng(seed)
     params = {}
@@ -835,13 +868,22 @@ def test_adam_on_two_workers_keeps_the_bits_of_one(monkeypatch):
     for _ in range(3):
         adam_step(one, state1)
     _two_adam_workers(monkeypatch)
-    threads = []
+    # the first update on the main thread and on a helper each wait for the
+    # other, so a helper cannot take both runs before the main thread starts
+    on_main, first_two = [], threading.Barrier(2, timeout=10)
     update = optim._adam_update
-    monkeypatch.setattr(optim, "_adam_update",
-                        lambda *a: threads.append(threading.current_thread()) or update(*a))
+
+    def spy(*args):
+        is_main = threading.current_thread() is threading.main_thread()
+        if is_main not in on_main:
+            on_main.append(is_main)
+            first_two.wait()
+        return update(*args)
+
+    monkeypatch.setattr(optim, "_adam_update", spy)
     for _ in range(3):
         adam_step(two, state2)
-    assert {t is threading.main_thread() for t in threads} == {True, False}
+    assert set(on_main) == {True, False}
     assert list(state2.m) == list(state1.m) == list(one)
     for name in one:
         assert np.array_equal(one[name].data, two[name].data)

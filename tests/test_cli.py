@@ -552,7 +552,7 @@ runpy.run_module("ddikit.cli", run_name="__main__")
 
 def test_a_model_larger_than_ram_exits_2_before_it_is_drawn(world, tmp_path):
     """``mlp1.fc1.w`` alone, at max_len * 256 * 512 float64 values, is past
-    the machine's RAM. The config is refused from its closed-form size;
+    the machine's RAM. The model is refused before that weight is drawn;
     drawing it would raise MemoryError under the child's 2 GiB address-space
     limit, and without one page the machine until the kernel kills it."""
     ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")

@@ -419,26 +419,55 @@ def test_default_parameter_count_regression():
     assert model.n_parameters() == want
 
 
+def _build_peak(model) -> int:
+    """The most bytes building ``model`` holds at once: the parameters built
+    before one, plus that one's float64 draw and its cast."""
+    peak = held = 0
+    for p in model.parameters().values():
+        peak = max(peak, held + p.data.size * (8 + p.data.itemsize))
+        held += p.data.nbytes
+    return peak
+
+
 @pytest.mark.parametrize("over", [{}, {"dtype": "float32"}, {"n_layers": 0, "conv_blocks": 0},
                                   {"d_ff": 6, "max_len": 11, "conv_kernel": 5, "n_segments": 3}])
-def test_parameter_sizes_are_those_the_model_builds(over):
+def test_a_model_is_refused_one_byte_below_its_build_peak(monkeypatch, over):
     cfg = tiny_config(**over)
-    model = DdiModel(cfg, seed=0)
-    assert sorted(cfg.parameter_sizes()) == sorted(p.data.size for p in model.parameters().values())
-    itemsize = np.dtype(cfg.np_dtype).itemsize
-    assert cfg.build_bytes() == model.n_parameters() * itemsize + \
-        max(p.data.size for p in model.parameters().values()) * 8
+    for model_cls in (DdiModel, PretrainModel):
+        peak = _build_peak(model_cls(cfg, seed=0))
+        monkeypatch.setattr(model_module, "_ram_bytes", lambda: peak - 1)
+        with pytest.raises(ValueError, match="more than this machine's"):
+            model_cls(cfg, seed=0)
+        monkeypatch.setattr(model_module, "_ram_bytes", lambda: peak)
+        model_cls(cfg, seed=0)
 
 
 def test_config_refuses_a_model_larger_than_ram(monkeypatch):
+    """The refusal sits where the model is built, not in its config: the
+    config is accepted and the model refused; where the OS gives no RAM
+    size, nothing is refused."""
+    monkeypatch.setattr(model_module, "_ram_bytes", lambda: 1)
     cfg = tiny_config()
-    monkeypatch.setattr(model_module, "_ram_bytes", lambda: cfg.build_bytes() - 1)
-    with pytest.raises(ValueError, match="more than this machine's"):
-        tiny_config()
-    monkeypatch.setattr(model_module, "_ram_bytes", lambda: cfg.build_bytes())
-    tiny_config()
+    with pytest.raises(ValueError, match=r"^building this model takes .* GiB at 'embed.token', "
+                                         r"more than this machine's .* GiB of RAM$"):
+        DdiModel(cfg, seed=0)
     monkeypatch.setattr(model_module, "_ram_bytes", lambda: None)
-    tiny_config(max_len=10 ** 12)
+    DdiModel(cfg, seed=0)
+
+
+def test_a_pretrain_model_builds_where_the_ddi_model_of_its_config_is_refused(monkeypatch):
+    """At max_len 8192 the DDI model's ``mlp1.fc1.w`` takes 12 GiB to draw,
+    while the pretrain model, which has no mlp1, takes 17 MB. With the RAM
+    between the two, the config is accepted, the pretrain model builds and
+    the DDI model is refused at that weight."""
+    cfg = ModelConfig(vocab_size=40, n_classes=2, conv_blocks=0, max_len=8192)
+    pretrain = PretrainModel(cfg, seed=0)
+    peak = _build_peak(pretrain)
+    assert peak < 64 << 20
+    monkeypatch.setattr(model_module, "_ram_bytes", lambda: peak)
+    PretrainModel(cfg, seed=0)
+    with pytest.raises(ValueError, match="at 'mlp1.fc1.w', more than this machine's"):
+        DdiModel(cfg, seed=0)
 
 
 def test_encoder_zero_layers_is_embedding_identity():
@@ -836,6 +865,42 @@ def test_an_error_in_a_helper_tile_backward_reaches_the_caller_and_blas_threads_
         real(loss, tape)
     assert readback() == before and threading.active_count() == 1
     assert {t for _, t in in_tiles} == ({1} if before is not None else {None})
+
+
+def test_a_worker_takes_the_next_tile_backward_while_another_tile_is_still_running(
+        monkeypatch):
+    """Three tiles on two workers: tile 0's backward waits for tile 2's to
+    start, which the worker done with tile 1 takes without waiting for tile
+    0. The gradients equal those of one worker."""
+    model = DdiModel(tiny_config(), seed=0)
+    ids, segs, mask, pair = _batch_of_seven(model)
+    batch = (ids[:5], segs[:5], mask[:5], pair[:5])
+    _set_tile(monkeypatch, model, 2)
+    _force_workers(monkeypatch, 1)
+    _, _, one = _training_step(model, batch)
+    _force_workers(monkeypatch, 2)
+    tiles, encode = {}, model.encode
+
+    def spy_encode(tile_ids, *args):
+        first_row = (tile_ids.ctypes.data - ids.ctypes.data) // ids.strides[0]
+        tiles[id(ad.active_tape())] = first_row // 2
+        return encode(tile_ids, *args)
+
+    real, tile2_started = ad.backward, threading.Event()
+
+    def spy(out, tile_tape, grad=None, into=None):
+        tile = tiles[id(tile_tape)]
+        if tile == 2:
+            tile2_started.set()
+        if tile == 0:
+            assert tile2_started.wait(5), "tile 2's backward waited for tile 0's"
+        return real(out, tile_tape, grad, into)
+
+    model.encode = spy_encode
+    monkeypatch.setattr(ad, "backward", spy)
+    _, _, two = _training_step(model, batch)
+    assert sorted(tiles.values()) == [0, 1, 2]
+    assert all(np.array_equal(one[n], two[n]) for n in one)
 
 
 def _training_step(model, batch):
