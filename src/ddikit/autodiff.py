@@ -202,9 +202,9 @@ def backward(output: Tensor, tape: Tape, grad: Optional[np.ndarray] = None,
                 inp.grad = gi.copy()
 
 
-def join_tiles(run, starts, workers: int) -> Tensor:
-    """``run(lo)`` for each tile start on ``workers`` threads, the outputs
-    joined along axis 0 in tile order.
+def join_tiles(run, starts) -> Tensor:
+    """``run(lo)`` for each tile start on the threads ``blas.map_in_threads``
+    gives them, the outputs joined along axis 0 in tile order.
 
     Under a recording tape each tile records on a tape of its own, and the
     caller's tape gets one entry whose inputs are the parameters the tiles
@@ -213,14 +213,14 @@ def join_tiles(run, starts, workers: int) -> Tensor:
     ``.grad``; the calling thread then adds the dicts in tile order, so the
     sums' bits do not depend on the number of workers."""
     if active_tape() is None:
-        return concat(blas.map_in_threads(run, starts, workers), axis=0)
+        return concat(blas.map_in_threads(run, starts), axis=0)
 
     def recorded(lo):
         tape = Tape()
         with tape:
             return tape, run(lo)
 
-    tiles = blas.map_in_threads(recorded, starts, workers)
+    tiles = blas.map_in_threads(recorded, starts)
     params = list(dict.fromkeys(inp for tape, _ in tiles for entry in tape.entries
                                 for inp in entry.inputs if isinstance(inp, Parameter)))
     bounds = np.cumsum([0] + [len(out.data) for _, out in tiles])
@@ -233,7 +233,7 @@ def join_tiles(run, starts, workers: int) -> Tensor:
             return grads
 
         sums = {}
-        for grads in blas.map_in_threads(tile_grads, range(len(tiles)), workers):
+        for grads in blas.map_in_threads(tile_grads, range(len(tiles))):
             for p, gp in grads.items():
                 if p in sums:
                     sums[p] += gp
@@ -725,16 +725,12 @@ def dropout_keep(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray
     return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
 
 
-def dropout(x: Tensor, p: float = 0.0, rng: Optional[np.random.Generator] = None,
-            training: bool = True, keep: Optional[np.ndarray] = None) -> Tensor:
-    """x times a keep mask: ``keep``, drawn beforehand by ``dropout_keep`` (a
-    caller that runs one batch in slices draws it for the whole batch and
-    passes each slice its rows), or else one drawn from ``rng`` in training
-    with p > 0. Otherwise x itself."""
+def dropout(x: Tensor, keep: Optional[np.ndarray]) -> Tensor:
+    """x times ``keep``, a mask drawn by ``dropout_keep`` (a caller that runs
+    one batch in slices draws it for the whole batch and passes each slice
+    its rows); x itself when ``keep`` is None."""
     if keep is None:
-        if not training or p <= 0.0:
-            return x
-        keep = dropout_keep(x.data.shape, p, rng, x.data.dtype)
+        return x
     out = x.data * keep
 
     def bwd(g):

@@ -82,9 +82,10 @@ def workers(jobs: int) -> int:
     return max(1, min(count, len(os.sched_getaffinity(0)), jobs))
 
 
-def map_in_threads(fn, items, workers: int) -> list:
-    """``[fn(x) for x in items]`` on the calling thread and ``workers - 1``
-    helper threads, with one BLAS thread each; the count is restored after.
+def map_in_threads(fn, items) -> list:
+    """``[fn(x) for x in items]`` on the calling thread and helper threads,
+    ``workers(len(items))`` threads in all, with one BLAS thread each; the
+    count is restored after. One item runs on the caller alone.
     Each thread takes the next item no thread has taken, and every item runs.
     A helper runs in a copy of the caller's context, so numpy's ``errstate``
     holds in it. Once every thread has stopped, the results come back in the
@@ -104,7 +105,7 @@ def map_in_threads(fn, items, workers: int) -> list:
                 errors[i] = exc
 
     helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
-               for _ in range(workers - 1)]
+               for _ in range(workers(len(items)) - 1)]
     with single_threaded():
         for helper in helpers:
             helper.start()

@@ -33,7 +33,7 @@ from .fixtures import make_dataset_fixture
 from .kg import (ID_TEMPLATE, PairEmbedder, TransEConfig, TripleError, load_table,
                  load_triples, save_table, train_transe)
 from .metrics import curves_to_csv, evaluate, roc_auc, aupr
-from .model import DdiModel, ModelConfig, PretrainModel, transfer_encoder_weights
+from .model import DdiModel, ModelConfig, PretrainModel, _ram_bytes, transfer_encoder_weights
 from .smiles import SmilesError, Vocabulary, VocabularyError
 from .training import (FinetuneConfig, PretrainConfig, accuracy, finetune,
                        mlm_pretrain, predict_scores)
@@ -160,14 +160,16 @@ def _write_manifest(args, config, outputs, t0):
 def _environment() -> dict:
     """What the run's numbers came from: the BLAS numpy was built with and
     the thread count read back from it (None without OpenBLAS), the cores
-    this process may run on and the machine's RAM."""
+    this process may run on and the machine's RAM (None where the OS does
+    not say)."""
     built = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
     cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    ram = _ram_bytes()
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": built.get("name"), "blas_version": built.get("version"),
             "blas_threads": blas.threads(),
             "cores": len(cores) if cores else os.cpu_count(),
-            "ram_mb": os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2**20}
+            "ram_mb": None if ram is None else ram // 2**20}
 
 
 def _out(args, name):

@@ -17,7 +17,6 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import autodiff as ad
-from . import blas
 from .autodiff import Tensor, Parameter
 
 # The trunk (embed -> encoder, and conv in eval) runs on tiles of samples
@@ -357,10 +356,6 @@ class EncoderModel:
         sample_bytes = cfg.max_len * cfg.d_model * np.dtype(cfg.np_dtype).itemsize
         return max(1, TILE_BYTES // sample_bytes)
 
-    def workers(self, batch: int) -> int:
-        """Threads that run the trunk's tiles over ``batch`` samples."""
-        return blas.workers(-(-batch // self.tile()))
-
     def dropout_keeps(self, shape) -> list[np.ndarray] | None:
         """The encoder's dropout keep masks over a [batch, length] ``shape``:
         two per layer, in the order the layers apply them, drawn from
@@ -371,38 +366,30 @@ class EncoderModel:
         return [ad.dropout_keep(tuple(shape) + (cfg.d_model,), cfg.dropout, self.rng,
                                 cfg.np_dtype) for _ in range(2 * cfg.n_layers)]
 
-    def encode(self, ids: np.ndarray, segment_ids: np.ndarray, mask: np.ndarray,
-               keeps=None) -> Tensor:
-        """embed -> encoder over one slice of samples. ``keeps``: the slice's
-        rows of the batch's ``dropout_keeps``; drawn here when not given."""
-        if keeps is None:
-            keeps = self.dropout_keeps(ids.shape)
-        return self.encoder(self.embeddings(ids, segment_ids), mask, keeps)
-
     def trunk(self, ids: np.ndarray, segment_ids: np.ndarray, mask: np.ndarray,
               tail=None) -> Tensor:
-        """``encode`` and then ``tail`` over the batch in ``tile()``-sample
-        tiles, the outputs joined in tile order.
+        """embed -> encoder and then ``tail`` over the batch in
+        ``tile()``-sample tiles, the outputs joined in tile order.
 
         No sample's path through the trunk reads another sample, so each
         tile runs with its own key span and the outputs keep the bits of one
-        pass over the batch. The dropout masks are drawn for the whole batch
-        first, so the rng stream is that of one pass too. A batch of one tile
+        pass over the batch. The dropout masks are drawn here, for the whole
+        batch, so the rng stream is that of one pass too. A batch of one tile
         runs here as that one pass, with the BLAS threads the caller set.
-        More tiles run on ``workers()`` threads, each with one BLAS thread;
-        see ``autodiff.join_tiles``."""
+        More tiles run through ``autodiff.join_tiles`` on the threads
+        ``blas.map_in_threads`` sizes, each with one BLAS thread."""
         keeps = self.dropout_keeps(ids.shape)
         size = self.tile()
 
         def run(lo):
             rows = slice(lo, lo + size)
-            out = self.encode(ids[rows], segment_ids[rows], mask[rows],
-                              None if keeps is None else [k[rows] for k in keeps])
+            out = self.encoder(self.embeddings(ids[rows], segment_ids[rows]), mask[rows],
+                               None if keeps is None else [k[rows] for k in keeps])
             return out if tail is None else tail(out)
 
         if len(ids) <= size:
             return run(0)
-        return ad.join_tiles(run, range(0, len(ids), size), self.workers(len(ids)))
+        return ad.join_tiles(run, range(0, len(ids), size))
 
 
 class DdiModel(EncoderModel):

@@ -85,8 +85,9 @@ def primitive_battery(seed: int) -> float:
                                                     dtype=np.float64)),
                          t["cw"], t["cb"])
         pooled = ad.max_pool1d(conv, 2)
-        drop = ad.dropout(ad.leaky_relu(t["x"]), 0.4,
-                          np.random.default_rng(7), training=True)
+        drop = ad.dropout(ad.leaky_relu(t["x"]),
+                          ad.dropout_keep(t["x"].shape, 0.4, np.random.default_rng(7),
+                                          t["x"].dtype))
         ce = ad.cross_entropy_loss(t["logits"], targets)
         pieces = [ad.tsum(z) for z in (m, ln, bn, pooled, drop)]
         total = ce
@@ -380,8 +381,8 @@ def test_criterion_8_transfer_and_checkpoints(tmp_path):
     segs = np.zeros_like(ids)
     mask = np.ones_like(ids, dtype=bool)
     with no_grad():
-        enc_same = np.array_equal(src.encode(ids, segs, mask).data,
-                                  dst.encode(ids, segs, mask).data)
+        enc_same = np.array_equal(src.trunk(ids, segs, mask).data,
+                                  dst.trunk(ids, segs, mask).data)
 
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, dst, epoch=3)

@@ -580,18 +580,18 @@ def test_dropout_grads_with_fixed_mask(seed):
     arrays = {"x": r(rng, 4, 6)}
 
     def build(t):
-        y = ad.dropout(t["x"], 0.5, np.random.default_rng(123), training=True)
+        y = ad.dropout(t["x"], ad.dropout_keep(t["x"].shape, 0.5, np.random.default_rng(123),
+                                               t["x"].dtype))
         return ad.tsum(ad.mul(y, y))
 
     assert check_grads(build, arrays) < TOL
 
 
 def test_dropout_eval_is_identity_and_scaling_preserves_mean():
-    rng = np.random.default_rng(0)
     x = Tensor(np.ones((200, 50)), dtype=np.float64)
     with no_grad():
-        same = ad.dropout(x, 0.3, np.random.default_rng(0), training=False)
-        dropped = ad.dropout(x, 0.3, np.random.default_rng(0), training=True)
+        same = ad.dropout(x, None)
+        dropped = ad.dropout(x, ad.dropout_keep(x.shape, 0.3, np.random.default_rng(0), x.dtype))
     assert same.data is x.data or np.array_equal(same.data, x.data)
     assert abs(dropped.data.mean() - 1.0) < 0.02
     zeros = (dropped.data == 0).mean()
@@ -811,16 +811,24 @@ def test_adam_rejects_nonfinite_grad():
         adam_step({"w": p}, AdamState(learning_rate=0.1))
 
 
-def _two_adam_workers(monkeypatch):
-    """Let ``adam_step`` cut any parameters into two runs on two workers."""
+def _two_workers(monkeypatch):
+    """Make ``blas.workers`` see two BLAS threads and two cores, whatever the
+    host has."""
     monkeypatch.setattr(blas, "threads", lambda: 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def _two_adam_workers(monkeypatch):
+    """Let ``adam_step`` cut any parameters into two runs on two workers."""
+    _two_workers(monkeypatch)
     monkeypatch.setattr(optim, "RUN_BYTES", 1)
 
 
-def test_map_in_threads_runs_every_item_and_raises_the_first_failure_in_item_order():
+def test_map_in_threads_runs_every_item_and_raises_the_first_failure_in_item_order(
+        monkeypatch):
     """Item 1 raises first and item 0 after it: items 2 and 3 still run, and
     the caller gets item 0's error once both threads have stopped."""
+    _two_workers(monkeypatch)
     ran, item1_raised = [], threading.Event()
 
     def fn(i):
@@ -833,12 +841,13 @@ def test_map_in_threads_runs_every_item_and_raises_the_first_failure_in_item_ord
             raise KeyError("item 1")
 
     with pytest.raises(KeyError, match="item 0"):
-        blas.map_in_threads(fn, range(4), 2)
+        blas.map_in_threads(fn, range(4))
     assert sorted(ran) == [0, 1, 2, 3]
 
 
-def test_map_in_threads_returns_the_results_in_item_order():
+def test_map_in_threads_returns_the_results_in_item_order(monkeypatch):
     """Item 0 finishes last, after item 3; the results are in item order."""
+    _two_workers(monkeypatch)
     item3_done = threading.Event()
 
     def square(i):
@@ -848,7 +857,7 @@ def test_map_in_threads_returns_the_results_in_item_order():
             item3_done.set()
         return i * i
 
-    assert blas.map_in_threads(square, range(4), 2) == [0, 1, 4, 9]
+    assert blas.map_in_threads(square, range(4)) == [0, 1, 4, 9]
 
 
 def _adam_params(sizes, seed=0):

@@ -117,6 +117,24 @@ def test_manifest_records_the_environment(world):
     assert 0 < env["ram_mb"] < 2**30
 
 
+def test_a_run_without_a_ram_size_from_the_os_records_ram_mb_null(tmp_path, monkeypatch):
+    """Where the OS does not give the number of physical pages, the run
+    still writes its outputs and its manifest, with ``ram_mb`` null."""
+    sysconf = os.sysconf
+
+    def no_pages(name):
+        if name == "SC_PHYS_PAGES":
+            raise ValueError("unrecognized configuration name")
+        return sysconf(name)
+
+    monkeypatch.setattr(os, "sysconf", no_pages)
+    assert main(["make-fixture", "--out-dir", str(tmp_path), "--seed", "1",
+                 "--set", "n_drugs=4", "--set", "n_events=3"]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["environment"]["ram_mb"] is None
+    assert all((tmp_path / name).exists() for name in manifest["outputs"])
+
+
 def test_manifest_effective_config_holds_defaults(world):
     """The manifest holds every key the run used, not only the overrides;
     the values the run sets itself are not config keys."""

@@ -1,7 +1,10 @@
-"""Every module-level import in ``src/ddikit`` is used by its module, and
-every ddikit name the benchmark tracer patches exists."""
+"""Every module-level import in ``src/ddikit`` is used by its module, every
+ddikit name the benchmark tracer patches exists, and so does every name and
+keyword the benchmark passes to ddikit."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import ddikit
@@ -65,3 +68,59 @@ def test_names_the_benchmark_tracer_patches_exist():
                for obj, table in targets for attr, _ in table
                if not callable(getattr(obj, attr, None))]
     assert missing == []
+
+
+def _bench_ddikit_uses():
+    """What ``perfbench/bench.py`` takes from ddikit, read from its source
+    without importing it: each (module, name) it imports, and each (callable
+    as written, its ddikit object, keyword) it passes."""
+    src = Path(__file__).resolve().parents[1] / "perfbench" / "bench.py"
+    tree = ast.parse(src.read_text(encoding="utf-8"), filename=str(src))
+    imported, bound = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "ddikit":
+                    bound[alias.asname or "ddikit"] = ddikit
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ddikit":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                imported.append((node.module, alias.name))
+                bound[alias.asname or alias.name] = getattr(module, alias.name, None)
+    keywords = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        chain, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            chain.insert(0, func.attr)
+            func = func.value
+        if not isinstance(func, ast.Name) or func.id not in bound:
+            continue
+        target = bound[func.id]
+        for attr in chain:
+            target = getattr(target, attr, None)
+        written = ".".join([func.id] + chain)
+        keywords += [(written, target, kw.arg) for kw in node.keywords if kw.arg]
+    return imported, keywords
+
+
+def test_what_the_benchmark_uses_of_ddikit_exists():
+    """Every name ``perfbench/bench.py`` imports from ddikit exists, and
+    every keyword it passes to a ddikit callable is in that callable's
+    signature; a renamed or dropped one would break the benchmark at run
+    time."""
+    imported, keywords = _bench_ddikit_uses()
+    assert ("ddikit.training", "predict_scores") in imported
+    assert ("predict_scores", training.predict_scores, "max_len") in keywords
+    missing = [f"{module}.{name}" for module, name in imported
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+
+    def accepts(fn, keyword):
+        params = inspect.signature(fn).parameters
+        return keyword in params or any(p.kind is p.VAR_KEYWORD for p in params.values())
+
+    unknown = [f"{written}({keyword}=)" for written, fn, keyword in keywords
+               if not callable(fn) or not accepts(fn, keyword)]
+    assert unknown == []

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -477,7 +478,7 @@ def test_encoder_zero_layers_is_embedding_identity():
     segs = np.array([[0, 0, 0, 0, 1, 1, 1, 1]])
     mask = ids != 0
     with no_grad():
-        enc = model.encode(ids, segs, mask).data
+        enc = model.trunk(ids, segs, mask).data
         emb = model.embeddings(ids, segs).data
     assert np.array_equal(enc, emb)
 
@@ -494,8 +495,8 @@ def test_encoder_output_insensitive_to_pad_token_ids():
     ids2 = ids.copy()
     ids2[0, 5:] = 9  # garbage in the padded tail
     with no_grad():
-        a = model.encode(ids, segs, mask).data
-        b = model.encode(ids2, segs, mask).data
+        a = model.trunk(ids, segs, mask).data
+        b = model.trunk(ids2, segs, mask).data
     assert np.abs(a[0, :5] - b[0, :5]).max() < 1e-10
 
 
@@ -690,11 +691,12 @@ def _batch_of_seven(model):
 def test_eval_forward_in_tiles_keeps_the_bits_of_one_pass(monkeypatch, dtype):
     """Tiles of 2 over a batch of 7: sample 1 has no real token, tile [2, 3]
     has none at all and the last tile holds one sample. The logits equal
-    those of one encode -> conv pass over the whole batch and the same head."""
+    those of one embed -> encoder -> conv pass over the whole batch and the
+    same head."""
     model = DdiModel(tiny_config(d_model=8, n_layers=2, max_len=12, dtype=dtype), seed=4)
     model.eval()
     batch = _batch_of_seven(model)
-    encodes = _count_calls(model, "encode")
+    embeds = _count_calls(model, "embeddings")
     monkeypatch.setattr(blas, "threads", lambda: 1)  # one worker takes every tile
     _set_tile(monkeypatch, model, 7)
     with no_grad():
@@ -702,7 +704,7 @@ def test_eval_forward_in_tiles_keeps_the_bits_of_one_pass(monkeypatch, dtype):
     _set_tile(monkeypatch, model, 2)
     with no_grad():
         tiled = model.forward(*batch).data
-    assert encodes == [7, 2, 2, 2, 1]
+    assert embeds == [7, 2, 2, 2, 1]
     assert tiled.dtype == np.dtype(dtype) and np.isfinite(tiled).all()
     assert np.array_equal(tiled, whole)
 
@@ -715,11 +717,11 @@ def _force_workers(monkeypatch, workers: int):
 
 
 def _spy_tiles(model, on_tile=None):
-    """Wrap ``model.encode``; returns one (on the main thread?, samples) per
-    call. The first tile of each of two threads waits for the other's, so
+    """Wrap ``model.embeddings``; returns one (on the main thread?, samples)
+    per call. The first tile of each of two threads waits for the other's, so
     the main thread and a helper both run tiles; ``on_tile(is_main)`` runs
     in each call."""
-    calls, inner = [], model.encode
+    calls, inner = [], model.embeddings
     first_two = threading.Barrier(2, timeout=10)
 
     def spy(ids, *args):
@@ -732,7 +734,7 @@ def _spy_tiles(model, on_tile=None):
             on_tile(is_main)
         return inner(ids, *args)
 
-    model.encode = spy
+    model.embeddings = spy
     return calls
 
 
@@ -750,7 +752,7 @@ def test_eval_forward_on_two_workers_keeps_the_bits_of_one(monkeypatch, dtype):
     with no_grad():
         one = model.forward(*batch).data
     _force_workers(monkeypatch, 2)
-    assert model.workers(7) == 2
+    assert blas.workers(-(-7 // model.tile())) == 2
     overs = []
     calls = _spy_tiles(model, lambda is_main: overs.append(np.geterr()["over"]))
     with no_grad(), np.errstate(over="raise"):
@@ -772,8 +774,8 @@ def test_more_workers_than_cores_take_every_tile_once(monkeypatch):
         serial = model.forward(*batch).data
     _force_workers(monkeypatch, 4)
     starts = []
-    encode = model.encode
-    model.encode = lambda ids, *a: starts.append(ids.ctypes.data) or encode(ids, *a)
+    embeddings = model.embeddings
+    model.embeddings = lambda ids, *a: starts.append(ids.ctypes.data) or embeddings(ids, *a)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -786,21 +788,61 @@ def test_more_workers_than_cores_take_every_tile_once(monkeypatch):
     assert np.array_equal(parallel, serial)
 
 
+def _pool_spy(monkeypatch, meet: int):
+    """Count the helper threads ``blas.map_in_threads`` starts and the
+    threads its items run on. Returns (helpers started, thread of each item,
+    ``on_item``), where ``on_item()`` records its thread and, in each
+    thread's first item, waits until ``meet`` threads have one, so every
+    thread of a pool of ``meet`` runs an item and a smaller pool fails."""
+    started, idents = [], []
+    first = threading.Barrier(meet, timeout=10)
+    lock = threading.Lock()
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    def on_item():
+        with lock:
+            new = threading.get_ident() not in idents
+            idents.append(threading.get_ident())
+        if new:
+            first.wait()
+
+    monkeypatch.setattr(blas, "threading", types.SimpleNamespace(Thread=Counted))
+    return started, idents, on_item
+
+
 def test_workers_stop_at_the_tiles_and_the_cores(monkeypatch):
-    """One worker per BLAS thread, at most one per core and one per tile, in
-    training and eval, under a recording tape or not; one without OpenBLAS."""
+    """``map_in_threads`` runs its items on one thread per BLAS thread, at
+    most one per core and one per item, counted where the items run: one
+    item runs on the caller, with no helper started, and so does every item
+    without OpenBLAS. A trunk's tiles run on as many threads."""
+    caller = threading.get_ident()
+
+    def pool(items: int, meet: int):
+        started, idents, on_item = _pool_spy(monkeypatch, meet)
+        blas.map_in_threads(lambda _: on_item(), range(items))
+        return len(started), set(idents)
+
+    _force_workers(monkeypatch, 4)
+    assert pool(1, 1) == (0, {caller})
+    started, threads = pool(3, 3)
+    assert started == 2 and len(threads) == 3 and caller in threads
+    monkeypatch.setattr(blas, "threads", lambda: None)  # no OpenBLAS found
+    assert pool(3, 1) == (0, {caller})
+
     model = DdiModel(tiny_config(), seed=0)
     model.eval()
     _set_tile(monkeypatch, model, 2)
-    _force_workers(monkeypatch, 4)
-    assert [model.workers(n) for n in (1, 2, 3, 5, 7, 9)] == [1, 1, 2, 3, 4, 4]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert model.workers(9) == 2
-    model.train()
-    with Tape():
-        assert model.workers(9) == 2
-    monkeypatch.setattr(blas, "threads", lambda: None)  # no OpenBLAS found
-    assert model.workers(9) == 1
+    _force_workers(monkeypatch, 2)
+    started, idents, on_item = _pool_spy(monkeypatch, 2)
+    embeddings = model.embeddings
+    model.embeddings = lambda *a: on_item() or embeddings(*a)
+    with no_grad():
+        model.forward(*_batch_of_seven(model))
+    assert len(idents) == 4 and len(set(idents)) == 2 and len(started) == 1
 
 
 def test_an_error_in_a_helper_tile_reaches_the_caller_and_blas_threads_return(monkeypatch):
@@ -823,12 +865,13 @@ def test_an_error_in_a_helper_tile_reaches_the_caller_and_blas_threads_return(mo
         if not is_main:
             raise KeyError("planted")
 
+    embeddings = model.embeddings
     _spy_tiles(model, on_tile)
     with no_grad(), pytest.raises(KeyError, match="planted"):
         model.forward(*batch)
     assert readback() == before and in_head == []
     assert set(in_tiles) == ({1} if before is not None else {None})
-    del model.encode
+    model.embeddings = embeddings
     with no_grad():
         model.forward(*batch)
     assert readback() == before and in_head == [before]
@@ -879,12 +922,12 @@ def test_a_worker_takes_the_next_tile_backward_while_another_tile_is_still_runni
     _force_workers(monkeypatch, 1)
     _, _, one = _training_step(model, batch)
     _force_workers(monkeypatch, 2)
-    tiles, encode = {}, model.encode
+    tiles, embeddings = {}, model.embeddings
 
-    def spy_encode(tile_ids, *args):
+    def spy_embeddings(tile_ids, *args):
         first_row = (tile_ids.ctypes.data - ids.ctypes.data) // ids.strides[0]
         tiles[id(ad.active_tape())] = first_row // 2
-        return encode(tile_ids, *args)
+        return embeddings(tile_ids, *args)
 
     real, tile2_started = ad.backward, threading.Event()
 
@@ -896,7 +939,7 @@ def test_a_worker_takes_the_next_tile_backward_while_another_tile_is_still_runni
             assert tile2_started.wait(5), "tile 2's backward waited for tile 0's"
         return real(out, tile_tape, grad, into)
 
-    model.encode = spy_encode
+    model.embeddings = spy_embeddings
     monkeypatch.setattr(ad, "backward", spy)
     _, _, two = _training_step(model, batch)
     assert sorted(tiles.values()) == [0, 1, 2]
@@ -924,12 +967,12 @@ def test_training_forward_runs_conv_once_on_the_joined_tiles(monkeypatch):
     caller's tape holds the trunk as one entry."""
     model = DdiModel(tiny_config(), seed=0)
     _set_tile(monkeypatch, model, 1)
-    encodes, convs = _count_calls(model, "encode"), _count_calls(model, "conv")
+    embeds, convs = _count_calls(model, "embeddings"), _count_calls(model, "conv")
     rng = np.random.default_rng(2)
     ids = rng.integers(4, 12, size=(5, 8))
     entries, _, _ = _training_step(model, (ids, np.zeros_like(ids), ids != 0,
                                           rng.standard_normal((5, 4))))
-    assert encodes == [1] * 5 and convs == [5]
+    assert embeds == [1] * 5 and convs == [5]
     ops = [op for op, _ in entries]
     assert ops.count("join_tiles") == 1 and entries[0] == ("join_tiles", (5, 8, 4))
     assert "embedding_lookup" not in ops
@@ -945,14 +988,14 @@ def test_training_gradients_on_two_workers_keep_the_bits_of_one(monkeypatch, dty
                      seed=4)
     batch = _batch_of_seven(model)
     _set_tile(monkeypatch, model, 2)
-    runs = []
+    runs, embeddings = [], model.embeddings
     for workers in (1, 2):
         _force_workers(monkeypatch, workers)
         model.rng = np.random.default_rng(11)
-        encodes = _count_calls(model, "encode")
+        embeds = _count_calls(model, "embeddings")
         runs.append(_training_step(model, batch))
-        del model.encode
-        assert sorted(encodes) == [1, 2, 2, 2]
+        model.embeddings = embeddings
+        assert sorted(embeds) == [1, 2, 2, 2]
     (entries, logits, grads), (entries2, logits2, grads2) = runs
     assert entries == entries2 and np.array_equal(logits, logits2)
     assert all(g.dtype == np.dtype(dtype) for g in grads.values())
@@ -968,13 +1011,13 @@ def test_recorded_eval_forward_records_one_trunk_entry_with_the_gradients_of_one
     model.eval()
     batch = _batch_of_seven(model)
     _set_tile(monkeypatch, model, 2)
-    runs = []
+    runs, embeddings = [], model.embeddings
     for workers in (1, 2):
         _force_workers(monkeypatch, workers)
-        encodes = _count_calls(model, "encode")
+        embeds = _count_calls(model, "embeddings")
         runs.append(_training_step(model, batch))
-        del model.encode
-        assert sorted(encodes) == [1, 2, 2, 2]
+        model.embeddings = embeddings
+        assert sorted(embeds) == [1, 2, 2, 2]
     (entries, logits, grads), (entries2, logits2, grads2) = runs
     assert entries == entries2 and np.array_equal(logits, logits2)
     ops = [op for op, _ in entries]
@@ -1005,7 +1048,7 @@ def test_tiled_training_trunk_draws_the_dropout_masks_of_one_pass(monkeypatch):
 _BLAS_THREADS_SCRIPT = """
 import hashlib, sys
 import numpy as np
-from ddikit import model as m
+from ddikit import blas, model as m
 from ddikit.autodiff import no_grad
 cfg = m.ModelConfig(vocab_size=12, n_classes=5, d_model=64, n_layers=2, n_heads=4, d_ff=64,
                     max_len=96, kg_dim=16, kg_heads=2, conv_blocks=3, dtype="float32")
@@ -1017,7 +1060,8 @@ ids = rng.integers(4, 12, size=(18, cfg.max_len))
 ids[np.arange(cfg.max_len)[None, :] >= rng.integers(0, cfg.max_len, 18)[:, None]] = 0
 with no_grad():
     logits = model.forward(ids, np.zeros_like(ids), ids != 0, rng.standard_normal((18, 16))).data
-print(model.tile(), model.workers(18), hashlib.sha256(logits.tobytes()).hexdigest())
+tiles = -(-len(ids) // model.tile())
+print(model.tile(), blas.workers(tiles), hashlib.sha256(logits.tobytes()).hexdigest())
 """
 
 
@@ -1048,7 +1092,7 @@ def test_eval_logits_keep_their_bytes_across_blas_thread_counts():
 _TRUNK_GRADS_SCRIPT = """
 import hashlib
 import numpy as np
-from ddikit import autodiff as ad
+from ddikit import autodiff as ad, blas
 from ddikit.model import DdiModel, ModelConfig
 model = DdiModel(ModelConfig(vocab_size=40, n_classes=7, n_layers=2, conv_blocks=2), seed=1)
 rng = np.random.default_rng(3)
@@ -1063,7 +1107,7 @@ trunk = hashlib.sha256()
 for name, p in model.parameters().items():
     if name.startswith(("embed.", "encoder.")):
         trunk.update(p.grad.tobytes())
-print(model.tile(), model.workers(4), trunk.hexdigest())
+print(model.tile(), blas.workers(-(-4 // model.tile())), trunk.hexdigest())
 """
 
 
@@ -1103,7 +1147,7 @@ def test_eval_forward_memory_grows_by_the_head_not_the_trunk(monkeypatch):
     model = DdiModel(tiny_config(vocab_size=12, d_model=32, n_layers=1, n_heads=4, d_ff=32,
                                  max_len=128, conv_blocks=3, dtype="float32"), seed=0)
     _set_tile(monkeypatch, model, 4)
-    workers = model.workers(16)
+    workers = blas.workers(-(-16 // model.tile()))
     one = _eval_forward_peak(model, 4 * workers)
     four = _eval_forward_peak(model, 16 * workers)
     assert four < 2 * one, (four, one)
@@ -1200,8 +1244,8 @@ def test_transfer_gives_identical_encoder_outputs():
     segs = np.zeros_like(ids)
     mask = np.ones_like(ids, dtype=bool)
     with no_grad():
-        a = src.encode(ids, segs, mask).data
-        b = dst.encode(ids, segs, mask).data
+        a = src.trunk(ids, segs, mask).data
+        b = dst.trunk(ids, segs, mask).data
     assert np.array_equal(a, b)
 
 
@@ -1213,11 +1257,11 @@ def test_dropout_only_active_in_training_mode():
     mask = np.ones_like(ids, dtype=bool)
     model.eval()
     with no_grad():
-        a = model.encode(ids, segs, mask).data
-        b = model.encode(ids, segs, mask).data
+        a = model.trunk(ids, segs, mask).data
+        b = model.trunk(ids, segs, mask).data
     assert np.array_equal(a, b)
     model.train()
     with no_grad():
-        c = model.encode(ids, segs, mask).data
-        d = model.encode(ids, segs, mask).data
+        c = model.trunk(ids, segs, mask).data
+        d = model.trunk(ids, segs, mask).data
     assert not np.array_equal(c, d)

@@ -355,8 +355,8 @@ def test_transfer_then_finetune_probe(tmp_path):
     seq = encode_pair("CCO", "CCN", vocab, cfg.max_len)
     from ddikit.autodiff import no_grad
     with no_grad():
-        a = src.encode(seq.ids[None], seq.segment_ids[None], seq.attention_mask[None]).data
-        b = dst.encode(seq.ids[None], seq.segment_ids[None], seq.attention_mask[None]).data
+        a = src.trunk(seq.ids[None], seq.segment_ids[None], seq.attention_mask[None]).data
+        b = dst.trunk(seq.ids[None], seq.segment_ids[None], seq.attention_mask[None]).data
     assert np.array_equal(a, b)
 
 
