@@ -418,25 +418,25 @@ def relu(a: Tensor) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
+def leaky_relu(a: Tensor) -> Tensor:
     pos = a.data > 0
-    out = np.where(pos, a.data, slope * a.data)
+    out = np.where(pos, a.data, 0.01 * a.data)
 
     def bwd(g):
-        return (np.where(pos, g, slope * g),)
+        return (np.where(pos, g, 0.01 * g),)
 
     return _make(out, (a,), bwd)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if a.data.shape[axis] == 0:
+def softmax(a: Tensor) -> Tensor:
+    if a.data.shape[-1] == 0:
         raise ShapeError("softmax over an empty axis")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
+        dot = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - dot),)
 
     return _make(out, (a,), bwd)
@@ -557,12 +557,12 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _make(out, (table,), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis per position, then apply learnable gain/bias."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize over the last axis per position (eps 1e-5), then apply learnable gain/bias."""
     # The mean of the squared centred values is x.var's own arithmetic.
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     sq = np.square(xhat)
-    inv = 1.0 / np.sqrt(sq.mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(sq.mean(axis=-1, keepdims=True) + 1e-5)
     xhat *= inv
     out = np.multiply(gain.data, xhat, out=sq)
     out += bias.data
@@ -582,13 +582,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
-               running_var: np.ndarray, training: bool, momentum: float = 0.1,
-               eps: float = 1e-5) -> Tensor:
-    """Batch normalization over all axes except the channel axis.
+               running_var: np.ndarray, training: bool) -> Tensor:
+    """Batch normalization over all axes except the channel axis (eps 1e-5).
 
     Channel axis is 1 for 3-d input [batch, channels, length] and the last
     axis for 2-d input [batch, features]. In training mode the running
-    statistics are updated in place; in eval mode the op is a fixed affine map.
+    statistics move 0.1 toward the batch's in place; eval mode is a fixed affine map.
     """
     if x.data.ndim == 2:
         red_axes = (0,)
@@ -604,15 +603,15 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         mu = x.data.mean(axis=red_axes, keepdims=True)
         var = x.data.var(axis=red_axes, keepdims=True)
         n = x.data.size // x.data.shape[1 if x.data.ndim == 3 else -1]
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu.reshape(-1)
-        running_var *= 1.0 - momentum
+        running_mean *= 0.9
+        running_mean += 0.1 * mu.reshape(-1)
+        running_var *= 0.9
         # unbiased variance for the running estimate
-        running_var += momentum * var.reshape(-1) * (n / max(n - 1, 1))
+        running_var += 0.1 * var.reshape(-1) * (n / max(n - 1, 1))
     else:
         mu = running_mean.reshape(cshape)
         var = running_var.reshape(cshape)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x.data - mu) * inv
     out = gam * xhat + bet
 

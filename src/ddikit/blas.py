@@ -1,6 +1,6 @@
-"""The thread count of the OpenBLAS that numpy loaded: read it back, run a
-block with one thread, and run work on one Python thread per BLAS thread,
-each with one BLAS thread.
+"""The machine numpy runs on: its RAM, and the thread count of the OpenBLAS
+numpy loaded: read it back, run a block with one thread, and run work on one
+Python thread per BLAS thread, each with one BLAS thread.
 
 The library is found through ``/proc/self/maps``, so on a build without
 OpenBLAS (MKL, Accelerate) or off Linux ``threads()`` is None,
@@ -22,6 +22,14 @@ import threading
 _SYMBOLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
             ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
             ("openblas_get_num_threads", "openblas_set_num_threads"))
+
+
+def ram_bytes() -> int | None:
+    """The machine's RAM in bytes, None where the OS does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 @functools.cache

@@ -33,7 +33,7 @@ from .fixtures import make_dataset_fixture
 from .kg import (ID_TEMPLATE, PairEmbedder, TransEConfig, TripleError, load_table,
                  load_triples, save_table, train_transe)
 from .metrics import curves_to_csv, evaluate, roc_auc, aupr
-from .model import DdiModel, ModelConfig, PretrainModel, _ram_bytes, transfer_encoder_weights
+from .model import DdiModel, ModelConfig, PretrainModel, transfer_encoder_weights
 from .smiles import SmilesError, Vocabulary, VocabularyError
 from .training import (FinetuneConfig, PretrainConfig, accuracy, finetune,
                        mlm_pretrain, predict_scores)
@@ -127,8 +127,14 @@ def _take_fields(cfg: dict, dc_type, **fixed):
         if f.name in fixed:
             raise ConfigError(f"{f.name} is set by the run, not by the config")
     kwargs = {f.name: _typed(f.name, cfg[f.name], f.default) for f in fields}
+    return _configured(dc_type, **kwargs, **fixed)
+
+
+def _configured(fn, /, *args, **kwargs):
+    """``fn(*args, **kwargs)``, a ValueError it raises being a config error:
+    a value the config set, or more than this machine's RAM."""
     try:
-        return dc_type(**kwargs, **fixed)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -164,7 +170,7 @@ def _environment() -> dict:
     not say)."""
     built = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
     cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-    ram = _ram_bytes()
+    ram = blas.ram_bytes()
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": built.get("name"), "blas_version": built.get("version"),
             "blas_threads": blas.threads(),
@@ -195,11 +201,7 @@ def _pair_vectors(events, table, id_template) -> tuple[np.ndarray, PairEmbedder]
 def _build_model(model_cls, cfg: dict, seed: int, **fixed):
     """``model_cls`` with the ModelConfig fields in cfg and ``fixed``; one
     larger than this machine's RAM is a config error too."""
-    mcfg = _take_fields(cfg, ModelConfig, **fixed)
-    try:
-        return model_cls(mcfg, seed=seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _configured(model_cls, _take_fields(cfg, ModelConfig, **fixed), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +209,8 @@ def _build_model(model_cls, cfg: dict, seed: int, **fixed):
 # ---------------------------------------------------------------------------
 
 def cmd_make_fixture(args, cfg):
-    try:
-        paths = make_dataset_fixture(args.out_dir, cfg["n_drugs"], cfg["n_events"],
-                                     cfg["n_classes"], seed=args.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    paths = _configured(make_dataset_fixture, args.out_dir, cfg["n_drugs"], cfg["n_events"],
+                        cfg["n_classes"], seed=args.seed)
     return list(paths.values())
 
 
@@ -226,7 +225,7 @@ def cmd_vocab(args, cfg):
 def cmd_kg_train(args, cfg):
     tcfg = _take_fields(cfg, TransEConfig, seed=args.seed)
     triples, index = load_triples(args.triples)
-    table, history = train_transe(triples, index, tcfg)
+    table, history = _configured(train_transe, triples, index, tcfg)
     bin_path = _out(args, "kg_table.bin")
     idx_path = _out(args, "kg_table.index")
     save_table(table, bin_path, idx_path)
@@ -386,8 +385,8 @@ def cmd_eval(args, cfg):
     report = evaluate(scores, truths, len(label_map))
     outputs = []
     for name, lines in (("metrics.json", [report.to_json()]),
-                        ("roc.csv", curves_to_csv(*roc_auc(scores, truths), "roc")),
-                        ("pr.csv", curves_to_csv(*aupr(scores, truths), "pr"))):
+                        ("roc.csv", curves_to_csv(*roc_auc(scores, truths))),
+                        ("pr.csv", curves_to_csv(*aupr(scores, truths)))):
         outputs.append(_out(args, name))
         write_lines(outputs[-1], lines)
     print(report.to_json())

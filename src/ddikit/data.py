@@ -236,11 +236,10 @@ def stratified_keep(indices: list[int], labels_of, keep_fraction: float,
 
 
 def sts_series(train_indices: list[int], events: list[DdiEvent],
-               rng: np.random.Generator, min_class_count: int = 5,
-               stop_fraction: float = 0.075, shrink: float = 0.9) -> list[list[int]]:
+               rng: np.random.Generator, min_class_count: int = 5) -> list[list[int]]:
     """Shrinking training sets: drop classes with < min_class_count samples,
-    then repeatedly keep a stratified 90% until the size falls to
-    stop_fraction of the start. Returns the full series including step 0."""
+    then repeatedly keep a stratified 90% until 7.5% of the start or less is
+    left. Returns the full series including step 0."""
     counts: dict[int, int] = {}
     for i in train_indices:
         counts[events[i].label] = counts.get(events[i].label, 0) + 1
@@ -250,8 +249,8 @@ def sts_series(train_indices: list[int], events: list[DdiEvent],
         raise DataError(f"no classes with >= {min_class_count} train samples")
     series = [current]
     start = len(current)
-    while len(current) > stop_fraction * start:
-        nxt = stratified_keep(current, lambda i: events[i].label, shrink, rng)
+    while len(current) > 0.075 * start:
+        nxt = stratified_keep(current, lambda i: events[i].label, 0.9, rng)
         if len(nxt) >= len(current):
             break  # rounding fixed point on tiny sets; no further progress
         current = nxt
@@ -265,7 +264,7 @@ def sts_series(train_indices: list[int], events: list[DdiEvent],
 
 def seqlen_bins(event_indices: list[int], events: list[DdiEvent],
                 drugs: dict[str, DrugRecord], bin_width: int,
-                max_len: int = 500) -> dict[int, list[int]]:
+                max_len: int) -> dict[int, list[int]]:
     """Bin events by real-token count of the encoded pair (before padding).
     Key is the bin lower edge; bins partition the event set."""
     if bin_width <= 0:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blas
 from .atomic import read_arrays, read_rows, write_arrays, write_lines
 from .autodiff import add_rows
 
@@ -165,7 +166,17 @@ def train_transe(triples: np.ndarray, index: EntityIndex,
                  config: TransEConfig) -> tuple[EmbeddingTable, list[float]]:
     """Full training loop over the ``[n, 3]`` id array from ``load_triples``;
     returns the table and per-epoch total losses. FloatingPointError as soon
-    as an epoch ends with a non-finite loss, entity or relation."""
+    as an epoch ends with a non-finite loss, entity or relation; ValueError,
+    before drawing, if the measured float64 peak passes the machine's RAM:
+    the tables plus the larger of an epoch end's (an entity table, 3 floats
+    an entity) and a step's (10 [rows, dim] arrays, 32 floats of ids a row)."""
+    n_ent, n_rel, dim = len(index.entities), len(index.relations), config.dim
+    rows = min(config.batch_size, len(triples)) * config.negatives_per_positive
+    need = 8 * (dim * (n_ent + n_rel) + max(n_ent * (dim + 3), rows * (10 * dim + 32)))
+    ram = blas.ram_bytes()
+    if ram is not None and need > ram:
+        raise ValueError(f"training this TransE table takes {need / 2**30:.1f} GiB, "
+                         f"more than this machine's {ram / 2**30:.1f} GiB of RAM")
     rng = np.random.default_rng(config.seed)
     table = init_table(index, config.dim, rng)
     history = []
@@ -193,8 +204,8 @@ class PairEmbedder:
 
     table: EmbeddingTable
     id_template: str = ID_TEMPLATE
-    miss_count: int = field(default=0)
-    hit_count: int = field(default=0)
+    miss_count: int = field(default=0, init=False)
+    hit_count: int = field(default=0, init=False)
 
     def entity_vector(self, drug_id: str) -> np.ndarray:
         key = self.id_template.format(id=drug_id)

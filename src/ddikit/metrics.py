@@ -239,17 +239,10 @@ def evaluate(scores, truths, n_classes: int) -> MetricReport:
 
 
 def curves_to_csv(per_class: dict[int, RocCurve] | dict[int, PrCurve],
-                  micro, kind: str) -> list[str]:
-    """CSV lines of curve points, header first: kind is "roc" (fpr/tpr) or
-    "pr" (recall/precision); class -1 denotes the micro average."""
-    if kind == "roc":
-        cols = ("fpr", "tpr")
-        fields = lambda c: (c.fpr, c.tpr)
-    elif kind == "pr":
-        cols = ("recall", "precision")
-        fields = lambda c: (c.recall, c.precision)
-    else:
-        raise ValueError(kind)
+                  micro: RocCurve | PrCurve) -> list[str]:
+    """CSV lines of curve points under the header ``class,fpr,tpr`` (ROC) or
+    ``class,recall,precision`` (PR); class -1 denotes the micro average."""
+    cols = ("fpr", "tpr") if isinstance(micro, RocCurve) else ("recall", "precision")
     rows = ((cls, x, y) for cls, curve in sorted(per_class.items()) + [(-1, micro)]
-            for x, y in zip(*fields(curve)))
+            for x, y in zip(*(getattr(curve, col) for col in cols)))
     return csv_lines(f"class,{cols[0]},{cols[1]}", rows)

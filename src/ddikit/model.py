@@ -11,12 +11,11 @@ two 400-wide tokens inside the KG self-attention block.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import autodiff as ad
+from . import autodiff as ad, blas
 from .autodiff import Tensor, Parameter
 
 # The trunk (embed -> encoder, and conv in eval) runs on tiles of samples
@@ -80,14 +79,6 @@ class ModelConfig:
         return asdict(self)
 
 
-def _ram_bytes() -> int | None:
-    """The machine's physical memory, None where the OS does not say."""
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 class ParamStore:
     """Flat registry of named parameters and non-trainable buffers."""
 
@@ -106,7 +97,7 @@ class ParamStore:
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name!r}")
         need = self.nbytes + math.prod(shape) * (8 + np.dtype(self.dtype).itemsize)
-        ram = _ram_bytes()
+        ram = blas.ram_bytes()
         if ram is not None and need > ram:
             raise ValueError(f"building this model takes {need / 2**30:.1f} GiB at {name!r}, "
                              f"more than this machine's {ram / 2**30:.1f} GiB of RAM")
@@ -150,16 +141,15 @@ class LayerNorm:
 
 
 class BatchNorm1d:
-    def __init__(self, store: ParamStore, name: str, channels: int, momentum: float = 0.1):
+    def __init__(self, store: ParamStore, name: str, channels: int):
         self.gamma = store.param(f"{name}.gamma", (channels,), init="ones")
         self.beta = store.param(f"{name}.beta", (channels,), init="zeros")
         self.running_mean = store.buffer(f"{name}.running_mean", np.zeros(channels))
         self.running_var = store.buffer(f"{name}.running_var", np.ones(channels))
-        self.momentum = momentum
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         return ad.batch_norm(x, self.gamma, self.beta, self.running_mean,
-                             self.running_var, training, self.momentum)
+                             self.running_var, training)
 
 
 class Conv1d:

@@ -40,7 +40,7 @@ class SmilesError(ValueError):
 
 
 class VocabularyError(ValueError):
-    """A vocabulary file without the reserved header, or with a token twice."""
+    """A vocabulary file without the reserved header, or with an empty or repeated token."""
 
 
 @dataclass(frozen=True)
@@ -470,8 +470,8 @@ class Vocabulary:
     def __init__(self, tokens: list[str]):
         self.tokens = list(RESERVED_TOKENS) + list(tokens)
         self.index = {t: i for i, t in enumerate(self.tokens)}
-        if len(self.index) != len(self.tokens):
-            raise VocabularyError("duplicate tokens in vocabulary")
+        if len(self.index) != len(self.tokens) or "" in self.index:
+            raise VocabularyError("a blank or duplicate token in vocabulary")
 
     def __len__(self):
         return len(self.tokens)
@@ -518,7 +518,7 @@ class TokenSequence:
     truncated: bool = False
 
 
-def encode_pair(a: str, b: str, vocab: Vocabulary, max_len: int = 500) -> TokenSequence:
+def encode_pair(a: str, b: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
     """tokens(a) + SEP + tokens(b), truncated from the right, padded to max_len.
 
     Segment 0 runs through the SEP, segment 1 after it; padding keeps the

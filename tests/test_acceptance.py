@@ -69,7 +69,7 @@ def primitive_battery(seed: int) -> float:
         h = ad.matmul(t["x"], t["w"])                       # [2, 3, 5]
         h = ad.add(h, t["bias"])
         h = ad.relu(h)
-        h = ad.softmax(h, axis=-1)
+        h = ad.softmax(h)
         a = ad.tsum(ad.mul(h, h), axis=-1)                  # [2, 3]
         emb = ad.embedding_lookup(t["tab"], ids)            # [2, 4, 3]
         e = ad.scale(ad.tsum(emb, axis=1), 1.0 / 4)         # [2, 3], mean over 4 tokens

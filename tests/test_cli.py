@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 import ddikit
 from ddikit import blas, cli
-from ddikit import model as model_module
 from ddikit.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from ddikit.cli import main
 from ddikit.data import SplitBundle
@@ -592,12 +591,26 @@ def test_a_model_larger_than_ram_exits_2_before_it_is_drawn(world, tmp_path):
 def test_a_checkpoint_of_a_model_larger_than_ram_exits_3(world, tmp_path, capsys,
                                                          monkeypatch):
     _, files, other = _manifest_case(world, "eval")
-    monkeypatch.setattr(model_module, "_ram_bytes", lambda: 1)
+    monkeypatch.setattr(blas, "ram_bytes", lambda: 1)
     capsys.readouterr()
     rc = run("eval", *files, *other, "--out-dir", tmp_path / "o")
     assert rc == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "stored config is not a model config: building this model" in err[0]
+
+
+def test_a_kg_table_larger_than_ram_exits_2_before_it_is_drawn(world, tmp_path, capsys,
+                                                               monkeypatch):
+    """TransE training past the machine's RAM is refused, like a model,
+    before its tables are drawn: one config error line and no output."""
+    sub, files, other = _manifest_case(world, "kg-train")
+    monkeypatch.setattr(blas, "ram_bytes", lambda: 1)
+    capsys.readouterr()
+    rc = run(sub, *files, *other, "--out-dir", tmp_path / "kg")
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ddikit:error:config: training this TransE table")
+    assert not (tmp_path / "kg").exists()
 
 
 @pytest.mark.parametrize("sub,key", [
@@ -693,6 +706,19 @@ def test_vocab_without_header_exits_3(world, tmp_path, capsys, sub):
     _, files, other = _manifest_case(world, sub)
     capsys.readouterr()
     rc = run(sub, *_replace_arg(files, "--vocab", bad), *other, "--out-dir", tmp_path / "o")
+    assert rc == 3
+    assert _one_error_line(capsys, "data")
+
+
+def test_vocab_with_a_blank_line_exits_3(world, tmp_path, capsys):
+    """One extra trailing newline would be an empty token: a model one row
+    larger, whose checkpoint the clean file then fails to load."""
+    bad = tmp_path / "vocab.txt"
+    bad.write_text((world / "vocab/vocab.txt").read_text(encoding="utf-8") + "\n",
+                   encoding="utf-8")
+    _, files, other = _manifest_case(world, "train")
+    capsys.readouterr()
+    rc = run("train", *_replace_arg(files, "--vocab", bad), *other, "--out-dir", tmp_path / "o")
     assert rc == 3
     assert _one_error_line(capsys, "data")
 

@@ -220,7 +220,7 @@ def test_seqlen_bins_hand_count():
     events = [DdiEvent("A", "B", 0),   # 3 + 1 + 2 = 6
               DdiEvent("A", "C", 0),   # 3 + 1 + 10 = 14
               DdiEvent("C", "C", 0)]   # 10 + 1 + 10 = 21
-    bins = seqlen_bins([0, 1, 2], events, drugs, bin_width=10)
+    bins = seqlen_bins([0, 1, 2], events, drugs, bin_width=10, max_len=500)
     assert bins == {0: [0], 10: [1], 20: [2]}
 
 
@@ -237,7 +237,7 @@ def test_seqlen_bins_partition():
              for i in range(10)}
     ids = list(drugs)
     events = [DdiEvent(ids[i], ids[(i + 3) % 10], 0) for i in range(10)]
-    bins = seqlen_bins(list(range(10)), events, drugs, bin_width=8)
+    bins = seqlen_bins(list(range(10)), events, drugs, bin_width=8, max_len=500)
     flat = sorted(i for b in bins.values() for i in b)
     assert flat == list(range(10))
     for lo, members in bins.items():

@@ -38,6 +38,32 @@ def test_no_unused_module_imports():
     assert found == [], f"unused imports: {found}"
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A name with one leading underscore belongs to its module: no module
+    of ``src/ddikit`` imports one from another (``from .x import _name``) or
+    reads one off a module it imported (``x._name``)."""
+    pkg = Path(ddikit.__file__).parent
+    found = []
+    for src in sorted(pkg.glob("*.py")):
+        tree = ast.parse(src.read_text(encoding="utf-8"), filename=str(src))
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                found += [f"{src.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if _private(alias.name)]
+                if node.level and not node.module:  # from . import x
+                    modules |= {alias.asname or alias.name for alias in node.names}
+        found += [f"{src.name}:{node.lineno} {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name) and node.value.id in modules
+                  and _private(node.attr)]
+    assert found == [], f"private names taken from another module: {found}"
+
+
 def _tracer_tables() -> dict:
     """The ``*_PATCHES`` and ``*_MODULES`` tables of ``perfbench/tracer.py``,
     read from its source without importing it."""

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ddikit import kg
+from ddikit import blas, kg
 from ddikit.atomic import write_arrays
 from ddikit.kg import (EmbeddingTable, EntityIndex, PairEmbedder, TransEConfig,
                        TripleError, init_table, load_table, load_triples,
@@ -147,6 +147,41 @@ def test_entity_norms_bounded_after_training():
     table, _ = train_transe(triples, index, cfg)
     norms = np.linalg.norm(table.entities, axis=1)
     assert norms.max() <= 1.0 + 1e-6
+
+
+@pytest.mark.parametrize("n_ent,n_triples,dim,batch,negatives", [
+    (20_000, 300, 8, 128, 1),  # the epoch end's copy of the entity table
+    (3_000, 2_000, 16, 1_000, 1),  # a step touching up to 3 entities a row
+    (50, 300, 1, 128, 200),  # many negatives at dim 1, where the ids weigh most
+])
+@pytest.mark.parametrize("norm_p", [1, 2])
+def test_transe_is_refused_one_byte_below_its_traced_peak(monkeypatch, n_ent, n_triples,
+                                                          dim, batch, negatives, norm_p):
+    """The RAM check counts at least what a run allocates at its peak, as
+    tracemalloc sees it, and less than twice that: with one byte less RAM the
+    run is refused before drawing, and with twice the peak it runs. The run
+    is traced the second time, so the modules numpy imports on first use do
+    not count."""
+    rng = np.random.default_rng(0)
+    triples = np.stack([rng.integers(n_ent, size=n_triples), rng.integers(3, size=n_triples),
+                        rng.integers(n_ent, size=n_triples)], axis=1)
+    index = EntityIndex({f"e{i}": i for i in range(n_ent)}, {f"r{i}": i for i in range(3)})
+    cfg = TransEConfig(dim=dim, epochs=1, batch_size=batch, negatives_per_positive=negatives,
+                       norm_p=norm_p, margin=1e6)  # every triple updates
+    train_transe(triples, index, cfg)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        train_transe(triples, index, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(blas, "ram_bytes", lambda: peak - 1)
+    with pytest.raises(ValueError, match=r"^training this TransE table takes .* GiB, "
+                                         r"more than this machine's .* GiB of RAM$"):
+        train_transe(triples, index, cfg)
+    monkeypatch.setattr(blas, "ram_bytes", lambda: 2 * peak)
+    train_transe(triples, index, cfg)
 
 
 def test_l2_step_follows_the_margin_loss_gradient():

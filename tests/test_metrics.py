@@ -238,10 +238,14 @@ def test_confusion_validation():
         confusion([], [], 3)
 
 
-def test_curves_to_csv_has_micro_rows():
+@pytest.mark.parametrize("curves,header", [(roc_auc, "class,fpr,tpr"),
+                                           (aupr, "class,recall,precision")],
+                         ids=["roc_auc", "aupr"])
+def test_curves_to_csv_has_micro_rows(curves, header):
+    """The curve's own type picks its columns."""
     scores = np.array([[0.9, 0.1], [0.2, 0.8]])
     truths = np.array([0, 1])
-    per_class, micro = roc_auc(scores, truths)
-    lines = curves_to_csv(per_class, micro, "roc")
-    assert lines[0] == "class,fpr,tpr"
+    per_class, micro = curves(scores, truths)
+    lines = curves_to_csv(per_class, micro)
+    assert lines[0] == header
     assert any(ln.startswith("-1,") for ln in lines)

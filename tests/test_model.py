@@ -118,7 +118,7 @@ def composed_attention(q, k, v, mask=None):
         bias = np.where(mask, 0.0, -1e9).astype(scores.dtype)
         shape = [mask.shape[0]] + [1] * (scores.ndim - 2) + [mask.shape[-1]]
         scores = ad.add(scores, ad.constant(bias.reshape(shape), dtype=scores.dtype))
-    weights = ad.softmax(scores, axis=-1)
+    weights = ad.softmax(scores)
     if mask is not None and not mask.all():
         row_ok = mask.any(axis=-1).astype(weights.dtype)
         shape = [mask.shape[0]] + [1] * (weights.ndim - 1)
@@ -436,10 +436,10 @@ def test_a_model_is_refused_one_byte_below_its_build_peak(monkeypatch, over):
     cfg = tiny_config(**over)
     for model_cls in (DdiModel, PretrainModel):
         peak = _build_peak(model_cls(cfg, seed=0))
-        monkeypatch.setattr(model_module, "_ram_bytes", lambda: peak - 1)
+        monkeypatch.setattr(blas, "ram_bytes", lambda: peak - 1)
         with pytest.raises(ValueError, match="more than this machine's"):
             model_cls(cfg, seed=0)
-        monkeypatch.setattr(model_module, "_ram_bytes", lambda: peak)
+        monkeypatch.setattr(blas, "ram_bytes", lambda: peak)
         model_cls(cfg, seed=0)
 
 
@@ -447,12 +447,12 @@ def test_config_refuses_a_model_larger_than_ram(monkeypatch):
     """The refusal sits where the model is built, not in its config: the
     config is accepted and the model refused; where the OS gives no RAM
     size, nothing is refused."""
-    monkeypatch.setattr(model_module, "_ram_bytes", lambda: 1)
+    monkeypatch.setattr(blas, "ram_bytes", lambda: 1)
     cfg = tiny_config()
     with pytest.raises(ValueError, match=r"^building this model takes .* GiB at 'embed.token', "
                                          r"more than this machine's .* GiB of RAM$"):
         DdiModel(cfg, seed=0)
-    monkeypatch.setattr(model_module, "_ram_bytes", lambda: None)
+    monkeypatch.setattr(blas, "ram_bytes", lambda: None)
     DdiModel(cfg, seed=0)
 
 
@@ -465,7 +465,7 @@ def test_a_pretrain_model_builds_where_the_ddi_model_of_its_config_is_refused(mo
     pretrain = PretrainModel(cfg, seed=0)
     peak = _build_peak(pretrain)
     assert peak < 64 << 20
-    monkeypatch.setattr(model_module, "_ram_bytes", lambda: peak)
+    monkeypatch.setattr(blas, "ram_bytes", lambda: peak)
     PretrainModel(cfg, seed=0)
     with pytest.raises(ValueError, match="at 'mlp1.fc1.w', more than this machine's"):
         DdiModel(cfg, seed=0)
