@@ -1,18 +1,23 @@
-"""The machine numpy runs on: its RAM, and the thread count of the OpenBLAS
-numpy loaded: read it back, run a block with one thread, and run work on one
-Python thread per BLAS thread, each with one BLAS thread.
+"""The machine numpy runs on: its RAM, and the threads ddikit runs work on.
+
+Importing this module reads the thread count the OpenBLAS numpy loaded
+started with (``OPENBLAS_NUM_THREADS``, or one per core) and then sets
+OpenBLAS to one thread for the life of the process. Every BLAS product runs
+on the thread that calls it, and the count read is the number of workers
+``map_in_threads`` runs work on: those workers are the only parallelism, and
+no idle OpenBLAS thread spins against them. A product's bits can depend on
+the BLAS thread count it runs at; as every product runs at one, every
+output keeps its bytes at any ``OPENBLAS_NUM_THREADS``.
 
 The library is found through ``/proc/self/maps``, so on a build without
-OpenBLAS (MKL, Accelerate) or off Linux ``threads()`` is None,
-``single_threaded()`` changes nothing and ``workers()`` is 1.
+OpenBLAS (MKL, Accelerate) or off Linux ``threads()`` is None and
+``workers()`` is 1.
 """
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import ctypes
-import functools
 import itertools
 import os
 import threading
@@ -32,9 +37,10 @@ def ram_bytes() -> int | None:
         return None
 
 
-@functools.cache
-def _controls():
-    """The loaded OpenBLAS's (get, set) thread-count functions, or None."""
+def _pin_to_one_thread() -> int | None:
+    """The thread count the loaded OpenBLAS started with, after setting it
+    to one thread; None when no OpenBLAS is found."""
+    import numpy  # noqa: F401  (loads OpenBLAS, so the process maps it)
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = {line.split()[-1] for line in fh}
@@ -53,37 +59,25 @@ def _controls():
             if get is not None and put is not None:
                 get.restype, get.argtypes = ctypes.c_int, []
                 put.restype, put.argtypes = None, [ctypes.c_int]
-                return get, put
+                count = get()
+                put(1)
+                return count
     return None
 
 
+_THREADS = _pin_to_one_thread()
+
+
 def threads() -> int | None:
-    """The thread count the loaded OpenBLAS runs with, read back from the
-    library; None when no OpenBLAS is found."""
-    controls = _controls()
-    return None if controls is None else controls[0]()
-
-
-@contextlib.contextmanager
-def single_threaded():
-    """Run the block with one BLAS thread and restore the count after it,
-    also when the block raises."""
-    controls = _controls()
-    if controls is None:
-        yield
-        return
-    get, put = controls
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
+    """The thread count OpenBLAS started with, read once at import before
+    it was set to one thread; None when no OpenBLAS is found."""
+    return _THREADS
 
 
 def workers(jobs: int) -> int:
-    """Threads to run ``jobs`` independent jobs on: one per BLAS thread, at
-    most one per core and one per job; 1 without OpenBLAS."""
+    """Threads to run ``jobs`` independent jobs on: one per thread OpenBLAS
+    started with, at most one per core and one per job; 1 without
+    OpenBLAS."""
     count = threads()
     if count is None:
         return 1
@@ -92,13 +86,12 @@ def workers(jobs: int) -> int:
 
 def map_in_threads(fn, items) -> list:
     """``[fn(x) for x in items]`` on the calling thread and helper threads,
-    ``workers(len(items))`` threads in all, with one BLAS thread each; the
-    count is restored after. One item runs on the caller alone.
-    Each thread takes the next item no thread has taken, and every item runs.
-    A helper runs in a copy of the caller's context, so numpy's ``errstate``
-    holds in it. Once every thread has stopped, the results come back in the
-    order of ``items``; if items raised, the exception of the first of them
-    in that order is raised instead."""
+    ``workers(len(items))`` threads in all. One item runs on the caller
+    alone. Each thread takes the next item no thread has taken, and every
+    item runs. A helper runs in a copy of the caller's context, so numpy's
+    ``errstate`` holds in it. Once every thread has stopped, the results
+    come back in the order of ``items``; if items raised, the exception of
+    the first of them in that order is raised instead."""
     out = [None] * len(items)
     errors = [None] * len(items)
     claims = itertools.count()
@@ -114,14 +107,13 @@ def map_in_threads(fn, items) -> list:
 
     helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
                for _ in range(workers(len(items)) - 1)]
-    with single_threaded():
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
         for helper in helpers:
-            helper.start()
-        try:
-            work()
-        finally:
-            for helper in helpers:
-                helper.join()
+            helper.join()
     for exc in errors:
         if exc is not None:
             raise exc

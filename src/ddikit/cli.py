@@ -4,7 +4,7 @@ Subcommands: make-fixture, vocab, kg-train, kg-export, split, pretrain,
 train, eval, sts, seqlen. Every run writes a manifest (config fingerprint,
 seed, input checksums, outputs, wall time, environment) into --out-dir, and
 all randomness derives from --seed, so a run is reproducible from its
-manifest at a fixed thread count.
+manifest on the same machine and BLAS, at any thread count.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -165,9 +165,9 @@ def _write_manifest(args, config, outputs, t0):
 
 def _environment() -> dict:
     """What the run's numbers came from: the BLAS numpy was built with and
-    the thread count read back from it (None without OpenBLAS), the cores
-    this process may run on and the machine's RAM (None where the OS does
-    not say)."""
+    the thread count it started with, which is the worker count (None
+    without OpenBLAS), the cores this process may run on and the machine's
+    RAM (None where the OS does not say)."""
     built = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
     cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
     ram = blas.ram_bytes()

@@ -168,11 +168,15 @@ def train_transe(triples: np.ndarray, index: EntityIndex,
     returns the table and per-epoch total losses. FloatingPointError as soon
     as an epoch ends with a non-finite loss, entity or relation; ValueError,
     before drawing, if the measured float64 peak passes the machine's RAM:
-    the tables plus the larger of an epoch end's (an entity table, 3 floats
-    an entity) and a step's (10 [rows, dim] arrays, 32 floats of ids a row)."""
+    the tables plus the larger of an epoch end's (2 floats an entity for
+    its norm and masks, rounded up, and a block of rows of up to 1 MiB with
+    2 floats a row more) and a step's (10 [rows, dim] arrays, 32 floats of
+    ids a row)."""
     n_ent, n_rel, dim = len(index.entities), len(index.relations), config.dim
+    block = max(1, 2**17 // dim)  # the epoch end's rows at a time: 1 MiB of float64
     rows = min(config.batch_size, len(triples)) * config.negatives_per_positive
-    need = 8 * (dim * (n_ent + n_rel) + max(n_ent * (dim + 3), rows * (10 * dim + 32)))
+    epoch_end = 2 * n_ent + min(n_ent, block) * (dim + 2)
+    need = 8 * (dim * (n_ent + n_rel) + max(epoch_end, rows * (10 * dim + 32)))
     ram = blas.ram_bytes()
     if ram is not None and need > ram:
         raise ValueError(f"training this TransE table takes {need / 2**30:.1f} GiB, "
@@ -186,14 +190,18 @@ def train_transe(triples: np.ndarray, index: EntityIndex,
         for i in range(0, len(order), config.batch_size):
             batch = triples[order[i:i + config.batch_size]]
             total += transe_train_step(batch, table, config, rng)
-        # safety net: renormalize all rows so the post-epoch invariant holds
-        norms = np.linalg.norm(table.entities, axis=1)
+        # safety net: renormalize all rows so the post-epoch invariant holds,
+        # in place, with the norms taken over blocks of rows
+        E = table.entities
+        norms = np.empty(len(E))
+        for lo in range(0, len(E), block):
+            norms[lo:lo + block] = np.linalg.norm(E[lo:lo + block], axis=1)
         if not (math.isfinite(total) and np.isfinite(norms).all()
                 and np.isfinite(table.relations).all()):
             raise FloatingPointError(f"TransE epoch {epoch}: non-finite loss, "
                                      f"entity or relation")
         over = norms > 1.0
-        table.entities[over] /= norms[over][:, None]
+        np.divide(E, norms[:, None], out=E, where=over[:, None])
         history.append(total)
     return table, history
 

@@ -365,9 +365,9 @@ class EncoderModel:
         tile runs with its own key span and the outputs keep the bits of one
         pass over the batch. The dropout masks are drawn here, for the whole
         batch, so the rng stream is that of one pass too. A batch of one tile
-        runs here as that one pass, with the BLAS threads the caller set.
-        More tiles run through ``autodiff.join_tiles`` on the threads
-        ``blas.map_in_threads`` sizes, each with one BLAS thread."""
+        runs here as that one pass, on the calling thread. More tiles run
+        through ``autodiff.join_tiles`` on the threads
+        ``blas.map_in_threads`` sizes."""
         keeps = self.dropout_keeps(ids.shape)
         size = self.tile()
 
@@ -404,8 +404,9 @@ class DdiModel(EncoderModel):
         The trunk runs in tiles (see ``trunk``): embed -> encoder in training,
         where conv runs on the joined batch, as batch norm needs the batch's
         statistics, and embed -> encoder -> conv in eval. The head runs once
-        on the whole batch, with the BLAS threads the caller set: its GEMMs
-        round differently on fewer rows."""
+        on the whole batch, on the calling thread: its GEMMs round
+        differently on fewer rows. Every product, here as in the tiles, runs
+        at one BLAS thread (see ``ddikit.blas``)."""
         if self.training:
             conv_feat = self.conv(self.trunk(ids, segment_ids, mask), True)
         else:

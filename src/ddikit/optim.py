@@ -45,10 +45,10 @@ def adam_step(params: dict[str, Parameter], state: AdamState):
     operation for operation.
 
     The parameters are cut, in dict order, into contiguous runs of about
-    equal bytes, at most one per worker (``blas.workers``) and at least
-    ``RUN_BYTES`` each, and the runs update at once, one thread each. Each
-    parameter gets the same arithmetic however the runs fall, so the results
-    do not depend on them.
+    equal bytes, at most one per worker (``blas.workers``: one per thread
+    OpenBLAS started with) and at least ``RUN_BYTES`` each, and the runs
+    update at once, one thread each. Each parameter gets the same arithmetic
+    however the runs fall, so the results do not depend on them.
 
     Raises ``FloatingPointError`` naming the first parameter in dict order
     whose gradient, ``v`` or update is not finite (in float32, ``g * g`` can

@@ -504,6 +504,11 @@ class Vocabulary:
             lines = [ln.rstrip("\n") for ln in fh]
         if tuple(lines[:4]) != RESERVED_TOKENS:
             raise VocabularyError(f"vocab file {path} lacks the 4-line reserved header")
+        seen = set()
+        for lineno, token in enumerate(lines, start=1):
+            if not token or token in seen:
+                raise VocabularyError(f"{path}:{lineno}: a blank or duplicate token")
+            seen.add(token)
         return cls(lines[4:])
 
 

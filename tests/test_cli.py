@@ -712,15 +712,18 @@ def test_vocab_without_header_exits_3(world, tmp_path, capsys, sub):
 
 def test_vocab_with_a_blank_line_exits_3(world, tmp_path, capsys):
     """One extra trailing newline would be an empty token: a model one row
-    larger, whose checkpoint the clean file then fails to load."""
+    larger, whose checkpoint the clean file then fails to load. The one error
+    line names the file and the blank line."""
     bad = tmp_path / "vocab.txt"
-    bad.write_text((world / "vocab/vocab.txt").read_text(encoding="utf-8") + "\n",
-                   encoding="utf-8")
+    text = (world / "vocab/vocab.txt").read_text(encoding="utf-8")
+    bad.write_text(text + "\n", encoding="utf-8")
     _, files, other = _manifest_case(world, "train")
     capsys.readouterr()
     rc = run("train", *_replace_arg(files, "--vocab", bad), *other, "--out-dir", tmp_path / "o")
     assert rc == 3
-    assert _one_error_line(capsys, "data")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ddikit:error:data:")
+    assert f"{bad}:{len(text.splitlines()) + 1}:" in err[0]
 
 
 def _split_with_first_smiles(world, tmp_path, smiles) -> int:

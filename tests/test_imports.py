@@ -64,6 +64,33 @@ def test_no_module_imports_a_private_name_of_another():
     assert found == [], f"private names taken from another module: {found}"
 
 
+def test_only_blas_loads_native_code_or_starts_threads():
+    """``ddikit.blas`` owns the threads: it alone imports ``ctypes``, to set
+    OpenBLAS to one thread, and constructs a ``threading.Thread``, for
+    ``map_in_threads``'s workers. A thread-local (``threading.local``) is
+    allowed anywhere."""
+    pkg = Path(ddikit.__file__).parent
+    found = []
+    for src in sorted(pkg.glob("*.py")):
+        if src.name == "blas.py":
+            continue
+        tree = ast.parse(src.read_text(encoding="utf-8"), filename=str(src))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [f"{src.name}:{node.lineno} import {alias.name}" for alias in node.names
+                          if alias.name.split(".")[0] == "ctypes"]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                if node.module.split(".")[0] == "ctypes":
+                    found.append(f"{src.name}:{node.lineno} from {node.module}")
+                elif node.module == "threading":
+                    found += [f"{src.name}:{node.lineno} threading.Thread" for alias in node.names
+                              if alias.name == "Thread"]
+            elif (isinstance(node, ast.Attribute) and node.attr == "Thread"
+                  and isinstance(node.value, ast.Name) and node.value.id == "threading"):
+                found.append(f"{src.name}:{node.lineno} threading.Thread")
+    assert found == [], f"ctypes or threads outside ddikit.blas: {found}"
+
+
 def _tracer_tables() -> dict:
     """The ``*_PATCHES`` and ``*_MODULES`` tables of ``perfbench/tracer.py``,
     read from its source without importing it."""

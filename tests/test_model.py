@@ -5,6 +5,9 @@ sample's keys are cut at its last real one), structural probes (padding
 insensitivity, swap equivariance), and a full-model finite-difference
 gradient check."""
 
+import ctypes
+import functools
+import inspect
 import math
 import os
 import subprocess
@@ -845,12 +848,37 @@ def test_workers_stop_at_the_tiles_and_the_cores(monkeypatch):
     assert len(idents) == 4 and len(set(idents)) == 2 and len(started) == 1
 
 
-def test_an_error_in_a_helper_tile_reaches_the_caller_and_blas_threads_return(monkeypatch):
-    """Tiles run with one BLAS thread and the head with the caller's count;
-    an exception raised in a helper's tile is raised by forward, and the
-    count is restored."""
-    readback = blas.threads
-    before = readback()
+@functools.cache
+def _openblas_get():
+    """OpenBLAS's own get-num-threads function, found in the libraries the
+    process maps; None without OpenBLAS."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = sorted({line.split()[-1] for line in fh})
+    for path in paths:
+        name = os.path.basename(path).lower()
+        if "blas" not in name or ".so" not in name:
+            continue
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            get = getattr(lib, symbol, None)
+            if get is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                return get
+    return None
+
+
+def _openblas_threads() -> int | None:
+    """The thread count OpenBLAS reports now, read from the library itself."""
+    get = _openblas_get()
+    return None if get is None else get()
+
+
+def test_an_error_in_a_helper_tile_reaches_the_caller(monkeypatch):
+    """OpenBLAS runs one thread in the tiles, in the head and after an
+    exception raised in a helper's tile, which forward raises."""
+    pinned = _openblas_threads()
+    assert pinned in (1, None)
     model = DdiModel(tiny_config(), seed=0)
     model.eval()
     batch = _batch_of_seven(model)
@@ -858,10 +886,10 @@ def test_an_error_in_a_helper_tile_reaches_the_caller_and_blas_threads_return(mo
     _force_workers(monkeypatch, 2)
     in_tiles, in_head = [], []
     head = model.mlp1
-    model.mlp1 = lambda *a: in_head.append(readback()) or head(*a)
+    model.mlp1 = lambda *a: in_head.append(_openblas_threads()) or head(*a)
 
     def on_tile(is_main):
-        in_tiles.append(readback())
+        in_tiles.append(_openblas_threads())
         if not is_main:
             raise KeyError("planted")
 
@@ -869,21 +897,20 @@ def test_an_error_in_a_helper_tile_reaches_the_caller_and_blas_threads_return(mo
     _spy_tiles(model, on_tile)
     with no_grad(), pytest.raises(KeyError, match="planted"):
         model.forward(*batch)
-    assert readback() == before and in_head == []
-    assert set(in_tiles) == ({1} if before is not None else {None})
+    assert _openblas_threads() == pinned and in_head == []
+    assert set(in_tiles) == {pinned}
     model.embeddings = embeddings
     with no_grad():
         model.forward(*batch)
-    assert readback() == before and in_head == [before]
+    assert _openblas_threads() == pinned and in_head == [pinned]
 
 
-def test_an_error_in_a_helper_tile_backward_reaches_the_caller_and_blas_threads_return(
-        monkeypatch):
-    """The trunk entry's backward runs each tile's tape on the workers with
-    one BLAS thread; an exception raised in a helper's tile backward is
-    raised by ``backward``, with the count restored and no thread left."""
-    readback = blas.threads
-    before = readback()
+def test_an_error_in_a_helper_tile_backward_reaches_the_caller(monkeypatch):
+    """The trunk entry's backward runs each tile's tape on the workers; an
+    exception raised in a helper's tile backward is raised by ``backward``,
+    with OpenBLAS at one thread in the tiles and after, and no thread left."""
+    pinned = _openblas_threads()
+    assert pinned in (1, None)
     model = DdiModel(tiny_config(), seed=0)
     batch = _batch_of_seven(model)
     _set_tile(monkeypatch, model, 2)
@@ -897,7 +924,7 @@ def test_an_error_in_a_helper_tile_backward_reaches_the_caller_and_blas_threads_
     def spy(out, tile_tape, grad=None, into=None):
         is_main = threading.current_thread() is threading.main_thread()
         if not in_tiles or len(in_tiles) == 1 and in_tiles[0][0] != is_main:
-            in_tiles.append((is_main, readback()))
+            in_tiles.append((is_main, _openblas_threads()))
             first_two.wait()
         if not is_main:
             raise KeyError("planted")
@@ -906,8 +933,8 @@ def test_an_error_in_a_helper_tile_backward_reaches_the_caller_and_blas_threads_
     monkeypatch.setattr(ad, "backward", spy)
     with pytest.raises(KeyError, match="planted"):
         real(loss, tape)
-    assert readback() == before and threading.active_count() == 1
-    assert {t for _, t in in_tiles} == ({1} if before is not None else {None})
+    assert _openblas_threads() == pinned and threading.active_count() == 1
+    assert {t for _, t in in_tiles} == {pinned}
 
 
 def test_a_worker_takes_the_next_tile_backward_while_another_tile_is_still_running(
@@ -1121,6 +1148,63 @@ def test_trunk_gradients_keep_their_bytes_across_blas_thread_counts():
     cores = len(os.sched_getaffinity(0))
     assert runs["1"][:2] == ["1", "1"] and runs["2"][:2] == ["1", str(min(2, cores))]
     assert runs["1"][2] == runs["2"][2]
+
+
+_TRAIN_STEP_SCRIPT = """
+import hashlib
+import numpy as np
+from ddikit import autodiff as ad
+from ddikit.model import DdiModel, ModelConfig
+from ddikit.optim import AdamState, adam_step
+model = DdiModel(ModelConfig(vocab_size=40, n_classes=7, n_layers=2, conv_blocks=4), seed=1)
+rng = np.random.default_rng(3)
+ids = rng.integers(4, 40, size=(4, 500))
+ids[np.arange(500)[None, :] >= np.array([146, 141, 129, 101])[:, None]] = 0
+batch = (ids, np.zeros_like(ids), ids != 0, rng.standard_normal((4, 800)))
+tape = ad.Tape()
+with tape:
+    loss = ad.cross_entropy_loss(model.forward(*batch), [0, 3, 5, 6])
+ad.backward(loss, tape)
+params = model.parameters()
+groups = {}
+for name, p in params.items():
+    groups.setdefault(name.split(".")[0], hashlib.sha256()).update(p.grad.tobytes())
+adam_step(params, AdamState(learning_rate=1e-3))
+after = hashlib.sha256(b"".join(p.data.tobytes() for p in params.values()))
+model.eval()
+with ad.no_grad():
+    logits = model.forward(*batch).data
+for group, digest in groups.items():
+    print(f"grad:{group}:{digest.hexdigest()}")
+print("adam:" + after.hexdigest(), "eval:" + hashlib.sha256(logits.tobytes()).hexdigest())
+"""
+
+
+def test_a_train_step_keeps_its_bytes_across_blas_thread_counts():
+    """A paper-shaped train step (d_model 256, max_len 500, 4 conv blocks,
+    float32, batch 4 with real lengths 146/141/129/101), one Adam step and
+    an eval forward: every parameter gradient, every parameter after Adam
+    and the eval logits keep their bytes at 1 and 2 BLAS threads, as every
+    BLAS product runs at one thread, the conv stack's and the head's too."""
+    runs = _run_at_blas_threads(_TRAIN_STEP_SCRIPT)
+    groups = [word.split(":")[1] for word in runs["1"] if word.startswith("grad:")]
+    assert groups == ["embed", "encoder", "conv", "mlp1", "kg_attn", "mlp2"]
+    assert runs["1"] == runs["2"]
+
+
+_PIN_SCRIPT = "import ctypes, functools, os\n" + inspect.getsource(_openblas_get) + """
+import ddikit
+from ddikit import blas
+print(_openblas_get()(), blas.threads())
+"""
+
+
+def test_importing_ddikit_sets_openblas_to_one_thread():
+    """After ``import ddikit`` OpenBLAS's own count reads 1, and
+    ``blas.threads()`` keeps the count it started with, the worker count."""
+    runs = _run_at_blas_threads(_PIN_SCRIPT)
+    started = str(min(2, len(os.sched_getaffinity(0))))
+    assert runs == {"1": ["1", "1"], "2": ["1", started]}
 
 
 def _eval_forward_peak(model, batch: int) -> int:

@@ -3,6 +3,7 @@ round-trip oracle is canonical-form equality: a rewritten string must
 re-parse to a graph with the same canonical SMILES as the source."""
 
 import contextlib
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from ddikit.fixtures import random_molecule, random_smiles_corpus
 from ddikit.smiles import (MASK, PAD, RESERVED_TOKENS, SEP, UNK, SmilesError,
-                           Vocabulary, canonical_smiles, encode_pair,
+                           Vocabulary, VocabularyError, canonical_smiles, encode_pair,
                            parse_smiles, randomize_smiles, tokenize,
                            write_smiles)
 
@@ -227,6 +228,13 @@ def test_vocab_load_rejects_missing_header(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("C\nO\n")
     with pytest.raises(ValueError):
+        Vocabulary.load(p)
+
+
+def test_vocab_load_names_the_line_of_the_first_repeated_token(tmp_path):
+    p = tmp_path / "vocab.txt"
+    p.write_text("\n".join(RESERVED_TOKENS + ("C", "O", "C", "")) + "\n")
+    with pytest.raises(VocabularyError, match=f"^{re.escape(str(p))}:7: "):
         Vocabulary.load(p)
 
 
