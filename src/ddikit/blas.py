@@ -9,9 +9,10 @@ no idle OpenBLAS thread spins against them. A product's bits can depend on
 the BLAS thread count it runs at; as every product runs at one, every
 output keeps its bytes at any ``OPENBLAS_NUM_THREADS``.
 
-The library is found through ``/proc/self/maps``, so on a build without
-OpenBLAS (MKL, Accelerate) or off Linux ``threads()`` is None and
-``workers()`` is 1.
+``build()`` names the OpenBLAS version and the core whose kernels it runs,
+since those set a product's bits too. The library is found through
+``/proc/self/maps``, so on a build without OpenBLAS (MKL, Accelerate) or off
+Linux ``threads()`` and ``build()`` are None and ``workers()`` is 1.
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ import itertools
 import os
 import threading
 
-# (get, set) symbol pairs: numpy's bundled scipy-openblas, then ILP64 and
-# LP64 builds of OpenBLAS itself.
-_SYMBOLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-            ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-            ("openblas_get_num_threads", "openblas_set_num_threads"))
+# The (prefix, suffix) of OpenBLAS's symbol names: numpy's bundled
+# scipy-openblas, then ILP64 and LP64 builds of OpenBLAS itself.
+_NAMES = (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", ""))
 
 
 def ram_bytes() -> int | None:
@@ -37,15 +36,16 @@ def ram_bytes() -> int | None:
         return None
 
 
-def _pin_to_one_thread() -> int | None:
-    """The thread count the loaded OpenBLAS started with, after setting it
-    to one thread; None when no OpenBLAS is found."""
+def _pin_to_one_thread() -> tuple[int | None, tuple[str, str] | None]:
+    """The thread count the loaded OpenBLAS started with, read before
+    setting it to one thread, and its (version, core name); (None, None)
+    when no OpenBLAS is found."""
     import numpy  # noqa: F401  (loads OpenBLAS, so the process maps it)
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = {line.split()[-1] for line in fh}
     except OSError:
-        return None
+        return None, None
     for path in sorted(paths):
         name = os.path.basename(path).lower()
         if "blas" not in name or ".so" not in name:
@@ -54,24 +54,38 @@ def _pin_to_one_thread() -> int | None:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for get_name, set_name in _SYMBOLS:
-            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        for prefix, suffix in _NAMES:
+            get, put, config, core = (getattr(lib, f"{prefix}{fn}{suffix}", None) for fn in
+                                      ("get_num_threads", "set_num_threads", "get_config",
+                                       "get_corename"))
             if get is not None and put is not None:
                 get.restype, get.argtypes = ctypes.c_int, []
                 put.restype, put.argtypes = None, [ctypes.c_int]
                 count = get()
                 put(1)
-                return count
-    return None
+                build = None
+                if config is not None and core is not None:
+                    config.restype = core.restype = ctypes.c_char_p
+                    config.argtypes = core.argtypes = []
+                    build = (config().decode().split()[1], core().decode())
+                return count, build
+    return None, None
 
 
-_THREADS = _pin_to_one_thread()
+_THREADS, _BUILD = _pin_to_one_thread()
 
 
 def threads() -> int | None:
     """The thread count OpenBLAS started with, read once at import before
     it was set to one thread; None when no OpenBLAS is found."""
     return _THREADS
+
+
+def build() -> tuple[str, str] | None:
+    """The loaded OpenBLAS's version and the name of the core whose kernels
+    it runs, such as ``("0.3.31", "Haswell")``: a product's bits can differ
+    between cores. None when no OpenBLAS is found."""
+    return _BUILD
 
 
 def workers(jobs: int) -> int:

@@ -10,7 +10,6 @@ import functools
 import inspect
 import math
 import os
-import subprocess
 import sys
 import threading
 import tracemalloc
@@ -29,6 +28,7 @@ from ddikit.model import (DdiModel, KgSelfAttention, ModelConfig,
                           transfer_encoder_weights)
 
 from gradcheck import check_grads, check_model_grads, rel_err
+from paper_step import TRAIN_STEP, run_script
 
 
 def attention_oracle(q, k, v, mask=None):
@@ -1094,16 +1094,7 @@ print(model.tile(), blas.workers(tiles), hashlib.sha256(logits.tobytes()).hexdig
 
 def _run_at_blas_threads(script: str) -> dict[str, list[str]]:
     """The words ``script`` prints, run at ``OPENBLAS_NUM_THREADS`` 1 and 2."""
-    src = os.path.dirname(os.path.dirname(model_module.__file__))
-    runs = {}
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        runs[threads] = proc.stdout.split()
-    return runs
+    return {threads: run_script(script, threads) for threads in ("1", "2")}
 
 
 def test_eval_logits_keep_their_bytes_across_blas_thread_counts():
@@ -1150,43 +1141,13 @@ def test_trunk_gradients_keep_their_bytes_across_blas_thread_counts():
     assert runs["1"][2] == runs["2"][2]
 
 
-_TRAIN_STEP_SCRIPT = """
-import hashlib
-import numpy as np
-from ddikit import autodiff as ad
-from ddikit.model import DdiModel, ModelConfig
-from ddikit.optim import AdamState, adam_step
-model = DdiModel(ModelConfig(vocab_size=40, n_classes=7, n_layers=2, conv_blocks=4), seed=1)
-rng = np.random.default_rng(3)
-ids = rng.integers(4, 40, size=(4, 500))
-ids[np.arange(500)[None, :] >= np.array([146, 141, 129, 101])[:, None]] = 0
-batch = (ids, np.zeros_like(ids), ids != 0, rng.standard_normal((4, 800)))
-tape = ad.Tape()
-with tape:
-    loss = ad.cross_entropy_loss(model.forward(*batch), [0, 3, 5, 6])
-ad.backward(loss, tape)
-params = model.parameters()
-groups = {}
-for name, p in params.items():
-    groups.setdefault(name.split(".")[0], hashlib.sha256()).update(p.grad.tobytes())
-adam_step(params, AdamState(learning_rate=1e-3))
-after = hashlib.sha256(b"".join(p.data.tobytes() for p in params.values()))
-model.eval()
-with ad.no_grad():
-    logits = model.forward(*batch).data
-for group, digest in groups.items():
-    print(f"grad:{group}:{digest.hexdigest()}")
-print("adam:" + after.hexdigest(), "eval:" + hashlib.sha256(logits.tobytes()).hexdigest())
-"""
-
-
 def test_a_train_step_keeps_its_bytes_across_blas_thread_counts():
     """A paper-shaped train step (d_model 256, max_len 500, 4 conv blocks,
     float32, batch 4 with real lengths 146/141/129/101), one Adam step and
     an eval forward: every parameter gradient, every parameter after Adam
     and the eval logits keep their bytes at 1 and 2 BLAS threads, as every
     BLAS product runs at one thread, the conv stack's and the head's too."""
-    runs = _run_at_blas_threads(_TRAIN_STEP_SCRIPT)
+    runs = _run_at_blas_threads(TRAIN_STEP)
     groups = [word.split(":")[1] for word in runs["1"] if word.startswith("grad:")]
     assert groups == ["embed", "encoder", "conv", "mlp1", "kg_attn", "mlp2"]
     assert runs["1"] == runs["2"]
