@@ -634,6 +634,16 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
 # with the column count rounded up to a multiple of 16, each column of a
 # [m, k] x [k, n] product is equal for every n and at 1 or 2 BLAS threads.
 _CONV_COLUMN_BLOCK = 16
+# A conv's products run on the workers in groups of whole samples, each group
+# the fewest samples whose forward takes at least this many multiply-adds; a
+# conv of one group runs on the caller, as a fork-join costs 55-110 us. At
+# d_model 256 a sample of length 250 or more is a group and two of length 125
+# are; a batch of 4 of length 63 stays on the caller. It also keeps every
+# product of a split conv far above the sizes OpenBLAS gives its small-matrix
+# kernels, whose last columns round by the size of the product.
+_CONV_GROUP_MACS = 40_000_000
+# The blocks of output channels ``dw`` is split into when the conv is split.
+_CONV_ROW_BLOCKS = 2
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -643,46 +653,89 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x: [batch, in_channels, length], w: [out_channels, in_channels, kernel],
     b: [out_channels]. Output length is length.
 
-    The forward, ``dw`` and ``dx`` are one matrix product per tap over the
-    whole batch: the samples lie end to end along one axis, each with its own
-    zero padding, and an output column whose window straddles two samples is
-    computed and dropped.
+    The forward, ``dw`` and ``dx`` are matrix products per tap over one
+    array that lays the samples end to end, each with its own zero padding;
+    an output column whose window straddles two samples is computed and
+    dropped. The forward's products run over a multiple of
+    ``_CONV_COLUMN_BLOCK`` columns, the tail past the last sample being
+    zeros, so a sample's output keeps its bits whatever else is in the
+    batch.
 
-    The forward's products run over a multiple of ``_CONV_COLUMN_BLOCK``
-    columns, the tail past the last sample being zeros, so a sample's output
-    keeps its bits whatever else is in the batch.
+    A batch of more than one group of samples (see ``_CONV_GROUP_MACS``)
+    runs its products through ``blas.map_in_threads``: the forward and
+    ``dx`` per group, each over its own columns of the one array, and ``dw``
+    in up to ``_CONV_ROW_BLOCKS`` blocks of output channels over all of the
+    batch's columns, so it is never summed over groups. Each group's
+    products start on a column that is a multiple of ``_CONV_COLUMN_BLOCK``
+    and end on one or where one product over the batch ends, and each row
+    block starts on a multiple of it, so every element is computed by the
+    same kernel block, and summed in the same order, as in one product over
+    the batch: the bits do not change, and as the split does not depend on
+    the number of workers, neither do they. One group runs on the caller,
+    and so does a float64 conv: OpenBLAS's dgemm rounds the last columns of
+    a product whose column count is not a multiple of 16 by how the whole
+    product is blocked, so ``dx`` in groups would change there.
     """
     bsz, cin, length = x.data.shape
     cout, cin_w, kernel = w.data.shape
     if cin != cin_w:
         raise ShapeError(f"conv1d channel mismatch: input {cin} vs kernel {cin_w}")
+    block = _CONV_COLUMN_BLOCK
     pl = (kernel - 1) // 2
     span = length + kernel - 1
     n = bsz * span
-    cols = -(-n // _CONV_COLUMN_BLOCK) * _CONV_COLUMN_BLOCK
+    cols = -(-n // block) * block
+    out = np.empty((bsz, cout, length), np.result_type(x.data, w.data, b.data))
+    size = -(-_CONV_GROUP_MACS // (cout * cin * kernel * span))  # samples a group
+    split = size < bsz and out.dtype == np.float32
+    groups = ([(lo * span, min(lo + size, bsz) * span) for lo in range(0, bsz, size)]
+              if split else [(0, n)])
+    run = blas.map_in_threads if split else (lambda fn, items: [fn(i) for i in items])
     xf = np.zeros((cin, cols + kernel - 1), x.data.dtype)
     xp = xf[:, :n].reshape(cin, bsz, span)
     xp[:, :, pl:pl + length] = x.data.transpose(1, 0, 2)
-    acc = w.data[:, :, 0] @ xf[:, :cols]
-    for k in range(1, kernel):
-        acc += w.data[:, :, k] @ xf[:, k:k + cols]
-    out = np.empty((bsz, cout, length), np.result_type(acc, b.data))
-    np.add(acc[:, :n].reshape(cout, bsz, span)[:, :, :length].transpose(1, 0, 2),
-           b.data[:, None], out=out)
+
+    def forward(group):
+        c0, c1 = group
+        a, e = c0 - c0 % block, -(-c1 // block) * block
+        acc = w.data[:, :, 0] @ xf[:, a:e]
+        for k in range(1, kernel):
+            acc += w.data[:, :, k] @ xf[:, a + k:e + k]
+        np.add(acc[:, c0 - a:c1 - a].reshape(cout, -1, span)[:, :, :length].transpose(1, 0, 2),
+               b.data[:, None], out=out[c0 // span:c1 // span])
+
+    run(forward, groups)
 
     def bwd(g):
         gf = np.zeros((cout, bsz, span), g.dtype)
         gf[:, :, :length] = g.transpose(1, 0, 2)
         gf = gf.reshape(cout, n)
-        dw = np.stack([gf @ xf[:, k:k + n].T for k in range(kernel)], axis=-1)
+        dw = np.empty((cout, cin, kernel), np.result_type(gf, xf))
+        dxf = np.zeros((cin, n), x.data.dtype)
+        # Row blocks of a multiple of 16 rows, the last one the largest: numpy
+        # takes a one-row product by another kernel.
+        blocks = max(1, min(_CONV_ROW_BLOCKS if split else 1, cout // block))
+        rows = cout // blocks - cout // blocks % block
+        edges = [i * rows for i in range(blocks)] + [cout]
+
+        def dw_rows(r0, r1):
+            for k in range(kernel):
+                dw[r0:r1, :, k] = gf[r0:r1] @ xf[:, k:k + n].T
+
+        def dx_columns(c0, c1):
+            # Tap k of output column j lands on padded input column j + k. Taps go
+            # in descending k, the order in which an np.add.at scatter of the
+            # window gradients accumulates, so the two agree bit for bit.
+            for k in reversed(range(kernel)):
+                j = max(c0, k)
+                a = j - k - (j - k) % block
+                e = n if c1 == n else min(-(-(c1 - k) // block) * block, n)
+                dxf[:, j:c1] += (w.data[:, :, k].T @ gf[:, a:e])[:, j - k - a:c1 - k - a]
+
+        run(lambda job: job[0](*job[1]), [(dw_rows, edge) for edge in zip(edges, edges[1:])]
+            + [(dx_columns, group) for group in groups])
         db = g.sum(axis=(0, 2))
-        dxf = np.zeros((cin, n + kernel - 1), x.data.dtype)
-        # Tap k of output column j lands on padded input column j + k. Taps go in
-        # descending k, the order in which an np.add.at scatter of the window
-        # gradients accumulates, so the two agree bit for bit.
-        for k in reversed(range(kernel)):
-            dxf[:, k:k + n] += w.data[:, :, k].T @ gf
-        dx = dxf[:, :n].reshape(xp.shape)[:, :, pl:pl + length].transpose(1, 0, 2)
+        dx = dxf.reshape(xp.shape)[:, :, pl:pl + length].transpose(1, 0, 2)
         return dx, dw, db
 
     return _make(out, (x, w, b), bwd)
@@ -725,9 +778,9 @@ def dropout_keep(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray
 
 
 def dropout(x: Tensor, keep: Optional[np.ndarray]) -> Tensor:
-    """x times ``keep``, a mask drawn by ``dropout_keep`` (a caller that runs
-    one batch in slices draws it for the whole batch and passes each slice
-    its rows); x itself when ``keep`` is None."""
+    """x times ``keep``, a mask drawn by ``dropout_keep`` (the trunk's tiles
+    each draw their own rows of the batch's mask, see
+    ``EncoderModel.trunk``); x itself when ``keep`` is None."""
     if keep is None:
         return x
     out = x.data * keep

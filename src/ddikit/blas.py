@@ -98,29 +98,44 @@ def workers(jobs: int) -> int:
     return max(1, min(count, len(os.sched_getaffinity(0)), jobs))
 
 
+class _Pool(threading.local):
+    running = False  # whether this thread is running map_in_threads items
+
+
+_POOL = _Pool()
+
+
 def map_in_threads(fn, items) -> list:
     """``[fn(x) for x in items]`` on the calling thread and helper threads,
     ``workers(len(items))`` threads in all. One item runs on the caller
-    alone. Each thread takes the next item no thread has taken, and every
-    item runs. A helper runs in a copy of the caller's context, so numpy's
-    ``errstate`` holds in it. Once every thread has stopped, the results
-    come back in the order of ``items``; if items raised, the exception of
-    the first of them in that order is raised instead."""
+    alone, and so does every item of a call made while this thread runs an
+    item of another call (a conv inside a trunk tile, say), so the process
+    never runs more than ``workers()`` threads. Each thread takes the next
+    item no thread has taken, and every item runs. A helper runs in a copy
+    of the caller's context, so numpy's ``errstate`` holds in it. Once every
+    thread has stopped, the results come back in the order of ``items``; if
+    items raised, the exception of the first of them in that order is raised
+    instead."""
     out = [None] * len(items)
     errors = [None] * len(items)
     claims = itertools.count()
 
     def work():
-        for i in claims:
-            if i >= len(items):
-                return
-            try:
-                out[i] = fn(items[i])
-            except BaseException as exc:
-                errors[i] = exc
+        outer, _POOL.running = _POOL.running, True
+        try:
+            for i in claims:
+                if i >= len(items):
+                    return
+                try:
+                    out[i] = fn(items[i])
+                except BaseException as exc:
+                    errors[i] = exc
+        finally:
+            _POOL.running = outer
 
+    count = 1 if _POOL.running else workers(len(items))
     helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
-               for _ in range(workers(len(items)) - 1)]
+               for _ in range(count - 1)]
     for helper in helpers:
         helper.start()
     try:

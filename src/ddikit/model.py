@@ -10,6 +10,7 @@ two 400-wide tokens inside the KG self-attention block.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, asdict
 
@@ -346,16 +347,6 @@ class EncoderModel:
         sample_bytes = cfg.max_len * cfg.d_model * np.dtype(cfg.np_dtype).itemsize
         return max(1, TILE_BYTES // sample_bytes)
 
-    def dropout_keeps(self, shape) -> list[np.ndarray] | None:
-        """The encoder's dropout keep masks over a [batch, length] ``shape``:
-        two per layer, in the order the layers apply them, drawn from
-        ``self.rng`` one at a time. None out of training or at dropout 0."""
-        cfg = self.cfg
-        if not self.training or cfg.dropout <= 0:
-            return None
-        return [ad.dropout_keep(tuple(shape) + (cfg.d_model,), cfg.dropout, self.rng,
-                                cfg.np_dtype) for _ in range(2 * cfg.n_layers)]
-
     def trunk(self, ids: np.ndarray, segment_ids: np.ndarray, mask: np.ndarray,
               tail=None) -> Tensor:
         """embed -> encoder and then ``tail`` over the batch in
@@ -363,18 +354,36 @@ class EncoderModel:
 
         No sample's path through the trunk reads another sample, so each
         tile runs with its own key span and the outputs keep the bits of one
-        pass over the batch. The dropout masks are drawn here, for the whole
-        batch, so the rng stream is that of one pass too. A batch of one tile
-        runs here as that one pass, on the calling thread. More tiles run
-        through ``autodiff.join_tiles`` on the threads
+        pass over the batch. In training each tile draws its own rows of the
+        2 x n_layers dropout keep masks. One pass would draw the masks one
+        after another from ``self.rng``, one 64-bit output a float64, so row
+        ``lo`` of mask ``m`` starts ``(m * batch + lo) * length * d_model``
+        outputs in: the tile draws from a copy of the rng's bit generator
+        advanced there (PCG's jump-ahead), and ``self.rng`` is advanced past
+        all the masks. The masks and the rng's next draw are those of one
+        pass. A batch of one tile runs here as that one pass, on the calling
+        thread. More tiles run through ``autodiff.join_tiles`` on the threads
         ``blas.map_in_threads`` sizes."""
-        keeps = self.dropout_keeps(ids.shape)
+        cfg = self.cfg
         size = self.tile()
+        dropped = self.training and cfg.dropout > 0
+        if dropped:
+            stream = copy.deepcopy(self.rng.bit_generator)
+            self.rng.bit_generator.advance(2 * cfg.n_layers * ids.size * cfg.d_model)
 
         def run(lo):
             rows = slice(lo, lo + size)
-            out = self.encoder(self.embeddings(ids[rows], segment_ids[rows]), mask[rows],
-                               None if keeps is None else [k[rows] for k in keeps])
+            keeps = None
+            if dropped:
+                shape = ids[rows].shape + (cfg.d_model,)
+                bits = copy.deepcopy(stream)
+                draws = np.random.Generator(bits)
+                bits.advance(lo * ids.shape[1] * cfg.d_model)
+                keeps = []
+                for _ in range(2 * cfg.n_layers):
+                    keeps.append(ad.dropout_keep(shape, cfg.dropout, draws, cfg.np_dtype))
+                    bits.advance((len(ids) - shape[0]) * ids.shape[1] * cfg.d_model)
+            out = self.encoder(self.embeddings(ids[rows], segment_ids[rows]), mask[rows], keeps)
             return out if tail is None else tail(out)
 
         if len(ids) <= size:
@@ -401,12 +410,15 @@ class DdiModel(EncoderModel):
         """ids/segment_ids: int [batch, max_len]; mask: bool [batch, max_len];
         pair_vec: [batch, kg_dim]. Returns logits [batch, n_classes].
 
-        The trunk runs in tiles (see ``trunk``): embed -> encoder in training,
-        where conv runs on the joined batch, as batch norm needs the batch's
-        statistics, and embed -> encoder -> conv in eval. The head runs once
-        on the whole batch, on the calling thread: its GEMMs round
-        differently on fewer rows. Every product, here as in the tiles, runs
-        at one BLAS thread (see ``ddikit.blas``)."""
+        The trunk runs in tiles (see ``trunk``): embed -> encoder in training
+        and embed -> encoder -> conv in eval. In training conv runs on the
+        calling thread over the joined batch, as batch norm needs the batch's
+        statistics: its products run on the workers in sample groups and
+        channel blocks (see ``autodiff.conv1d``), and batch norm on the
+        caller. In eval a tile's conv runs its products on the tile's thread.
+        The head runs once on the whole batch, on the calling thread: its
+        GEMMs round differently on fewer rows. Every product runs at one BLAS
+        thread (see ``ddikit.blas``)."""
         if self.training:
             conv_feat = self.conv(self.trunk(ids, segment_ids, mask), True)
         else:

@@ -6,7 +6,9 @@ The step: d_model 256, 2 encoder layers, max_len 500, 4 conv blocks,
 float32, dropout 0.1, a batch of 4 with real lengths 146/141/129/101, then
 one Adam step and an eval forward. It prints the sha256 of each gradient
 group, as ``grad:<group>:<hash>``, of every parameter after Adam, as
-``adam:<hash>``, and of the eval logits, as ``eval:<hash>``."""
+``adam:<hash>``, and of the eval logits, as ``eval:<hash>``; then the
+samples in a trunk tile, as ``tile:<n>``, and the workers its 4 samples'
+tiles run on, as ``workers:<n>``."""
 
 import os
 import subprocess
@@ -17,7 +19,7 @@ import ddikit
 TRAIN_STEP = """
 import hashlib
 import numpy as np
-from ddikit import autodiff as ad
+from ddikit import autodiff as ad, blas
 from ddikit.model import DdiModel, ModelConfig
 from ddikit.optim import AdamState, adam_step
 model = DdiModel(ModelConfig(vocab_size=40, n_classes=7, n_layers=2, conv_blocks=4), seed=1)
@@ -41,6 +43,7 @@ with ad.no_grad():
 for group, digest in groups.items():
     print(f"grad:{group}:{digest.hexdigest()}")
 print("adam:" + after.hexdigest(), "eval:" + hashlib.sha256(logits.tobytes()).hexdigest())
+print(f"tile:{model.tile()}", f"workers:{blas.workers(-(-len(ids) // model.tile()))}")
 """
 
 

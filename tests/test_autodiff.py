@@ -526,6 +526,35 @@ def test_conv1d_output_of_a_sample_does_not_depend_on_the_batch(dtype, c, length
             assert np.array_equal(part, whole[lo:lo + size]), (size, lo)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(5, 8, 12, 3), (3, 33, 96, 3), (4, 128, 125, 3),
+                                   (2, 16, 7, 4), (3, 5, 6, 1)])
+def test_conv1d_in_sample_groups_keeps_the_bits_of_one_product(monkeypatch, dtype, shape):
+    """With every sample a group on two workers (dw in two blocks of output
+    channels where there are 32 or more), the output and the gradients of x,
+    w and b equal those of one product over the batch on the caller. A
+    float64 conv runs whole on the caller."""
+    bsz, c, length, kernel = shape
+    rng = np.random.default_rng(sum(shape))
+    x, w, b, g = (rng.standard_normal(s).astype(dtype) for s in
+                  ((bsz, c, length), (c + 1, c, kernel), (c + 1,), (bsz, c + 1, length)))
+    monkeypatch.setattr(blas, "threads", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    maps, pool = [], blas.map_in_threads
+    monkeypatch.setattr(blas, "map_in_threads", lambda fn, items: maps.append(fn) or pool(fn, items))
+    runs = []
+    for macs in (10**15, 1):
+        monkeypatch.setattr(ad, "_CONV_GROUP_MACS", macs)
+        xt, wt, bt = (Tensor(a, requires_grad=True, dtype=dtype) for a in (x, w, b))
+        tape = Tape()
+        with tape:
+            y = ad.conv1d(xt, wt, bt)
+        backward(y, tape, g)
+        runs.append((y.data, xt.grad, wt.grad, bt.grad))
+    assert len(maps) == (2 if dtype == np.float32 else 0)
+    assert all(np.array_equal(one, grouped) for one, grouped in zip(*runs))
+
+
 def test_max_pool_ceil_mode():
     """The same maxima under no_grad, where no argmax is taken, as on a tape."""
     x = Tensor(np.arange(5, dtype=np.float64).reshape(1, 1, 5), requires_grad=True)

@@ -795,20 +795,24 @@ def _pool_spy(monkeypatch, meet: int):
     """Count the helper threads ``blas.map_in_threads`` starts and the
     threads its items run on. Returns (helpers started, thread of each item,
     ``on_item``), where ``on_item()`` records its thread and, in each
-    thread's first item, waits until ``meet`` threads have one, so every
-    thread of a pool of ``meet`` runs an item and a smaller pool fails."""
-    started, idents = [], []
+    thread's first item of a pool, waits until ``meet`` threads have one, so
+    every thread of a pool of ``meet`` runs an item and a smaller pool
+    fails. A pool's first helper starting begins a new pool."""
+    started, idents, pool = [], [], set()
     first = threading.Barrier(meet, timeout=10)
     lock = threading.Lock()
 
     class Counted(threading.Thread):
         def start(self):
+            if len(started) % max(meet - 1, 1) == 0:  # the pool's first helper
+                pool.clear()
             started.append(self)
             super().start()
 
     def on_item():
         with lock:
-            new = threading.get_ident() not in idents
+            new = threading.get_ident() not in pool
+            pool.add(threading.get_ident())
             idents.append(threading.get_ident())
         if new:
             first.wait()
@@ -836,7 +840,7 @@ def test_workers_stop_at_the_tiles_and_the_cores(monkeypatch):
     monkeypatch.setattr(blas, "threads", lambda: None)  # no OpenBLAS found
     assert pool(3, 1) == (0, {caller})
 
-    model = DdiModel(tiny_config(), seed=0)
+    model = DdiModel(tiny_config(dtype="float32"), seed=0)  # float64 convs never split
     model.eval()
     _set_tile(monkeypatch, model, 2)
     _force_workers(monkeypatch, 2)
@@ -845,6 +849,19 @@ def test_workers_stop_at_the_tiles_and_the_cores(monkeypatch):
     model.embeddings = lambda *a: on_item() or embeddings(*a)
     with no_grad():
         model.forward(*_batch_of_seven(model))
+    assert len(idents) == 4 and len(set(idents)) == 2 and len(started) == 1
+
+    # Each sample of the tiles' convs a group: the convs map their groups
+    # from inside the tiles, on the tile's thread, and start no helper.
+    monkeypatch.setattr(ad, "_CONV_GROUP_MACS", 1)
+    started, idents, on_item = _pool_spy(monkeypatch, 2)
+    calls, pool = [], blas.map_in_threads
+    monkeypatch.setattr(blas, "map_in_threads", lambda fn, items: calls.append(fn) or pool(fn, items))
+    with no_grad():
+        model.forward(*_batch_of_seven(model))
+    convs = [fn for fn in calls if fn.__qualname__.startswith("conv1d")]
+    # the three tiles of 2 (a 1-sample tile's conv is one group, mapped by none)
+    assert len(convs) == 3 * 2 * model.cfg.conv_blocks and len(calls) == len(convs) + 1
     assert len(idents) == 4 and len(set(idents)) == 2 and len(started) == 1
 
 
@@ -1007,6 +1024,33 @@ def test_training_forward_runs_conv_once_on_the_joined_tiles(monkeypatch):
     assert ops.count("concat") == 1  # the fusion
 
 
+def test_a_training_step_runs_the_conv_products_on_two_workers(monkeypatch):
+    """With each sample a conv group, every conv1d forward and backward of a
+    training step runs its products on the caller and one helper, and the
+    logits and every gradient keep the bits of the same step with each conv
+    on the caller. The trunk is one tile, so every helper is a conv's."""
+    model = DdiModel(tiny_config(dropout=0.2, dtype="float32"), seed=0)
+    rng = np.random.default_rng(2)
+    ids = rng.integers(4, 12, size=(5, 8))
+    batch = (ids, np.zeros_like(ids), ids != 0, rng.standard_normal((5, 4)))
+    _force_workers(monkeypatch, 2)
+    assert model.tile() >= 5
+    model.rng = np.random.default_rng(1)
+    _, logits, grads = _training_step(model, batch)
+    monkeypatch.setattr(ad, "_CONV_GROUP_MACS", 1)
+    started, idents, on_item = _pool_spy(monkeypatch, 2)
+    pool = blas.map_in_threads
+    monkeypatch.setattr(blas, "map_in_threads",
+                        lambda fn, items: pool(lambda x: on_item() or fn(x), items))
+    model.rng = np.random.default_rng(1)
+    _, logits2, grads2 = _training_step(model, batch)
+    convs = 2 * model.cfg.conv_blocks
+    # forward: 5 sample groups; backward: 1 block of dw's 4 rows and 5 groups
+    assert len(started) == 2 * convs and len(idents) == convs * (5 + 6)
+    assert np.array_equal(logits, logits2)
+    assert all(np.array_equal(grads[n], grads2[n]) for n in grads)
+
+
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_training_gradients_on_two_workers_keep_the_bits_of_one(monkeypatch, dtype):
     """Tiles of 2 over ``_batch_of_seven``, with dropout: two workers give
@@ -1053,9 +1097,9 @@ def test_recorded_eval_forward_records_one_trunk_entry_with_the_gradients_of_one
 
 
 def test_tiled_training_trunk_draws_the_dropout_masks_of_one_pass(monkeypatch):
-    """The 2 x n_layers keep masks are drawn for the whole batch, one after
-    another, before the tiles run: the hidden states equal those of one
-    pass, and the rng's next draw is the one after those masks."""
+    """Each tile draws its own rows of the 2 x n_layers keep masks: the
+    hidden states equal those of one pass, and the rng's next draw is the
+    one after those masks."""
     model = PretrainModel(tiny_config(d_model=8, n_layers=2, max_len=12, dropout=0.3), seed=2)
     ids, segs, mask, _ = _batch_of_seven(model)
     hidden = []
@@ -1070,6 +1114,47 @@ def test_tiled_training_trunk_draws_the_dropout_masks_of_one_pass(monkeypatch):
     for _ in range(2 * model.cfg.n_layers):
         ref.random((7, 12, 8))
     assert np.array_equal(hidden[0], hidden[2]) and hidden[1] == hidden[3] == ref.random()
+
+
+def test_each_tile_draws_its_rows_of_the_one_pass_dropout_masks(monkeypatch):
+    """Tiles of 2 over a batch of 7 on two workers: the keep masks are
+    drawn in the tiles, on both threads, each draw a tile's rows only, and
+    the masks a tile's encoder gets are its rows of those one pass draws
+    from the same rng one after another. The rng's next draw after the
+    trunk is the one after all of them."""
+    model = PretrainModel(tiny_config(d_model=8, n_layers=2, max_len=12, dropout=0.3,
+                                      dtype="float32"), seed=2)
+    ids, segs, mask, _ = _batch_of_seven(model)
+    _set_tile(monkeypatch, model, 2)
+    _force_workers(monkeypatch, 2)
+    model.rng = np.random.default_rng(5)
+    draws, keep, lock = [], ad.dropout_keep, threading.Lock()
+
+    def spy_keep(shape, *args):
+        with lock:
+            draws.append((threading.get_ident(), shape))
+        return keep(shape, *args)
+
+    tiles, encoder = {}, model.encoder
+
+    def spy_encoder(x, tile_mask, keeps):
+        tiles[(tile_mask.ctypes.data - mask.ctypes.data) // mask.strides[0]] = keeps
+        return encoder(x, tile_mask, keeps)
+
+    monkeypatch.setattr(ad, "dropout_keep", spy_keep)
+    model.encoder = spy_encoder
+    _spy_tiles(model)
+    with no_grad():
+        model.trunk(ids, segs, mask)
+    ref = np.random.default_rng(5)
+    one_pass = [keep((7, 12, 8), 0.3, ref, np.float32) for _ in range(4)]
+    assert sorted(tiles) == [0, 2, 4, 6] and len(draws) == 4 * 4
+    assert len({thread for thread, _ in draws}) == 2
+    assert sorted(shape for _, shape in draws) == [(1, 12, 8)] * 4 + [(2, 12, 8)] * 12
+    for lo, keeps in tiles.items():
+        assert len(keeps) == 4
+        assert all(np.array_equal(k, full[lo:lo + 2]) for k, full in zip(keeps, one_pass))
+    assert model.rng.random() == ref.random()
 
 
 _BLAS_THREADS_SCRIPT = """
@@ -1107,50 +1192,23 @@ def test_eval_logits_keep_their_bytes_across_blas_thread_counts():
     assert runs["1"][2] == runs["2"][2]
 
 
-_TRUNK_GRADS_SCRIPT = """
-import hashlib
-import numpy as np
-from ddikit import autodiff as ad, blas
-from ddikit.model import DdiModel, ModelConfig
-model = DdiModel(ModelConfig(vocab_size=40, n_classes=7, n_layers=2, conv_blocks=2), seed=1)
-rng = np.random.default_rng(3)
-ids = rng.integers(4, 40, size=(4, 500))
-ids[np.arange(500)[None, :] >= np.array([146, 141, 129, 101])[:, None]] = 0
-tape = ad.Tape()
-with tape:
-    logits = model.forward(ids, np.zeros_like(ids), ids != 0, rng.standard_normal((4, 800)))
-    loss = ad.cross_entropy_loss(logits, [0, 3, 5, 6])
-ad.backward(loss, tape)
-trunk = hashlib.sha256()
-for name, p in model.parameters().items():
-    if name.startswith(("embed.", "encoder.")):
-        trunk.update(p.grad.tobytes())
-print(model.tile(), blas.workers(-(-4 // model.tile())), trunk.hexdigest())
-"""
-
-
-def test_trunk_gradients_keep_their_bytes_across_blas_thread_counts():
-    """A paper-shaped trunk (d_model 256, 8 heads, max_len 500, float32) over
-    4 one-sample tiles: at 1 and 2 BLAS threads every embed and encoder
-    gradient keeps its bytes, as each tile runs at one BLAS thread and the
-    tiles' gradients add in tile order. One pass at 2 BLAS threads rounds
-    attention's key and value gradients differently."""
-    runs = _run_at_blas_threads(_TRUNK_GRADS_SCRIPT)
-    cores = len(os.sched_getaffinity(0))
-    assert runs["1"][:2] == ["1", "1"] and runs["2"][:2] == ["1", str(min(2, cores))]
-    assert runs["1"][2] == runs["2"][2]
-
-
 def test_a_train_step_keeps_its_bytes_across_blas_thread_counts():
-    """A paper-shaped train step (d_model 256, max_len 500, 4 conv blocks,
-    float32, batch 4 with real lengths 146/141/129/101), one Adam step and
-    an eval forward: every parameter gradient, every parameter after Adam
-    and the eval logits keep their bytes at 1 and 2 BLAS threads, as every
-    BLAS product runs at one thread, the conv stack's and the head's too."""
+    """The paper-shaped train step of ``paper_step`` (d_model 256, max_len
+    500, 4 conv blocks, float32, batch 4 with real lengths 146/141/129/101),
+    one Adam step and an eval forward, over 4 one-sample trunk tiles on 1
+    worker at 1 BLAS thread and min(2, cores) at 2: every parameter
+    gradient, every parameter after Adam and the eval logits keep their
+    bytes. Every BLAS product runs at one thread, the tiles' gradients add
+    in tile order, and the conv stack's sample groups and channel blocks do
+    not depend on the number of workers."""
     runs = _run_at_blas_threads(TRAIN_STEP)
+    cores = len(os.sched_getaffinity(0))
+    assert "tile:1" in runs["1"] and "workers:1" in runs["1"]
+    assert f"workers:{min(2, cores)}" in runs["2"]
     groups = [word.split(":")[1] for word in runs["1"] if word.startswith("grad:")]
     assert groups == ["embed", "encoder", "conv", "mlp1", "kg_attn", "mlp2"]
-    assert runs["1"] == runs["2"]
+    hashes = {t: [w for w in words if not w.startswith("workers:")] for t, words in runs.items()}
+    assert hashes["1"] == hashes["2"]
 
 
 _PIN_SCRIPT = "import ctypes, functools, os\n" + inspect.getsource(_openblas_get) + """
