@@ -366,10 +366,11 @@ class EncoderModel:
         ``blas.map_in_threads`` sizes."""
         cfg = self.cfg
         size = self.tile()
+        row = ids.shape[1] * cfg.d_model  # draws a mask takes per sample
         dropped = self.training and cfg.dropout > 0
         if dropped:
             stream = copy.deepcopy(self.rng.bit_generator)
-            self.rng.bit_generator.advance(2 * cfg.n_layers * ids.size * cfg.d_model)
+            self.rng.bit_generator.advance(2 * cfg.n_layers * len(ids) * row)
 
         def run(lo):
             rows = slice(lo, lo + size)
@@ -377,12 +378,12 @@ class EncoderModel:
             if dropped:
                 shape = ids[rows].shape + (cfg.d_model,)
                 bits = copy.deepcopy(stream)
+                bits.advance(lo * row)
                 draws = np.random.Generator(bits)
-                bits.advance(lo * ids.shape[1] * cfg.d_model)
                 keeps = []
                 for _ in range(2 * cfg.n_layers):
                     keeps.append(ad.dropout_keep(shape, cfg.dropout, draws, cfg.np_dtype))
-                    bits.advance((len(ids) - shape[0]) * ids.shape[1] * cfg.d_model)
+                    bits.advance((len(ids) - shape[0]) * row)
             out = self.encoder(self.embeddings(ids[rows], segment_ids[rows]), mask[rows], keeps)
             return out if tail is None else tail(out)
 
