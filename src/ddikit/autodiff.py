@@ -686,7 +686,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     n = bsz * span
     cols = -(-n // block) * block
     out = np.empty((bsz, cout, length), np.result_type(x.data, w.data, b.data))
-    size = -(-_CONV_GROUP_MACS // (cout * cin * kernel * span))  # samples a group
+    size = -(-_CONV_GROUP_MACS // max(1, cout * cin * kernel * span))  # samples a group
     split = size < bsz and out.dtype == np.float32
     groups = ([(lo * span, min(lo + size, bsz) * span) for lo in range(0, bsz, size)]
               if split else [(0, n)])

@@ -2,6 +2,7 @@
 independent oracle for the Adam update recurrence."""
 
 import os
+import sys
 import threading
 import tracemalloc
 
@@ -530,26 +531,33 @@ def test_conv1d_output_of_a_sample_does_not_depend_on_the_batch(dtype, c, length
 @pytest.mark.parametrize("shape", [(5, 8, 12, 3), (3, 33, 96, 3), (4, 128, 125, 3),
                                    (2, 16, 7, 4), (3, 5, 6, 1)])
 def test_conv1d_in_sample_groups_keeps_the_bits_of_one_product(monkeypatch, dtype, shape):
-    """With every sample a group on two workers (dw in two blocks of output
-    channels where there are 32 or more), the output and the gradients of x,
-    w and b equal those of one product over the batch on the caller. A
-    float64 conv runs whole on the caller."""
+    """With every sample a group (dw in two blocks of output channels where
+    there are 32 or more), on four workers with thread switches every
+    microsecond, the output and the gradients of x, w and b equal those of
+    one product over the batch on the caller. A float64 conv runs whole on
+    the caller."""
     bsz, c, length, kernel = shape
     rng = np.random.default_rng(sum(shape))
     x, w, b, g = (rng.standard_normal(s).astype(dtype) for s in
                   ((bsz, c, length), (c + 1, c, kernel), (c + 1,), (bsz, c + 1, length)))
-    monkeypatch.setattr(blas, "threads", lambda: 2)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    maps, pool = [], blas.map_in_threads
-    monkeypatch.setattr(blas, "map_in_threads", lambda fn, items: maps.append(fn) or pool(fn, items))
+    monkeypatch.setattr(blas, "threads", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    maps, real_map = [], blas.map_in_threads
+    monkeypatch.setattr(blas, "map_in_threads",
+                        lambda fn, items: maps.append(fn) or real_map(fn, items))
     runs = []
+    interval = sys.getswitchinterval()
     for macs in (10**15, 1):
         monkeypatch.setattr(ad, "_CONV_GROUP_MACS", macs)
         xt, wt, bt = (Tensor(a, requires_grad=True, dtype=dtype) for a in (x, w, b))
-        tape = Tape()
-        with tape:
-            y = ad.conv1d(xt, wt, bt)
-        backward(y, tape, g)
+        sys.setswitchinterval(1e-6)
+        try:
+            tape = Tape()
+            with tape:
+                y = ad.conv1d(xt, wt, bt)
+            backward(y, tape, g)
+        finally:
+            sys.setswitchinterval(interval)
         runs.append((y.data, xt.grad, wt.grad, bt.grad))
     assert len(maps) == (2 if dtype == np.float32 else 0)
     assert all(np.array_equal(one, grouped) for one, grouped in zip(*runs))

@@ -855,8 +855,9 @@ def test_workers_stop_at_the_tiles_and_the_cores(monkeypatch):
     # from inside the tiles, on the tile's thread, and start no helper.
     monkeypatch.setattr(ad, "_CONV_GROUP_MACS", 1)
     started, idents, on_item = _pool_spy(monkeypatch, 2)
-    calls, pool = [], blas.map_in_threads
-    monkeypatch.setattr(blas, "map_in_threads", lambda fn, items: calls.append(fn) or pool(fn, items))
+    calls, real_map = [], blas.map_in_threads
+    monkeypatch.setattr(blas, "map_in_threads",
+                        lambda fn, items: calls.append(fn) or real_map(fn, items))
     with no_grad():
         model.forward(*_batch_of_seven(model))
     convs = [fn for fn in calls if fn.__qualname__.startswith("conv1d")]
@@ -1039,9 +1040,9 @@ def test_a_training_step_runs_the_conv_products_on_two_workers(monkeypatch):
     _, logits, grads = _training_step(model, batch)
     monkeypatch.setattr(ad, "_CONV_GROUP_MACS", 1)
     started, idents, on_item = _pool_spy(monkeypatch, 2)
-    pool = blas.map_in_threads
+    real_map = blas.map_in_threads
     monkeypatch.setattr(blas, "map_in_threads",
-                        lambda fn, items: pool(lambda x: on_item() or fn(x), items))
+                        lambda fn, items: real_map(lambda x: on_item() or fn(x), items))
     model.rng = np.random.default_rng(1)
     _, logits2, grads2 = _training_step(model, batch)
     convs = 2 * model.cfg.conv_blocks
