@@ -1193,6 +1193,40 @@ def test_eval_logits_keep_their_bytes_across_blas_thread_counts():
     assert runs["1"][2] == runs["2"][2]
 
 
+_TRUNK_GRADS_SCRIPT = """
+import hashlib
+import numpy as np
+from ddikit import autodiff as ad, blas
+from ddikit.model import DdiModel, ModelConfig
+model = DdiModel(ModelConfig(vocab_size=40, n_classes=7, n_layers=2, conv_blocks=2), seed=1)
+rng = np.random.default_rng(3)
+ids = rng.integers(4, 40, size=(4, 500))
+ids[np.arange(500)[None, :] >= np.array([146, 141, 129, 101])[:, None]] = 0
+tape = ad.Tape()
+with tape:
+    logits = model.forward(ids, np.zeros_like(ids), ids != 0, rng.standard_normal((4, 800)))
+    loss = ad.cross_entropy_loss(logits, [0, 3, 5, 6])
+ad.backward(loss, tape)
+trunk = hashlib.sha256()
+for name, p in model.parameters().items():
+    if name.startswith(("embed.", "encoder.")):
+        trunk.update(p.grad.tobytes())
+print(model.tile(), blas.workers(-(-4 // model.tile())), trunk.hexdigest())
+"""
+
+
+def test_trunk_gradients_keep_their_bytes_across_blas_thread_counts():
+    """A paper-shaped trunk (d_model 256, 8 heads, max_len 500, float32) over
+    4 one-sample tiles, each drawing its own rows of the dropout masks: at 1
+    and 2 BLAS threads every embed and encoder gradient keeps its bytes, as
+    each tile runs at one BLAS thread and the tiles' gradients add in tile
+    order."""
+    runs = _run_at_blas_threads(_TRUNK_GRADS_SCRIPT)
+    cores = len(os.sched_getaffinity(0))
+    assert runs["1"][:2] == ["1", "1"] and runs["2"][:2] == ["1", str(min(2, cores))]
+    assert runs["1"][2] == runs["2"][2]
+
+
 def test_a_train_step_keeps_its_bytes_across_blas_thread_counts():
     """The paper-shaped train step of ``paper_step`` (d_model 256, max_len
     500, 4 conv blocks, float32, batch 4 with real lengths 146/141/129/101),
