@@ -207,41 +207,40 @@ def join_tiles(run, starts) -> Tensor:
     gives them, the outputs joined along axis 0 in tile order.
 
     Under a recording tape each tile records on a tape of its own, and the
-    caller's tape gets one entry whose inputs are the parameters the tiles
-    read. Its backward back-propagates each tile's tape on the same workers,
-    each into a gradient dict of its own, so no two threads write one
-    ``.grad``; the calling thread then adds the dicts in tile order, so the
-    sums' bits do not depend on the number of workers."""
+    caller's tape gets one entry whose inputs are each tile's parameters, in
+    tile order. Its backward back-propagates each tile's tape on the same
+    workers, each into a gradient dict of its own, so no two threads write
+    one ``.grad``, and returns the tiles' gradients in that order for
+    ``backward``'s own loop to add, so the sums' bits do not depend on the
+    number of workers. A parameter read inside the tiles must be read
+    nowhere else: its gradient is then the tiles' sum alone, started at a
+    copy of the first tile's."""
     if active_tape() is None:
         return concat(blas.map_in_threads(run, starts), axis=0)
 
     def recorded(lo):
         tape = Tape()
         with tape:
-            return tape, run(lo)
+            out = run(lo)
+        return tape, out, list(dict.fromkeys(inp for entry in tape.entries
+                                             for inp in entry.inputs
+                                             if isinstance(inp, Parameter)))
 
     tiles = blas.map_in_threads(recorded, starts)
-    params = list(dict.fromkeys(inp for tape, _ in tiles for entry in tape.entries
-                                for inp in entry.inputs if isinstance(inp, Parameter)))
-    bounds = np.cumsum([0] + [len(out.data) for _, out in tiles])
+    bounds = np.cumsum([0] + [len(out.data) for _, out, _ in tiles])
 
     def bwd(g):
         def tile_grads(i):
-            tape, out = tiles[i]
+            tape, out, params = tiles[i]
             grads = {}
             backward(out, tape, g[bounds[i]:bounds[i + 1]], grads)
-            return grads
+            return [grads.get(p) for p in params]
 
-        sums = {}
-        for grads in blas.map_in_threads(tile_grads, range(len(tiles))):
-            for p, gp in grads.items():
-                if p in sums:
-                    sums[p] += gp
-                else:
-                    sums[p] = gp
-        return tuple(sums.get(p) for p in params)
+        return [gp for grads in blas.map_in_threads(tile_grads, range(len(tiles)))
+                for gp in grads]
 
-    return _make(np.concatenate([out.data for _, out in tiles]), params, bwd)
+    return _make(np.concatenate([out.data for _, out, _ in tiles]),
+                 [p for _, _, params in tiles for p in params], bwd)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:

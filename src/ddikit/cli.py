@@ -164,16 +164,17 @@ def _write_manifest(args, config, outputs, t0):
 
 
 def _environment() -> dict:
-    """What the run's numbers came from: the BLAS numpy was built with and
-    the thread count it started with, which is the worker count (None
-    without OpenBLAS), the cores this process may run on and the machine's
-    RAM (None where the OS does not say)."""
+    """What the run's numbers came from: the BLAS numpy was built with, the
+    thread count it started with, which is the worker count, and the core
+    whose kernels it runs, which sets a product's bits (both None without
+    OpenBLAS), the cores this process may run on and the machine's RAM
+    (None where the OS does not say)."""
     built = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
     cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-    ram = blas.ram_bytes()
+    ram, build = blas.ram_bytes(), blas.build()
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": built.get("name"), "blas_version": built.get("version"),
-            "blas_threads": blas.threads(),
+            "blas_threads": blas.threads(), "blas_core": None if build is None else build[1],
             "cores": len(cores) if cores else os.cpu_count(),
             "ram_mb": None if ram is None else ram // 2**20}
 

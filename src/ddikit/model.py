@@ -233,7 +233,7 @@ class Encoder:
 
     def __call__(self, x: Tensor, mask, keeps=None) -> Tensor:
         """keeps: two dropout keep masks per layer, in layer order, as
-        ``EncoderModel.dropout_keeps`` draws them; None for no dropout."""
+        ``EncoderModel.trunk`` draws them; None for no dropout."""
         # Keys stop one past the batch's last real token, so no layer projects
         # keys or values for the all-padding tail. At least two stay: numpy
         # takes a one-row product by another kernel, whose rounding differs
@@ -361,9 +361,9 @@ class EncoderModel:
         outputs in: the tile draws from a copy of the rng's bit generator
         advanced there (PCG's jump-ahead), and ``self.rng`` is advanced past
         all the masks. The masks and the rng's next draw are those of one
-        pass. A batch of one tile runs here as that one pass, on the calling
-        thread. More tiles run through ``autodiff.join_tiles`` on the threads
-        ``blas.map_in_threads`` sizes."""
+        pass. Every batch runs through ``autodiff.join_tiles`` on the threads
+        ``blas.map_in_threads`` sizes, one tile too; the parameters the tiles
+        read are read nowhere else, as its gradient sums ask."""
         cfg = self.cfg
         size = self.tile()
         row = ids.shape[1] * cfg.d_model  # draws a mask takes per sample
@@ -387,8 +387,6 @@ class EncoderModel:
             out = self.encoder(self.embeddings(ids[rows], segment_ids[rows]), mask[rows], keeps)
             return out if tail is None else tail(out)
 
-        if len(ids) <= size:
-            return run(0)
         return ad.join_tiles(run, range(0, len(ids), size))
 
 

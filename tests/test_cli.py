@@ -105,14 +105,14 @@ def test_every_run_writes_a_manifest(world):
 
 
 def test_manifest_records_the_environment(world):
-    """The versions, the BLAS and the thread count read back from it, the
-    cores and the RAM the run had."""
+    """The versions, the BLAS, the thread count and the kernels' core read
+    back from it, the cores and the RAM the run had."""
     env = json.loads((world / "split" / "manifest.json").read_text())["environment"]
     built = np.__config__.CONFIG["Build Dependencies"]["blas"]
     assert env == {"python": platform.python_version(), "numpy": np.__version__,
                    "blas": built["name"], "blas_version": built["version"],
-                   "blas_threads": blas.threads(), "cores": len(os.sched_getaffinity(0)),
-                   "ram_mb": env["ram_mb"]}
+                   "blas_threads": blas.threads(), "blas_core": (blas.build() or (None, None))[1],
+                   "cores": len(os.sched_getaffinity(0)), "ram_mb": env["ram_mb"]}
     assert 0 < env["ram_mb"] < 2**30
 
 

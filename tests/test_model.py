@@ -1006,18 +1006,22 @@ def _training_step(model, batch):
     return entries, logits.data, {n: p.grad for n, p in model.parameters().items()}
 
 
-def test_training_forward_runs_conv_once_on_the_joined_tiles(monkeypatch):
+@pytest.mark.parametrize("tile", [1, None])
+def test_training_forward_runs_conv_once_on_the_joined_tiles(monkeypatch, tile):
     """Batch norm needs the batch's statistics, so a training forward runs
     the embed -> encoder tiles, then conv once over the joined batch. The
-    caller's tape holds the trunk as one entry."""
+    caller's tape holds the trunk as one entry, in tiles of one sample and
+    in the default tile, which is one tile of all 5."""
     model = DdiModel(tiny_config(), seed=0)
-    _set_tile(monkeypatch, model, 1)
+    if tile is not None:
+        _set_tile(monkeypatch, model, tile)
+    size = min(model.tile(), 5)
     embeds, convs = _count_calls(model, "embeddings"), _count_calls(model, "conv")
     rng = np.random.default_rng(2)
     ids = rng.integers(4, 12, size=(5, 8))
     entries, _, _ = _training_step(model, (ids, np.zeros_like(ids), ids != 0,
                                           rng.standard_normal((5, 4))))
-    assert embeds == [1] * 5 and convs == [5]
+    assert embeds == [size] * (5 // size) and convs == [5]
     ops = [op for op, _ in entries]
     assert ops.count("join_tiles") == 1 and entries[0] == ("join_tiles", (5, 8, 4))
     assert "embedding_lookup" not in ops
@@ -1029,7 +1033,8 @@ def test_a_training_step_runs_the_conv_products_on_two_workers(monkeypatch):
     """With each sample a conv group, every conv1d forward and backward of a
     training step runs its products on the caller and one helper, and the
     logits and every gradient keep the bits of the same step with each conv
-    on the caller. The trunk is one tile, so every helper is a conv's."""
+    on the caller. The trunk is one tile, which starts no helper, so every
+    helper is a conv's; the spy counts the items of conv1d's calls only."""
     model = DdiModel(tiny_config(dropout=0.2, dtype="float32"), seed=0)
     rng = np.random.default_rng(2)
     ids = rng.integers(4, 12, size=(5, 8))
@@ -1041,8 +1046,13 @@ def test_a_training_step_runs_the_conv_products_on_two_workers(monkeypatch):
     monkeypatch.setattr(ad, "_CONV_GROUP_MACS", 1)
     started, idents, on_item = _pool_spy(monkeypatch, 2)
     real_map = blas.map_in_threads
-    monkeypatch.setattr(blas, "map_in_threads",
-                        lambda fn, items: real_map(lambda x: on_item() or fn(x), items))
+
+    def conv_items(fn, items):
+        if fn.__qualname__.startswith("conv1d"):
+            return real_map(lambda x: on_item() or fn(x), items)
+        return real_map(fn, items)
+
+    monkeypatch.setattr(blas, "map_in_threads", conv_items)
     model.rng = np.random.default_rng(1)
     _, logits2, grads2 = _training_step(model, batch)
     convs = 2 * model.cfg.conv_blocks
