@@ -629,19 +629,20 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
 
 # OpenBLAS's small-matrix sgemm/dgemm kernels round the last 1-8 columns of a
 # 16-column block differently from a full block, so a product's column bits
-# would depend on how many columns it has. Measured on its Haswell kernels:
-# with the column count rounded up to a multiple of 16, each column of a
-# [m, k] x [k, n] product is equal for every n and at 1 or 2 BLAS threads.
+# would depend on how many columns it has. Checked on OpenBLAS 0.3.31's
+# SkylakeX kernels: with the column count rounded up to a multiple of 16,
+# each column of a [m, k] x [k, n] product is equal for every n and at 1 or
+# 2 BLAS threads, and so is each block of rows that starts on a multiple of
+# 16 rows.
 _CONV_COLUMN_BLOCK = 16
-# A conv's products run on the workers in groups of whole samples, each group
-# the fewest samples whose forward takes at least this many multiply-adds; a
-# conv of one group runs on the caller, as a fork-join costs 55-110 us. At
-# d_model 256 a sample of length 250 or more is a group and two of length 125
-# are; a batch of 4 of length 63 stays on the caller. It also keeps every
-# product of a split conv far above the sizes OpenBLAS gives its small-matrix
-# kernels, whose last columns round by the size of the product.
-_CONV_GROUP_MACS = 40_000_000
-# The blocks of output channels ``dw`` is split into when the conv is split.
+# A float32 conv whose forward takes at least this many multiply-adds runs
+# its products on the workers in row blocks; a smaller one runs whole on the
+# caller, as a fork-join costs 55-110 us. At d_model 256 and batch 4 the
+# lengths 500 down to 63 split, and one sample of length 250 or more does.
+# It also keeps every split product far above the sizes OpenBLAS gives its
+# small-matrix kernels, whose last columns round by the size of the product.
+_CONV_SPLIT_MACS = 40_000_000
+# The most row blocks a split conv's products are cut into.
 _CONV_ROW_BLOCKS = 2
 
 
@@ -660,20 +661,17 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     zeros, so a sample's output keeps its bits whatever else is in the
     batch.
 
-    A batch of more than one group of samples (see ``_CONV_GROUP_MACS``)
-    runs its products through ``blas.map_in_threads``: the forward and
-    ``dx`` per group, each over its own columns of the one array, and ``dw``
-    in up to ``_CONV_ROW_BLOCKS`` blocks of output channels over all of the
-    batch's columns, so it is never summed over groups. Each group's
-    products start on a column that is a multiple of ``_CONV_COLUMN_BLOCK``
-    and end on one or where one product over the batch ends, and each row
-    block starts on a multiple of it, so every element is computed by the
-    same kernel block, and summed in the same order, as in one product over
-    the batch: the bits do not change, and as the split does not depend on
-    the number of workers, neither do they. One group runs on the caller,
-    and so does a float64 conv: OpenBLAS's dgemm rounds the last columns of
-    a product whose column count is not a multiple of 16 by how the whole
-    product is blocked, so ``dx`` in groups would change there.
+    A float32 conv of at least ``_CONV_SPLIT_MACS`` multiply-adds runs its
+    products through ``blas.map_in_threads`` in up to ``_CONV_ROW_BLOCKS``
+    row blocks, each over all of the batch's columns: the forward and
+    ``dw`` in blocks of output channels, ``dx`` in blocks of input channels.
+    Each block starts on a multiple of ``_CONV_COLUMN_BLOCK`` rows, so every
+    element is computed by the same kernel block, and summed in the same
+    order, as in one product: the bits do not change, and as the blocks do
+    not depend on the number of workers, neither do they. A smaller conv
+    runs whole on the caller, and so does a float64 conv: OpenBLAS's dgemm
+    rounds some elements of ``dx`` in row blocks differently from one
+    product (at x [4, 128, 125] and a kernel of 3, for one).
     """
     bsz, cin, length = x.data.shape
     cout, cin_w, kernel = w.data.shape
@@ -685,25 +683,28 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     n = bsz * span
     cols = -(-n // block) * block
     out = np.empty((bsz, cout, length), np.result_type(x.data, w.data, b.data))
-    size = -(-_CONV_GROUP_MACS // max(1, cout * cin * kernel * span))  # samples a group
-    split = size < bsz and out.dtype == np.float32
-    groups = ([(lo * span, min(lo + size, bsz) * span) for lo in range(0, bsz, size)]
-              if split else [(0, n)])
+    split = out.dtype == np.float32 and cout * cin * kernel * cols >= _CONV_SPLIT_MACS
     run = blas.map_in_threads if split else (lambda fn, items: [fn(i) for i in items])
     xf = np.zeros((cin, cols + kernel - 1), x.data.dtype)
     xp = xf[:, :n].reshape(cin, bsz, span)
     xp[:, :, pl:pl + length] = x.data.transpose(1, 0, 2)
 
-    def forward(group):
-        c0, c1 = group
-        a, e = c0 - c0 % block, -(-c1 // block) * block
-        acc = w.data[:, :, 0] @ xf[:, a:e]
-        for k in range(1, kernel):
-            acc += w.data[:, :, k] @ xf[:, a + k:e + k]
-        np.add(acc[:, c0 - a:c1 - a].reshape(cout, -1, span)[:, :, :length].transpose(1, 0, 2),
-               b.data[:, None], out=out[c0 // span:c1 // span])
+    def row_blocks(rows):
+        # Blocks of a multiple of 16 rows, the last one the largest: numpy
+        # takes a one-row product by another kernel.
+        count = max(1, min(_CONV_ROW_BLOCKS if split else 1, rows // block))
+        size = rows // count - rows // count % block
+        edges = [i * size for i in range(count)] + [rows]
+        return list(zip(edges, edges[1:]))
 
-    run(forward, groups)
+    def forward(r0, r1):
+        acc = w.data[r0:r1, :, 0] @ xf[:, :cols]
+        for k in range(1, kernel):
+            acc += w.data[r0:r1, :, k] @ xf[:, k:cols + k]
+        np.add(acc[:, :n].reshape(r1 - r0, bsz, span)[:, :, :length].transpose(1, 0, 2),
+               b.data[r0:r1, None], out=out[:, r0:r1])
+
+    run(lambda rows: forward(*rows), row_blocks(cout))
 
     def bwd(g):
         gf = np.zeros((cout, bsz, span), g.dtype)
@@ -711,28 +712,20 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         gf = gf.reshape(cout, n)
         dw = np.empty((cout, cin, kernel), np.result_type(gf, xf))
         dxf = np.zeros((cin, n), x.data.dtype)
-        # Row blocks of a multiple of 16 rows, the last one the largest: numpy
-        # takes a one-row product by another kernel.
-        blocks = max(1, min(_CONV_ROW_BLOCKS if split else 1, cout // block))
-        rows = cout // blocks - cout // blocks % block
-        edges = [i * rows for i in range(blocks)] + [cout]
 
         def dw_rows(r0, r1):
             for k in range(kernel):
                 dw[r0:r1, :, k] = gf[r0:r1] @ xf[:, k:k + n].T
 
-        def dx_columns(c0, c1):
+        def dx_rows(r0, r1):
             # Tap k of output column j lands on padded input column j + k. Taps go
             # in descending k, the order in which an np.add.at scatter of the
             # window gradients accumulates, so the two agree bit for bit.
             for k in reversed(range(kernel)):
-                j = max(c0, k)
-                a = j - k - (j - k) % block
-                e = n if c1 == n else min(-(-(c1 - k) // block) * block, n)
-                dxf[:, j:c1] += (w.data[:, :, k].T @ gf[:, a:e])[:, j - k - a:c1 - k - a]
+                dxf[r0:r1, k:] += (w.data[:, r0:r1, k].T @ gf)[:, :n - k]
 
-        run(lambda job: job[0](*job[1]), [(dw_rows, edge) for edge in zip(edges, edges[1:])]
-            + [(dx_columns, group) for group in groups])
+        run(lambda job: job[0](*job[1]), [(dw_rows, rows) for rows in row_blocks(cout)]
+            + [(dx_rows, rows) for rows in row_blocks(cin)])
         db = g.sum(axis=(0, 2))
         dx = dxf.reshape(xp.shape)[:, :, pl:pl + length].transpose(1, 0, 2)
         return dx, dw, db

@@ -412,9 +412,9 @@ class DdiModel(EncoderModel):
         The trunk runs in tiles (see ``trunk``): embed -> encoder in training
         and embed -> encoder -> conv in eval. In training conv runs on the
         calling thread over the joined batch, as batch norm needs the batch's
-        statistics: its products run on the workers in sample groups and
-        channel blocks (see ``autodiff.conv1d``), and batch norm on the
-        caller. In eval a tile's conv runs its products on the tile's thread.
+        statistics: its products run on the workers in row blocks (see
+        ``autodiff.conv1d``), and batch norm on the caller. In eval a tile's
+        conv runs its row blocks on the tile's thread.
         The head runs once on the whole batch, on the calling thread: its
         GEMMs round differently on fewer rows. Every product runs at one BLAS
         thread (see ``ddikit.blas``)."""

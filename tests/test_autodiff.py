@@ -527,19 +527,14 @@ def test_conv1d_output_of_a_sample_does_not_depend_on_the_batch(dtype, c, length
             assert np.array_equal(part, whole[lo:lo + size]), (size, lo)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", [(5, 8, 12, 3), (3, 33, 96, 3), (4, 128, 125, 3),
-                                   (2, 16, 7, 4), (3, 5, 6, 1)])
-def test_conv1d_in_sample_groups_keeps_the_bits_of_one_product(monkeypatch, dtype, shape):
-    """With every sample a group (dw in two blocks of output channels where
-    there are 32 or more), on four workers with thread switches every
-    microsecond, the output and the gradients of x, w and b equal those of
-    one product over the batch on the caller. A float64 conv runs whole on
-    the caller."""
+def _conv_on_four_workers(monkeypatch, shape, dtype, cout, split_macs):
+    """conv1d's output and the gradients of x, w and b at each threshold of
+    ``split_macs``, on four workers with thread switches every microsecond,
+    and the number of ``blas.map_in_threads`` calls made."""
     bsz, c, length, kernel = shape
     rng = np.random.default_rng(sum(shape))
     x, w, b, g = (rng.standard_normal(s).astype(dtype) for s in
-                  ((bsz, c, length), (c + 1, c, kernel), (c + 1,), (bsz, c + 1, length)))
+                  ((bsz, c, length), (cout, c, kernel), (cout,), (bsz, cout, length)))
     monkeypatch.setattr(blas, "threads", lambda: 4)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
     maps, real_map = [], blas.map_in_threads
@@ -547,8 +542,8 @@ def test_conv1d_in_sample_groups_keeps_the_bits_of_one_product(monkeypatch, dtyp
                         lambda fn, items: maps.append(fn) or real_map(fn, items))
     runs = []
     interval = sys.getswitchinterval()
-    for macs in (10**15, 1):
-        monkeypatch.setattr(ad, "_CONV_GROUP_MACS", macs)
+    for macs in split_macs:
+        monkeypatch.setattr(ad, "_CONV_SPLIT_MACS", macs)
         xt, wt, bt = (Tensor(a, requires_grad=True, dtype=dtype) for a in (x, w, b))
         sys.setswitchinterval(1e-6)
         try:
@@ -559,8 +554,32 @@ def test_conv1d_in_sample_groups_keeps_the_bits_of_one_product(monkeypatch, dtyp
         finally:
             sys.setswitchinterval(interval)
         runs.append((y.data, xt.grad, wt.grad, bt.grad))
-    assert len(maps) == (2 if dtype == np.float32 else 0)
-    assert all(np.array_equal(one, grouped) for one, grouped in zip(*runs))
+    return runs, len(maps)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(5, 8, 12, 3), (3, 33, 96, 3), (4, 128, 125, 3),
+                                   (2, 16, 7, 4), (3, 5, 6, 1)])
+def test_conv1d_in_row_blocks_keeps_the_bits_of_one_product(monkeypatch, dtype, shape):
+    """Split at any size (the forward and dw in two blocks of output channels
+    where there are 32 or more, dx in two of input channels likewise), the
+    output and the gradients of x, w and b equal those of one product over
+    the batch on the caller. A float64 conv runs whole on the caller."""
+    runs, maps = _conv_on_four_workers(monkeypatch, shape, dtype, shape[1] + 1, (10**15, 1))
+    assert maps == (2 if dtype == np.float32 else 0)
+    assert all(np.array_equal(one, blocks) for one, blocks in zip(*runs))
+
+
+@pytest.mark.parametrize("length", [500, 250, 125, 63])
+def test_conv1d_splits_the_paper_convs_at_batch_4_with_the_bits_of_one_product(
+        monkeypatch, length):
+    """The paper's float32 convs (256 channels, kernel 3) at batch 4 of
+    length 63 or more reach ``_CONV_SPLIT_MACS``; split in row blocks, they
+    give the output and gradients of the same conv run whole."""
+    runs, maps = _conv_on_four_workers(monkeypatch, (4, 256, length, 3), np.float32, 256,
+                                       (10**15, ad._CONV_SPLIT_MACS))
+    assert maps == 2
+    assert all(np.array_equal(one, blocks) for one, blocks in zip(*runs))
 
 
 def test_max_pool_ceil_mode():

@@ -840,7 +840,8 @@ def test_workers_stop_at_the_tiles_and_the_cores(monkeypatch):
     monkeypatch.setattr(blas, "threads", lambda: None)  # no OpenBLAS found
     assert pool(3, 1) == (0, {caller})
 
-    model = DdiModel(tiny_config(dtype="float32"), seed=0)  # float64 convs never split
+    # float64 convs never split; 32 channels make two row blocks
+    model = DdiModel(tiny_config(d_model=32, dtype="float32"), seed=0)
     model.eval()
     _set_tile(monkeypatch, model, 2)
     _force_workers(monkeypatch, 2)
@@ -851,18 +852,19 @@ def test_workers_stop_at_the_tiles_and_the_cores(monkeypatch):
         model.forward(*_batch_of_seven(model))
     assert len(idents) == 4 and len(set(idents)) == 2 and len(started) == 1
 
-    # Each sample of the tiles' convs a group: the convs map their groups
-    # from inside the tiles, on the tile's thread, and start no helper.
-    monkeypatch.setattr(ad, "_CONV_GROUP_MACS", 1)
+    # Every conv split: the tiles' convs map their row blocks from inside
+    # the tiles, on the tile's thread, and start no helper.
+    monkeypatch.setattr(ad, "_CONV_SPLIT_MACS", 1)
     started, idents, on_item = _pool_spy(monkeypatch, 2)
     calls, real_map = [], blas.map_in_threads
     monkeypatch.setattr(blas, "map_in_threads",
-                        lambda fn, items: calls.append(fn) or real_map(fn, items))
+                        lambda fn, items: calls.append((fn, len(items))) or real_map(fn, items))
     with no_grad():
         model.forward(*_batch_of_seven(model))
-    convs = [fn for fn in calls if fn.__qualname__.startswith("conv1d")]
-    # the three tiles of 2 (a 1-sample tile's conv is one group, mapped by none)
-    assert len(convs) == 3 * 2 * model.cfg.conv_blocks and len(calls) == len(convs) + 1
+    convs = [items for fn, items in calls if fn.__qualname__.startswith("conv1d")]
+    # two convs a conv block in each of the four tiles, the one-sample tile's
+    # too, two row blocks each
+    assert convs == [2] * 4 * 2 * model.cfg.conv_blocks and len(calls) == len(convs) + 1
     assert len(idents) == 4 and len(set(idents)) == 2 and len(started) == 1
 
 
@@ -1030,12 +1032,12 @@ def test_training_forward_runs_conv_once_on_the_joined_tiles(monkeypatch, tile):
 
 
 def test_a_training_step_runs_the_conv_products_on_two_workers(monkeypatch):
-    """With each sample a conv group, every conv1d forward and backward of a
-    training step runs its products on the caller and one helper, and the
-    logits and every gradient keep the bits of the same step with each conv
+    """With every conv split, each conv1d forward and backward of a training
+    step runs its row blocks on the caller and one helper, and the logits
+    and every gradient keep the bits of the same step with each conv whole
     on the caller. The trunk is one tile, which starts no helper, so every
     helper is a conv's; the spy counts the items of conv1d's calls only."""
-    model = DdiModel(tiny_config(dropout=0.2, dtype="float32"), seed=0)
+    model = DdiModel(tiny_config(d_model=32, dropout=0.2, dtype="float32"), seed=0)
     rng = np.random.default_rng(2)
     ids = rng.integers(4, 12, size=(5, 8))
     batch = (ids, np.zeros_like(ids), ids != 0, rng.standard_normal((5, 4)))
@@ -1043,7 +1045,7 @@ def test_a_training_step_runs_the_conv_products_on_two_workers(monkeypatch):
     assert model.tile() >= 5
     model.rng = np.random.default_rng(1)
     _, logits, grads = _training_step(model, batch)
-    monkeypatch.setattr(ad, "_CONV_GROUP_MACS", 1)
+    monkeypatch.setattr(ad, "_CONV_SPLIT_MACS", 1)
     started, idents, on_item = _pool_spy(monkeypatch, 2)
     real_map = blas.map_in_threads
 
@@ -1056,8 +1058,8 @@ def test_a_training_step_runs_the_conv_products_on_two_workers(monkeypatch):
     model.rng = np.random.default_rng(1)
     _, logits2, grads2 = _training_step(model, batch)
     convs = 2 * model.cfg.conv_blocks
-    # forward: 5 sample groups; backward: 1 block of dw's 4 rows and 5 groups
-    assert len(started) == 2 * convs and len(idents) == convs * (5 + 6)
+    # forward: 2 blocks of output channels; backward: 2 of dw's and 2 of dx's
+    assert len(started) == 2 * convs and len(idents) == convs * (2 + 4)
     assert np.array_equal(logits, logits2)
     assert all(np.array_equal(grads[n], grads2[n]) for n in grads)
 
@@ -1244,8 +1246,8 @@ def test_a_train_step_keeps_its_bytes_across_blas_thread_counts():
     worker at 1 BLAS thread and min(2, cores) at 2: every parameter
     gradient, every parameter after Adam and the eval logits keep their
     bytes. Every BLAS product runs at one thread, the tiles' gradients add
-    in tile order, and the conv stack's sample groups and channel blocks do
-    not depend on the number of workers."""
+    in tile order, and the conv stack's row blocks do not depend on the
+    number of workers."""
     runs = _run_at_blas_threads(TRAIN_STEP)
     cores = len(os.sched_getaffinity(0))
     assert "tile:1" in runs["1"] and "workers:1" in runs["1"]
