@@ -4,10 +4,17 @@ A ``Tensor`` wraps an ndarray; differentiable operations record themselves on
 the calling thread's active ``Tape`` (a Wengert list). ``backward`` consumes
 the tape from the end, visiting each recorded operation exactly once and
 accumulating gradients additively, so a parameter used several times
-receives the sum of all its contributions. An operation's output, its
-gradient and its backward closure are released as soon as its own backward
-has run. ``join_tiles`` runs one computation in tiles on several threads,
-each on a tape of its own, and records them as one entry.
+receives the sum of all its contributions.
+
+The tape keeps only what backward reads. Each entry holds a gradient node
+for its op's output, a stand-in of the output's shape and dtype that owns no
+array, and its inputs' nodes; leaves (parameters, constants) are kept as
+themselves. A backward closure captures only the arrays it reads, so an op
+output that no backward reads is freed as soon as the forward drops its
+name, while the caller's ``Tensor`` keeps its data. An entry's node, its
+gradient and its closure are released as soon as its own backward has run.
+``join_tiles`` runs one computation in tiles on several threads, each on a
+tape of its own, and records them as one entry.
 
 Only the operations needed by the DDI model are implemented. Training runs in
 float32; float64 is available for gradient checking.
@@ -31,7 +38,7 @@ class ShapeError(ValueError):
 class Tensor:
     """Dense n-dimensional real array with an optional gradient."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -42,6 +49,8 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
+        # the _Node that stands for this tensor on a tape, if an op recorded it
+        self.node: Optional[_Node] = None
 
     @property
     def shape(self):
@@ -73,6 +82,26 @@ class Parameter(Tensor):
         super().__init__(data if dtype is not None else np.array(data),
                          requires_grad=True, dtype=dtype)
         self.name = name
+
+
+# The bytes every _Node's data views: a zero-stride array reads one item,
+# and 16 bytes hold the widest.
+_NO_DATA = bytes(16)
+
+
+class _Node(Tensor):
+    """A recorded op's output as the tape keeps it: its gradient, and a
+    zero-stride, read-only ``data`` with the output's shape, dtype and
+    ``nbytes`` that owns no memory."""
+
+    __slots__ = ()
+
+    def __init__(self, data: np.ndarray):
+        self.data = np.ndarray(data.shape, data.dtype, buffer=_NO_DATA,
+                               strides=(0,) * data.ndim)
+        self.requires_grad = True
+        self.grad = None
+        self.node = None
 
 
 class _TapeEntry:
@@ -142,10 +171,12 @@ def _recording(inputs: Sequence[Tensor]) -> bool:
 def _make(out_data, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
     needs = _recording(inputs)
     # The output keeps the array the op made: no op writes into its inputs
-    # or into an output the tape keeps.
+    # or into an array a closure keeps.
     out = Tensor(out_data, requires_grad=needs)
     if needs:
-        active_tape().entries.append(_TapeEntry(out, tuple(inputs), backward_fn))
+        out.node = _Node(out.data)
+        active_tape().entries.append(
+            _TapeEntry(out.node, tuple(t.node or t for t in inputs), backward_fn))
     return out
 
 
@@ -160,9 +191,12 @@ def backward(output: Tensor, tape: Tape, grad: Optional[np.ndarray] = None,
     of its ``.grad``, so threads that back-propagate their own tapes through
     the same parameters write nothing they share.
 
+    The tape holds each recorded output as its gradient node, which owns no
+    array, and each closure holds only the arrays it reads; so by the time
+    backward runs, an op output that no backward reads is already freed.
     The tape is consumed: each entry is popped, back-propagated and dropped,
     so by the time an op's entry comes up every consumer of its output has
-    already been popped, and the output, its gradient and the closure are
+    already been popped, and the node, its gradient and the closure are
     freed right after. Afterwards the tape is empty and only leaves keep
     ``.grad``. A second call on the same tape raises ``ValueError``.
     """
@@ -176,7 +210,7 @@ def backward(output: Tensor, tape: Tape, grad: Optional[np.ndarray] = None,
     if tape.consumed:
         raise ValueError("backward has already consumed this tape")
     tape.consumed = True
-    output.grad = grad
+    (output.node or output).grad = grad
     entries = tape.entries
     while entries:
         entry = entries.pop()
@@ -214,7 +248,8 @@ def join_tiles(run, starts) -> Tensor:
     ``backward``'s own loop to add, so the sums' bits do not depend on the
     number of workers. A parameter read inside the tiles must be read
     nowhere else: its gradient is then the tiles' sum alone, started at a
-    copy of the first tile's."""
+    copy of the first tile's. Once the outputs are joined, the entry keeps
+    each tile's tape and its output's node, not the output's array."""
     if active_tape() is None:
         return concat(blas.map_in_threads(run, starts), axis=0)
 
@@ -228,6 +263,8 @@ def join_tiles(run, starts) -> Tensor:
 
     tiles = blas.map_in_threads(recorded, starts)
     bounds = np.cumsum([0] + [len(out.data) for _, out, _ in tiles])
+    joined = np.concatenate([out.data for _, out, _ in tiles])
+    tiles = [(tape, out.node or out, params) for tape, out, params in tiles]
 
     def bwd(g):
         def tile_grads(i):
@@ -239,8 +276,7 @@ def join_tiles(run, starts) -> Tensor:
         return [gp for grads in blas.map_in_threads(tile_grads, range(len(tiles)))
                 for gp in grads]
 
-    return _make(np.concatenate([out.data for _, out, _ in tiles]),
-                 [p for _, _, params in tiles for p in params], bwd)
+    return _make(joined, [p for _, _, params in tiles for p in params], bwd)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -346,6 +382,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.data.shape
     ndim = a.data.ndim
     if axis is None:
         axes = tuple(range(ndim))
@@ -358,16 +395,17 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         if not keepdims:
             for ax in sorted(axes):
                 g = np.expand_dims(g, ax)
-        return (np.broadcast_to(g, a.data.shape),)
+        return (np.broadcast_to(g, shape),)
 
     return _make(np.asarray(out), (a,), bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     out = a.data.reshape(shape)
+    in_shape = a.data.shape
 
     def bwd(g):
-        return (g.reshape(a.data.shape),)
+        return (g.reshape(in_shape),)
 
     return _make(out, (a,), bwd)
 
@@ -377,9 +415,10 @@ def leading_rows(a: Tensor, n: int) -> Tensor:
     [batch, length, d] array. The output is a view; the backward returns
     zeros for the rows past n."""
     out = a.data[:, :n]
+    shape = a.data.shape
 
     def bwd(g):
-        da = np.zeros(a.data.shape, g.dtype)
+        da = np.zeros(shape, g.dtype)
         da[:, :n] = g
         return (da,)
 
@@ -503,9 +542,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray] = None
         if kept is not None:
             kept.append((b, kn, w))
 
+    shapes, dtype = [t.data.shape for t in (q, k, v)], out.dtype
+
     def bwd(g):
         gh = by_head(g)
-        dq, dk, dv = (np.zeros(t.data.shape, out.dtype) for t in (q, k, v))
+        dq, dk, dv = (np.zeros(shape, dtype) for shape in shapes)
         dqh, dkh, dvh = by_head(dq), by_head(dk), by_head(dv)
         for b, kn, w in kept:
             ds = gh[b] @ np.swapaxes(vh[b][..., :kn, :], -1, -2)
@@ -547,10 +588,11 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError(f"index out of range for table of {table.data.shape[0]} rows")
     out = table.data[ids]
+    shape, dtype = table.data.shape, table.data.dtype
 
     def bwd(g):
-        dt = np.zeros(table.data.shape, table.data.dtype)
-        add_rows(dt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        dt = np.zeros(shape, dtype)
+        add_rows(dt, ids.reshape(-1), g.reshape(-1, shape[1]))
         return (dt,)
 
     return _make(out, (table,), bwd)
@@ -683,9 +725,10 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     n = bsz * span
     cols = -(-n // block) * block
     out = np.empty((bsz, cout, length), np.result_type(x.data, w.data, b.data))
+    x_dtype = x.data.dtype
     split = out.dtype == np.float32 and cout * cin * kernel * cols >= _CONV_SPLIT_MACS
     run = blas.map_in_threads if split else (lambda fn, items: [fn(i) for i in items])
-    xf = np.zeros((cin, cols + kernel - 1), x.data.dtype)
+    xf = np.zeros((cin, cols + kernel - 1), x_dtype)
     xp = xf[:, :n].reshape(cin, bsz, span)
     xp[:, :, pl:pl + length] = x.data.transpose(1, 0, 2)
 
@@ -711,7 +754,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         gf[:, :, :length] = g.transpose(1, 0, 2)
         gf = gf.reshape(cout, n)
         dw = np.empty((cout, cin, kernel), np.result_type(gf, xf))
-        dxf = np.zeros((cin, n), x.data.dtype)
+        dxf = np.zeros((cin, n), x_dtype)
 
         def dw_rows(r0, r1):
             for k in range(kernel):
@@ -744,6 +787,7 @@ def max_pool1d(x: Tensor, stride: int) -> Tensor:
     its backward routes the gradient to.
     """
     bsz, c, length = x.data.shape
+    dtype = x.data.dtype
     out_len = -(-length // stride)
     out = x.data[..., ::stride].copy()
     for j in range(1, stride):
@@ -757,7 +801,7 @@ def max_pool1d(x: Tensor, stride: int) -> Tensor:
         arg = xp.reshape(bsz, c, out_len, stride).argmax(axis=3)
 
     def bwd(g):
-        dxp = np.zeros((bsz, c, out_len, stride), x.data.dtype)
+        dxp = np.zeros((bsz, c, out_len, stride), dtype)
         np.put_along_axis(dxp, arg[..., None], g[..., None], axis=3)
         return (dxp.reshape(bsz, c, -1)[:, :, :length],)
 

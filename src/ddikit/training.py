@@ -109,7 +109,10 @@ def _train_step(model, opt: AdamState, forward, targets: np.ndarray, epoch: int,
                 step: int):
     """Run ``forward()`` on a fresh tape, take its cross-entropy loss against
     ``targets``, stop on a non-finite loss, then back-propagate and apply one
-    Adam update. Returns the logits and the loss value."""
+    Adam update. Returns the logits and the loss value. The previous step's
+    gradients are dropped before the forward, so they are not held through
+    it."""
+    zero_grads(model.parameters())
     tape = Tape()
     with tape:
         logits = forward()
@@ -117,7 +120,6 @@ def _train_step(model, opt: AdamState, forward, targets: np.ndarray, epoch: int,
     value = loss.item()
     if not math.isfinite(value):
         raise FloatingPointError(f"NaN loss at epoch {epoch}, step {step}")
-    zero_grads(model.parameters())
     backward(loss, tape)
     adam_step(model.parameters(), opt)
     return logits, value

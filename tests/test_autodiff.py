@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -774,6 +775,86 @@ def test_backward_frees_an_ops_gradients_before_the_next_op_runs():
         tracemalloc.stop()
     leaves = sum(t.grad.nbytes for t in [x] + [p for layer in layers for p in layer])
     assert peak - leaves < 2 * returned
+
+
+# Each op on a non-leaf input ``a``, with ``leaf(*shape)`` making its other
+# inputs, and whether the watched array must outlive the caller's names on
+# the tape: its backward reads it. The watched array is ``a``'s, and for
+# softmax the op's own output.
+_TAPE_KEEPS = {
+    "add": ((3, 4), lambda a, leaf: ad.add(a, leaf(4)), False),
+    "sub": ((3, 4), lambda a, leaf: ad.sub(leaf(3, 4), a), False),
+    "scale": ((3, 4), lambda a, leaf: ad.scale(a, 0.5), False),
+    "reshape": ((3, 4), lambda a, leaf: ad.reshape(a, (2, 6)), False),
+    "transpose": ((2, 3, 4), lambda a, leaf: ad.transpose(a, (1, 0, 2)), False),
+    "leading_rows": ((2, 5, 4), lambda a, leaf: ad.leading_rows(a, 3), False),
+    "concat": ((3, 4), lambda a, leaf: ad.concat([a, leaf(3, 2)], axis=1), False),
+    "relu": ((3, 4), lambda a, leaf: ad.relu(a), False),
+    "leaky_relu": ((3, 4), lambda a, leaf: ad.leaky_relu(a), False),
+    "dropout": ((3, 4), lambda a, leaf: ad.dropout(a, np.float32([2, 0, 2, 2])), False),
+    "layer_norm": ((3, 4), lambda a, leaf: ad.layer_norm(a, leaf(4), leaf(4)), False),
+    "batch_norm_train": ((3, 4, 5), lambda a, leaf: ad.batch_norm(
+        a, leaf(4), leaf(4), np.zeros(4, np.float32), np.ones(4, np.float32), True), False),
+    "batch_norm_eval": ((3, 4, 5), lambda a, leaf: ad.batch_norm(
+        a, leaf(4), leaf(4), np.zeros(4, np.float32), np.ones(4, np.float32), False), False),
+    "conv1d": ((2, 3, 8), lambda a, leaf: ad.conv1d(a, leaf(4, 3, 3), leaf(4)), False),
+    "max_pool1d": ((2, 3, 7), lambda a, leaf: ad.max_pool1d(a, 2), False),
+    "tsum": ((3, 4), lambda a, leaf: ad.tsum(a, axis=0), False),
+    "cross_entropy_loss": ((3, 4), lambda a, leaf: ad.cross_entropy_loss(a, [0, 3, 1]), False),
+    "embedding_lookup": ((5, 4), lambda a, leaf: ad.embedding_lookup(a, [[4, 0], [4, 2]]),
+                         False),
+    "linear_x": ((2, 3, 4), lambda a, leaf: ad.linear(a, leaf(4, 5), leaf(5)), True),
+    "matmul": ((3, 4), lambda a, leaf: ad.matmul(a, leaf(4, 2)), True),
+    "mul": ((3, 4), lambda a, leaf: ad.mul(leaf(3, 4), a), True),
+    "attention_q": ((2, 5, 4), lambda a, leaf: ad.attention(
+        a, leaf(2, 5, 4), leaf(2, 5, 4), heads=2), True),
+    "attention_k": ((2, 5, 4), lambda a, leaf: ad.attention(
+        leaf(2, 5, 4), a, leaf(2, 5, 4), heads=2), True),
+    "attention_v": ((2, 5, 4), lambda a, leaf: ad.attention(
+        leaf(2, 5, 4), leaf(2, 5, 4), a, heads=2), True),
+    "softmax_output": ((3, 4), lambda a, leaf: ad.softmax(a), True),
+}
+
+
+def _forward_then_backward(shape, build, watch_output, hold):
+    """``build`` on a non-leaf input under a tape, weighted by a random
+    constant (dropout reads no input) and summed. Whether the watched array
+    is alive once the caller has dropped every name but the loss's and the
+    tape's, unless ``hold``; then the leaves' gradients."""
+    rng = np.random.default_rng(4)
+    leaves = []
+
+    def leaf(*dims):
+        leaves.append(Parameter(rng.standard_normal(dims), name=f"p{len(leaves)}",
+                                dtype=np.float32))
+        return leaves[-1]
+
+    tape = Tape()
+    with tape:
+        a = ad.scale(leaf(*shape), 1.5)
+        out = build(a, leaf)
+        watched = weakref.ref((out if watch_output else a).data)
+        weights = rng.standard_normal(out.shape).astype(np.float32)
+        loss = ad.tsum(ad.dropout(out, weights))
+    held = (a, out) if hold else ()
+    del a, out
+    alive = watched() is not None
+    backward(loss, tape)
+    del held
+    return alive, [p.grad for p in leaves]
+
+
+@pytest.mark.parametrize("op", sorted(_TAPE_KEEPS))
+def test_the_tape_keeps_an_ops_input_only_if_its_backward_reads_it(op):
+    """Once the caller drops its names, the tape keeps a non-leaf input's
+    array only for a backward that reads it, and the gradients are those of
+    a forward whose names were all held."""
+    shape, build, read = _TAPE_KEEPS[op]
+    watch_output = op == "softmax_output"
+    alive, grads = _forward_then_backward(shape, build, watch_output, hold=False)
+    assert alive == read
+    _, want = _forward_then_backward(shape, build, watch_output, hold=True)
+    assert all(np.array_equal(g, w) for g, w in zip(grads, want))
 
 
 def test_second_backward_on_a_consumed_tape_raises():

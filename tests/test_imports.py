@@ -1,13 +1,18 @@
 """Every module-level import in ``src/ddikit`` is used by its module, every
-ddikit name the benchmark tracer patches exists, and so does every name and
-keyword the benchmark passes to ddikit."""
+ddikit name the benchmark tracer patches exists, the tracer can read a tape,
+and every name and keyword the benchmark passes to ddikit exists."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
+import math
 from pathlib import Path
 
+import numpy as np
+
 import ddikit
+from ddikit import autodiff as ad
 from ddikit import cli, kg, training
 from ddikit.model import ModelConfig
 
@@ -121,6 +126,33 @@ def test_names_the_benchmark_tracer_patches_exist():
                for obj, table in targets for attr, _ in table
                if not callable(getattr(obj, attr, None))]
     assert missing == []
+
+
+def test_the_benchmark_tracer_reads_a_recorded_forward():
+    """A traced run's ``tape_entries`` and ``tape_bytes`` come from
+    ``perfbench/tracer.py``'s ``_tape_stats`` over a tape's entries, which
+    reads each entry's ``output.data.nbytes``: the entry count and the
+    outputs' logical bytes, though the tape holds none of their arrays. The
+    caller's logits keep their data."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    cfg = ModelConfig(vocab_size=12, n_classes=3, d_model=8, n_layers=1, n_heads=2, d_ff=8,
+                      max_len=16, kg_dim=4, kg_heads=2, conv_blocks=1, mlp1_hidden=4,
+                      mlp1_out=4, mlp2_hidden=4)
+    model = cli.DdiModel(cfg)
+    ids = np.random.default_rng(0).integers(4, 12, size=(3, 16))
+    tape = ad.Tape()
+    with tape:
+        logits = model.forward(ids, np.zeros_like(ids), ids != 0, np.zeros((3, 4)))
+    entries, nbytes = tracer._tape_stats(tape.entries)
+    assert entries == len(tape.entries) > 1
+    assert nbytes == sum(math.prod(e.output.shape) * e.output.dtype.itemsize
+                         for e in tape.entries)
+    assert tape.entries[0].output.shape == (3, 16, 8)  # the trunk's one entry
+    assert tape.entries[-1].output.shape == logits.shape == (3, 3)
+    assert np.isfinite(logits.data).all()
 
 
 def _bench_ddikit_uses():

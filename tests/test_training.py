@@ -163,6 +163,27 @@ def test_finetune_runs_and_records_history(tmp_path):
     assert all(np.isfinite(r.train_loss) for r in history)
 
 
+def test_a_train_step_drops_the_last_steps_gradients_before_its_forward(tmp_path):
+    """No parameter holds a gradient through a step's forward, so the last
+    step's gradients are not held beside the new tape; backward then gives
+    every parameter one."""
+    drugs, events, label_map, vocab, pair_vecs = tiny_world(tmp_path)
+    model = DdiModel(small_config(len(vocab), n_classes=len(label_map)), seed=0)
+    params = model.parameters().values()
+    forward = model.forward
+    held = []
+
+    def recording_forward(*args):
+        held.append(any(p.grad is not None for p in params))
+        return forward(*args)
+
+    model.forward = recording_forward
+    finetune(model, list(range(20)), [], events, drugs, vocab, pair_vecs,
+             FinetuneConfig(epochs=1, batch_size=8, learning_rate=1e-3, seed=0))
+    assert held == [False] * 3
+    assert all(p.grad is not None for p in params)
+
+
 def test_finetune_rejects_out_of_range_label(tmp_path):
     drugs, events, label_map, vocab, pair_vecs = tiny_world(tmp_path)
     cfg = small_config(len(vocab), n_classes=2)  # fixture has 3 classes
