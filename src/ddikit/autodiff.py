@@ -11,8 +11,12 @@ for its op's output, a stand-in of the output's shape and dtype that owns no
 array, and its inputs' nodes; leaves (parameters, constants) are kept as
 themselves. A backward closure captures only the arrays it reads, so an op
 output that no backward reads is freed as soon as the forward drops its
-name, while the caller's ``Tensor`` keeps its data. An entry's node, its
-gradient and its closure are released as soon as its own backward has run.
+name, while the caller's ``Tensor`` keeps its data. The masks a backward
+reads are kept at one bit an element (dropout's keep mask and relu's and
+leaky_relu's sign masks, packed by ``np.packbits``) and max-pool's window
+winners in one byte, and rebuilt with the same values in backward. An
+entry's node, its gradient and its closure are released as soon as its
+own backward has run.
 ``join_tiles`` runs one computation in tiles on several threads, each on a
 tape of its own, and records them as one entry.
 
@@ -327,9 +331,12 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
+    # each input's gradient reads the other's array; a constant has none
+    da_by = b.data if a.requires_grad else None
+    db_by = a.data if b.requires_grad else None
 
     def bwd(g):
-        return g * b.data, g * a.data
+        return (None if da_by is None else g * da_by), (None if db_by is None else g * db_by)
 
     return _make(out, (a, b), bwd)
 
@@ -446,22 +453,39 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _make(out, tuple(tensors), bwd)
 
 
+def _pack(mask: np.ndarray):
+    """A bool mask as a closure keeps it, one bit an element: the bytes of
+    ``np.packbits`` and the mask's shape."""
+    return np.packbits(mask, axis=None), mask.shape
+
+
+def _unpack(packed) -> np.ndarray:
+    """The bool mask ``_pack`` packed."""
+    bits, shape = packed
+    return np.unpackbits(bits, count=math.prod(shape)).reshape(shape).view(bool)
+
+
 def relu(a: Tensor) -> Tensor:
-    keep = a.data > 0 if _recording((a,)) else None
+    """max(a, 0). A recorded op keeps its mask of a > 0 at one bit an
+    element."""
+    keep = _pack(a.data > 0) if _recording((a,)) else None
     out = np.maximum(a.data, 0)
 
     def bwd(g):
-        return (g * keep,)
+        return (g * _unpack(keep),)
 
     return _make(out, (a,), bwd)
 
 
 def leaky_relu(a: Tensor) -> Tensor:
+    """a where a > 0, else 0.01 a. A recorded op keeps its mask of a > 0 at
+    one bit an element."""
     pos = a.data > 0
     out = np.where(pos, a.data, 0.01 * a.data)
+    keep = _pack(pos) if _recording((a,)) else None
 
     def bwd(g):
-        return (np.where(pos, g, 0.01 * g),)
+        return (np.where(_unpack(keep), g, 0.01 * g),)
 
     return _make(out, (a,), bwd)
 
@@ -784,7 +808,8 @@ def max_pool1d(x: Tensor, stride: int) -> Tensor:
     ``x[..., j::stride]``, keeping the earlier element on a tie (so a window
     of -0.0 and 0.0 gives the first) and propagating NaN, as the argmax over
     the -inf-padded windows would. Only a recorded op finds that argmax, which
-    its backward routes the gradient to.
+    its backward routes the gradient to; it keeps each window's winner in
+    one byte for a stride up to 256.
     """
     bsz, c, length = x.data.shape
     dtype = x.data.dtype
@@ -798,7 +823,8 @@ def max_pool1d(x: Tensor, stride: int) -> Tensor:
     if _recording((x,)):
         pad = out_len * stride - length
         xp = np.pad(x.data, ((0, 0), (0, 0), (0, pad)), constant_values=-np.inf) if pad else x.data
-        arg = xp.reshape(bsz, c, out_len, stride).argmax(axis=3)
+        arg = xp.reshape(bsz, c, out_len, stride).argmax(axis=3).astype(
+            np.min_scalar_type(stride - 1))
 
     def bwd(g):
         dxp = np.zeros((bsz, c, out_len, stride), dtype)
@@ -808,21 +834,30 @@ def max_pool1d(x: Tensor, stride: int) -> Tensor:
     return _make(out, (x,), bwd)
 
 
-def dropout_keep(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray:
-    """A dropout keep mask: 0 with probability p, else 1 / (1 - p)."""
-    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
+def dropout_keep(shape, p: float, rng: np.random.Generator) -> np.ndarray:
+    """A dropout keep mask: a bool array, False with probability p, one
+    ``rng.random`` draw an element."""
+    return rng.random(shape) >= p
 
 
-def dropout(x: Tensor, keep: Optional[np.ndarray]) -> Tensor:
-    """x times ``keep``, a mask drawn by ``dropout_keep`` (the trunk's tiles
-    each draw their own rows of the batch's mask, see
-    ``EncoderModel.trunk``); x itself when ``keep`` is None."""
+def dropout(x: Tensor, keep: Optional[np.ndarray], p: float) -> Tensor:
+    """x times ``keep / (1 - p)`` in x's dtype, for ``keep`` a mask drawn by
+    ``dropout_keep`` with the same p (the trunk's tiles each draw their own
+    rows of the batch's mask, see ``EncoderModel.trunk``); x itself when
+    ``keep`` is None. A recorded op keeps the mask at one bit an element,
+    and its backward rebuilds the same scaled mask from the bits."""
     if keep is None:
         return x
-    out = x.data * keep
+    dtype = x.data.dtype
+
+    def scaled(mask):  # mask.astype(dtype) / (1 - p), cast and divided in one pass
+        return np.divide(mask, 1.0 - p, dtype=dtype)
+
+    out = x.data * scaled(keep)
+    bits = _pack(keep) if _recording((x,)) else None
 
     def bwd(g):
-        return (g * keep,)
+        return (g * scaled(_unpack(bits)),)
 
     return _make(out, (x,), bwd)
 

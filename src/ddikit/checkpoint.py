@@ -3,8 +3,10 @@ buffer, adam_m and adam_v, and a meta holding the epoch counter, optimizer
 scalars, RNG state, the architecture config and its fingerprint, the
 sha256 of the vocabulary and label lists the model was trained with (when
 given), and free-form extras. Arrays keep their training dtype, so save ->
-load -> forward is bit-identical. The Adam moments are in their parameter's
-dtype; float64 moments of older checkpoints are cast to it on load."""
+load -> forward is bit-identical, and a parameter or buffer stored in
+another dtype than the model's is refused. The Adam moments are in their
+parameter's dtype; float64 moments and buffers of older checkpoints are
+cast to the model's dtype on load."""
 
 from __future__ import annotations
 
@@ -107,6 +109,11 @@ def load_checkpoint(path, model, optimizer: AdamState | None = None,
         for name, arr in stored.items():
             if arr.shape != live[name].shape:
                 raise CheckpointError(f"{path}: shape mismatch for {group} {name!r}")
+            # older checkpoints hold float64 buffers, cast to the model's dtype
+            if arr.dtype != live[name].dtype and not (group == "buffer"
+                                                      and arr.dtype == np.float64):
+                raise CheckpointError(f"{path}: {group} {name!r} is {arr.dtype}, not the "
+                                      f"model's {live[name].dtype}")
     if optimizer is not None:
         o = meta.get("optimizer")
         if not (isinstance(o, dict) and all(type(o.get(key)) in (int, float)

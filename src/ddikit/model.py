@@ -201,13 +201,14 @@ class EncoderLayer:
         self.norm1 = LayerNorm(store, f"{name}.norm1", cfg.d_model)
         self.ffn = FeedForward(store, f"{name}.ffn", cfg.d_model, cfg.d_ff)
         self.norm2 = LayerNorm(store, f"{name}.norm2", cfg.d_model)
+        self.dropout = cfg.dropout
 
     def __call__(self, x: Tensor, mask, keeps=(None, None)) -> Tensor:
         """keeps: the dropout keep masks after attention and after the
         feedforward, each None for no dropout."""
-        a = ad.dropout(self.attn(x, mask), keep=keeps[0])
+        a = ad.dropout(self.attn(x, mask), keeps[0], self.dropout)
         x = self.norm1(ad.add(x, a))
-        f = ad.dropout(self.ffn(x), keep=keeps[1])
+        f = ad.dropout(self.ffn(x), keeps[1], self.dropout)
         return self.norm2(ad.add(x, f))
 
 
@@ -382,7 +383,7 @@ class EncoderModel:
                 draws = np.random.Generator(bits)
                 keeps = []
                 for _ in range(2 * cfg.n_layers):
-                    keeps.append(ad.dropout_keep(shape, cfg.dropout, draws, cfg.np_dtype))
+                    keeps.append(ad.dropout_keep(shape, cfg.dropout, draws))
                     bits.advance((len(ids) - shape[0]) * row)
             out = self.encoder(self.embeddings(ids[rows], segment_ids[rows]), mask[rows], keeps)
             return out if tail is None else tail(out)

@@ -86,8 +86,7 @@ def primitive_battery(seed: int) -> float:
                          t["cw"], t["cb"])
         pooled = ad.max_pool1d(conv, 2)
         drop = ad.dropout(ad.leaky_relu(t["x"]),
-                          ad.dropout_keep(t["x"].shape, 0.4, np.random.default_rng(7),
-                                          t["x"].dtype))
+                          ad.dropout_keep(t["x"].shape, 0.4, np.random.default_rng(7)), 0.4)
         ce = ad.cross_entropy_loss(t["logits"], targets)
         pieces = [ad.tsum(z) for z in (m, ln, bn, pooled, drop)]
         total = ce

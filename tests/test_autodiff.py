@@ -16,6 +16,7 @@ from ddikit.autodiff import Parameter, Tape, Tensor, backward, no_grad
 from ddikit.optim import AdamState, adam_step, zero_grads
 
 from gradcheck import check_grads, rel_err
+from tape_bytes import kept_bytes
 
 TOL = 1e-4
 
@@ -637,8 +638,8 @@ def test_dropout_grads_with_fixed_mask(seed):
     arrays = {"x": r(rng, 4, 6)}
 
     def build(t):
-        y = ad.dropout(t["x"], ad.dropout_keep(t["x"].shape, 0.5, np.random.default_rng(123),
-                                               t["x"].dtype))
+        y = ad.dropout(t["x"], ad.dropout_keep(t["x"].shape, 0.5, np.random.default_rng(123)),
+                       0.5)
         return ad.tsum(ad.mul(y, y))
 
     assert check_grads(build, arrays) < TOL
@@ -647,12 +648,77 @@ def test_dropout_grads_with_fixed_mask(seed):
 def test_dropout_eval_is_identity_and_scaling_preserves_mean():
     x = Tensor(np.ones((200, 50)), dtype=np.float64)
     with no_grad():
-        same = ad.dropout(x, None)
-        dropped = ad.dropout(x, ad.dropout_keep(x.shape, 0.3, np.random.default_rng(0), x.dtype))
+        same = ad.dropout(x, None, 0.3)
+        dropped = ad.dropout(x, ad.dropout_keep(x.shape, 0.3, np.random.default_rng(0)), 0.3)
     assert same.data is x.data or np.array_equal(same.data, x.data)
     assert abs(dropped.data.mean() - 1.0) < 0.02
     zeros = (dropped.data == 0).mean()
     assert abs(zeros - 0.3) < 0.02
+
+
+# Gradient values whose products with 0 and with 1 / (1 - p) are edge
+# cases: infinities, NaN, signed zeros, a product that overflows, a subnormal.
+_EDGE_GRADS = [np.inf, -np.inf, np.nan, 0.0, -0.0, 3e38, -3e38, 1e-45]
+
+
+def _float_keep_reference(op, x, g, keep):
+    """The output and input gradient of ``op`` as computed from a float32
+    or float64 keep mask, or a bool sign mask, held whole."""
+    if op == "dropout":
+        float_keep = keep.astype(x.dtype) / (1.0 - 0.3)
+        return x * float_keep, g * float_keep
+    if op == "relu":
+        return np.maximum(x, 0), g * (x > 0)
+    pos = x > 0
+    return np.where(pos, x, 0.01 * x), np.where(pos, g, 0.01 * g)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", ["dropout", "relu", "leaky_relu"])
+def test_masks_are_kept_at_one_bit_with_the_bits_of_a_whole_mask(op, dtype):
+    """Under a recording tape the closure of dropout, relu or leaky_relu
+    keeps arrays of at most ceil(n / 8) bytes and a fixed overhead for n
+    elements, and the output and gradient have the bytes of those built
+    from the whole float keep or bool mask."""
+    rng = np.random.default_rng(1)
+    shape = (3, 7, 61)  # 1281 elements, not a multiple of 8
+    x = rng.standard_normal(shape).astype(dtype)
+    x.flat[:3] = [0.0, -0.0, np.nan]
+    g = rng.standard_normal(shape).astype(dtype)
+    g.flat[3:3 + len(_EDGE_GRADS)] = _EDGE_GRADS
+    keep = rng.random(shape) >= 0.3
+    build = {"dropout": lambda t: ad.dropout(t, keep, 0.3), "relu": ad.relu,
+             "leaky_relu": ad.leaky_relu}[op]
+    tape = Tape()
+    with tape, np.errstate(all="ignore"):
+        out = build(Parameter(x, name="x", dtype=dtype))
+        dx = tape.entries[-1].backward_fn(g)[0]
+        want_out, want_dx = _float_keep_reference(op, x, g, keep)
+    assert kept_bytes(tape.entries[-1].backward_fn) <= -(-x.size // 8) + 16
+    assert out.data.dtype == dx.dtype == dtype
+    assert out.data.tobytes() == want_out.tobytes() and dx.tobytes() == want_dx.tobytes()
+
+
+@pytest.mark.parametrize("length,stride", [(13, 2), (13, 3), (12, 4), (600, 300)])
+def test_max_pool_keeps_a_byte_a_window_for_strides_up_to_256(length, stride):
+    """A recorded max_pool1d keeps each window's winner, in one byte up to
+    a stride of 256 and two beyond, and routes the gradient as the int64
+    argmax of the -inf-padded windows does."""
+    rng = np.random.default_rng(stride)
+    x = rng.standard_normal((2, 3, length)).astype(np.float32)
+    out_len = -(-length // stride)
+    g = rng.standard_normal((2, 3, out_len)).astype(np.float32)
+    tape = Tape()
+    with tape:
+        ad.max_pool1d(Parameter(x, name="x"), stride)
+    windows = 2 * 3 * out_len
+    assert kept_bytes(tape.entries[-1].backward_fn) <= windows * (1 if stride <= 256 else 2)
+    xp = np.pad(x, ((0, 0), (0, 0), (0, out_len * stride - length)), constant_values=-np.inf)
+    dxp = np.zeros((2, 3, out_len, stride), np.float32)
+    arg = xp.reshape(2, 3, out_len, stride).argmax(axis=3)
+    np.put_along_axis(dxp, arg[..., None], g[..., None], axis=3)
+    want = dxp.reshape(2, 3, -1)[:, :, :length]
+    assert np.array_equal(tape.entries[-1].backward_fn(g)[0], want)
 
 
 def test_no_grad_records_nothing():
@@ -791,7 +857,8 @@ _TAPE_KEEPS = {
     "concat": ((3, 4), lambda a, leaf: ad.concat([a, leaf(3, 2)], axis=1), False),
     "relu": ((3, 4), lambda a, leaf: ad.relu(a), False),
     "leaky_relu": ((3, 4), lambda a, leaf: ad.leaky_relu(a), False),
-    "dropout": ((3, 4), lambda a, leaf: ad.dropout(a, np.float32([2, 0, 2, 2])), False),
+    "dropout": ((3, 4), lambda a, leaf: ad.dropout(a, np.array([True, False, True, True]), 0.5),
+                False),
     "layer_norm": ((3, 4), lambda a, leaf: ad.layer_norm(a, leaf(4), leaf(4)), False),
     "batch_norm_train": ((3, 4, 5), lambda a, leaf: ad.batch_norm(
         a, leaf(4), leaf(4), np.zeros(4, np.float32), np.ones(4, np.float32), True), False),
@@ -806,6 +873,8 @@ _TAPE_KEEPS = {
     "linear_x": ((2, 3, 4), lambda a, leaf: ad.linear(a, leaf(4, 5), leaf(5)), True),
     "matmul": ((3, 4), lambda a, leaf: ad.matmul(a, leaf(4, 2)), True),
     "mul": ((3, 4), lambda a, leaf: ad.mul(leaf(3, 4), a), True),
+    "mul_by_constant": ((3, 4), lambda a, leaf: ad.mul(a, ad.constant(np.full(4, 0.5))),
+                        False),
     "attention_q": ((2, 5, 4), lambda a, leaf: ad.attention(
         a, leaf(2, 5, 4), leaf(2, 5, 4), heads=2), True),
     "attention_k": ((2, 5, 4), lambda a, leaf: ad.attention(
@@ -817,10 +886,11 @@ _TAPE_KEEPS = {
 
 
 def _forward_then_backward(shape, build, watch_output, hold):
-    """``build`` on a non-leaf input under a tape, weighted by a random
-    constant (dropout reads no input) and summed. Whether the watched array
-    is alive once the caller has dropped every name but the loss's and the
-    tape's, unless ``hold``; then the leaves' gradients."""
+    """``build`` on a non-leaf input under a tape, times a random constant
+    (a product by a constant keeps only the constant) and summed. Whether
+    the watched array is alive once the caller has dropped every name but
+    the loss's and the tape's, unless ``hold``; then the leaves'
+    gradients."""
     rng = np.random.default_rng(4)
     leaves = []
 
@@ -835,7 +905,7 @@ def _forward_then_backward(shape, build, watch_output, hold):
         out = build(a, leaf)
         watched = weakref.ref((out if watch_output else a).data)
         weights = rng.standard_normal(out.shape).astype(np.float32)
-        loss = ad.tsum(ad.dropout(out, weights))
+        loss = ad.tsum(ad.mul(out, ad.constant(weights)))
     held = (a, out) if hold else ()
     del a, out
     alive = watched() is not None

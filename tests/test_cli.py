@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import ddikit
 from ddikit import blas, cli
+from ddikit.atomic import write_arrays
 from ddikit.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from ddikit.cli import main
 from ddikit.data import SplitBundle
@@ -833,6 +834,22 @@ def test_malformed_checkpoint_meta_exits_3(world, tmp_path, capsys, edit):
              "--out-dir", tmp_path / "o")
     assert rc == 3
     assert _one_error_line(capsys, "data")
+
+
+def test_checkpoint_with_float64_parameters_of_a_float32_model_exits_3(world, tmp_path,
+                                                                         capsys):
+    """The trained float32 checkpoint with its parameters rewritten as
+    float64 under the same meta would otherwise run its forward in float64."""
+    meta, groups = read_checkpoint(trained(world))
+    groups["param"] = {name: arr.astype(np.float64) for name, arr in groups["param"].items()}
+    ckpt = tmp_path / "model.ckpt"
+    write_arrays(ckpt, groups, meta)
+    capsys.readouterr()
+    rc = run("eval", "--checkpoint", ckpt, "--split", "u1", *dataset_args(world),
+             "--out-dir", tmp_path / "o")
+    assert rc == 3
+    assert _one_error_line(capsys, "data")
+    assert not (tmp_path / "o/manifest.json").exists()
 
 
 @pytest.mark.parametrize("sub", ["eval", "seqlen"])

@@ -29,6 +29,7 @@ from ddikit.model import (DdiModel, KgSelfAttention, ModelConfig,
 
 from gradcheck import check_grads, check_model_grads, rel_err
 from paper_step import TRAIN_STEP, run_script
+from tape_bytes import kept_bytes
 
 
 def attention_oracle(q, k, v, mask=None):
@@ -1109,6 +1110,27 @@ def test_recorded_eval_forward_records_one_trunk_entry_with_the_gradients_of_one
     assert all(np.array_equal(grads[n], grads2[n]) for n in grads)
 
 
+# What the tape of the tile below keeps, parameters excluded: 37,638,064
+# bytes with masks kept at one bit an element, against 44,262,064 with
+# float32 dropout keeps and bool relu masks. The budget leaves 3%.
+_PAPER_TILE_TAPE_BUDGET = 38_800_000
+
+
+def test_a_recorded_paper_size_trunk_tile_keeps_no_more_than_its_budget():
+    """One sample of 146 real tokens through the trunk in training at the
+    paper's size (d_model 256, 6 layers x 8 heads, max_len 500, dropout
+    0.1), recorded: the arrays reachable from the tape and the closures,
+    each counted once by the array that owns it, stay within the budget."""
+    model = PretrainModel(ModelConfig(vocab_size=40, n_classes=7, dropout=0.1), seed=1)
+    model.train()
+    ids = np.random.default_rng(3).integers(4, 40, size=(1, 500))
+    ids[:, 146:] = 0
+    tape = Tape()
+    with tape:
+        model.trunk(ids, np.zeros_like(ids), ids != 0)
+    assert kept_bytes(tape) <= _PAPER_TILE_TAPE_BUDGET
+
+
 def test_tiled_training_trunk_draws_the_dropout_masks_of_one_pass(monkeypatch):
     """Each tile draws its own rows of the 2 x n_layers keep masks: the
     hidden states equal those of one pass, and the rng's next draw is the
@@ -1160,7 +1182,7 @@ def test_each_tile_draws_its_rows_of_the_one_pass_dropout_masks(monkeypatch):
     with no_grad():
         model.trunk(ids, segs, mask)
     ref = np.random.default_rng(5)
-    one_pass = [keep((7, 12, 8), 0.3, ref, np.float32) for _ in range(4)]
+    one_pass = [keep((7, 12, 8), 0.3, ref) for _ in range(4)]
     assert sorted(tiles) == [0, 2, 4, 6] and len(draws) == 4 * 4
     assert len({thread for thread, _ in draws}) == 2
     assert sorted(shape for _, shape in draws) == [(1, 12, 8)] * 4 + [(2, 12, 8)] * 12

@@ -9,6 +9,7 @@ import pytest
 
 from ddikit import autodiff as ad
 from ddikit.autodiff import Tape, backward
+from ddikit.atomic import write_arrays
 from ddikit.checkpoint import (CheckpointError, config_fingerprint,
                                load_checkpoint, read_checkpoint,
                                save_checkpoint)
@@ -479,6 +480,36 @@ def test_load_checkpoint_validates_optimizer_state(tmp_path, edit):
     _edit_header(path, edit)
     with pytest.raises(CheckpointError):
         load_checkpoint(path, model, optimizer=AdamState(learning_rate=0.0))
+
+
+def _rewritten(src, dst, group, cast):
+    """``src`` written again at ``dst`` with the arrays of ``group`` cast
+    to ``cast`` and the same meta."""
+    meta, groups = read_checkpoint(src)
+    groups[group] = {name: arr.astype(cast) for name, arr in groups[group].items()}
+    write_arrays(dst, groups, meta)
+    return dst
+
+
+@pytest.mark.parametrize("dtype,group,cast", [
+    ("float32", "param", np.float64), ("float64", "param", np.float32),
+    ("float64", "buffer", np.float32),
+])
+def test_load_checkpoint_refuses_arrays_of_another_dtype(tmp_path, dtype, group, cast):
+    """A checkpoint whose parameters or buffers were rewritten in another
+    dtype under the same meta is refused, naming the group and an array,
+    and the model keeps its arrays; float64 buffers, as older checkpoints
+    hold, stay accepted (see test_model)."""
+    model = DdiModel(small_config(8, dtype=dtype), seed=0)
+    save_checkpoint(tmp_path / "m.ckpt", model)
+    path = _rewritten(tmp_path / "m.ckpt", tmp_path / "cast.ckpt", group, cast)
+    target = DdiModel(small_config(8, dtype=dtype), seed=1)
+    before = {name: p.data for name, p in target.parameters().items()}
+    with pytest.raises(CheckpointError, match=rf"{group} '[\w.]+' is {np.dtype(cast)}, "
+                                              rf"not the model's {dtype}"):
+        load_checkpoint(path, target)
+    assert all(p.data is before[name] and p.data.dtype == dtype
+               for name, p in target.parameters().items())
 
 
 def test_load_checkpoint_requires_both_moments_of_each_parameter(tmp_path):
