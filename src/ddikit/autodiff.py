@@ -14,7 +14,11 @@ output that no backward reads is freed as soon as the forward drops its
 name, while the caller's ``Tensor`` keeps its data. The masks a backward
 reads are kept at one bit an element (dropout's keep mask and relu's and
 leaky_relu's sign masks, packed by ``np.packbits``) and max-pool's window
-winners in one byte, and rebuilt with the same values in backward. An
+winners in one byte, and rebuilt with the same values in backward. A
+layer norm's output is not kept for the linears it feeds: its node has a
+``rebuild`` that runs the forward's ``gain * xhat + bias`` again from the
+``xhat`` its own backward keeps, and a ``linear`` of that output, or of
+its leading rows, keeps the rebuild instead and calls it in backward. An
 entry's node, its gradient and its closure are released as soon as its
 own backward has run.
 ``join_tiles`` runs one computation in tiles on several threads, each on a
@@ -96,9 +100,12 @@ _NO_DATA = bytes(16)
 class _Node(Tensor):
     """A recorded op's output as the tape keeps it: its gradient, and a
     zero-stride, read-only ``data`` with the output's shape, dtype and
-    ``nbytes`` that owns no memory."""
+    ``nbytes`` that owns no memory. ``rebuild``, when not None, is a
+    callable of no arguments that returns the output with the forward's
+    bits from arrays the op's closure already keeps, so a consumer's
+    backward can read the output without the tape keeping it."""
 
-    __slots__ = ()
+    __slots__ = ("rebuild",)
 
     def __init__(self, data: np.ndarray):
         self.data = np.ndarray(data.shape, data.dtype, buffer=_NO_DATA,
@@ -106,6 +113,7 @@ class _Node(Tensor):
         self.requires_grad = True
         self.grad = None
         self.node = None
+        self.rebuild: Optional[Callable] = None
 
 
 class _TapeEntry:
@@ -221,7 +229,8 @@ def backward(output: Tensor, tape: Tape, grad: Optional[np.ndarray] = None,
         g = entry.output.grad
         if g is None:
             continue
-        entry.output.grad = None
+        # every consumer of the output has run, so nothing calls its rebuild
+        entry.output.grad = entry.output.rebuild = None
         # no name keeps the returned gradients alive into the next backward
         for inp, gi in zip(entry.inputs, entry.backward_fn(g)):
             if gi is None or not inp.requires_grad:
@@ -371,18 +380,30 @@ def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
+def _rebuild_of(t: Tensor) -> Optional[Callable]:
+    """The rebuild of ``t``'s recorded output, or None."""
+    return t.node.rebuild if t.node is not None else None
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one tape entry, so no product array is kept just to route
     gradients. x: [..., d_in], w: [d_in, d_out], b: [d_out]. Outputs and
     gradients are bit-identical to ``add(matmul(x, w), b)``. A ``b`` of a
-    wider dtype than ``x @ w`` raises rather than being rounded."""
+    wider dtype than ``x @ w`` raises rather than being rounded.
+
+    When x is a recorded output with a rebuild, such as a layer norm's, the
+    closure keeps the rebuild instead of x's array, and the weight gradient
+    reads x as the rebuild returns it."""
     if x.data.shape[-1] != w.data.shape[0]:
         raise ShapeError(f"linear dimension mismatch: {x.data.shape} x {w.data.shape}")
     out = x.data @ w.data
     np.add(out, b.data, out=out, casting="safe")
+    rebuild = _rebuild_of(x)
+    xd = x.data if rebuild is None else None
 
     def bwd(g):
-        return g @ np.swapaxes(w.data, -1, -2), _weight_grad(x.data, g), g
+        return (g @ np.swapaxes(w.data, -1, -2),
+                _weight_grad(xd if rebuild is None else rebuild(), g), g)
 
     return _make(out, (x, w, b), bwd)
 
@@ -420,16 +441,21 @@ def reshape(a: Tensor, shape) -> Tensor:
 def leading_rows(a: Tensor, n: int) -> Tensor:
     """``a[:, :n]``, such as the first n positions of each sample of a
     [batch, length, d] array. The output is a view; the backward returns
-    zeros for the rows past n."""
+    zeros for the rows past n. When ``a`` has a rebuild, so does the
+    output: the same rows of it."""
     out = a.data[:, :n]
     shape = a.data.shape
+    rb = _rebuild_of(a)
 
     def bwd(g):
         da = np.zeros(shape, g.dtype)
         da[:, :n] = g
         return (da,)
 
-    return _make(out, (a,), bwd)
+    y = _make(out, (a,), bwd)
+    if rb is not None and y.node is not None:
+        y.node.rebuild = lambda: rb()[:, :n]
+    return y
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -623,14 +649,25 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize over the last axis per position (eps 1e-5), then apply learnable gain/bias."""
+    """Normalize over the last axis per position (eps 1e-5), then apply
+    learnable gain/bias.
+
+    A recorded op's output has a rebuild: ``gain * xhat + bias`` run again
+    by the forward's own two ops, from the ``xhat`` its backward keeps and
+    the gain and bias as they are when it is called, which is the forward's
+    bits while the parameters are unchanged."""
     # The mean of the squared centred values is x.var's own arithmetic.
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     sq = np.square(xhat)
     inv = 1.0 / np.sqrt(sq.mean(axis=-1, keepdims=True) + 1e-5)
     xhat *= inv
-    out = np.multiply(gain.data, xhat, out=sq)
-    out += bias.data
+
+    def affine(out):
+        np.multiply(gain.data, xhat, out=out)
+        out += bias.data
+        return out
+
+    out = affine(sq)
 
     def bwd(g):
         # inv * ((gx - mean(gx)) - xhat * mean(gx * xhat)) in that order, in
@@ -643,7 +680,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         gx *= inv
         return gx, np.multiply(g, xhat, out=t), g
 
-    return _make(out, (x, gain, bias), bwd)
+    y = _make(out, (x, gain, bias), bwd)
+    if y.node is not None:
+        y.node.rebuild = lambda: affine(np.empty_like(xhat))
+    return y
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
@@ -806,10 +846,11 @@ def max_pool1d(x: Tensor, stride: int) -> Tensor:
 
     Each window's maximum is a running ``np.maximum`` over the stride phases
     ``x[..., j::stride]``, keeping the earlier element on a tie (so a window
-    of -0.0 and 0.0 gives the first) and propagating NaN, as the argmax over
-    the -inf-padded windows would. Only a recorded op finds that argmax, which
-    its backward routes the gradient to; it keeps each window's winner in
-    one byte for a stride up to 256.
+    of -0.0 and 0.0 gives the first) and propagating NaN. Only a recorded op
+    finds each window's winner, which its backward routes the gradient to:
+    the first phase equal to the maximum, a NaN counting as equal, which is
+    the argmax over the -inf-padded windows. It keeps the winners in one
+    byte for a stride up to 256.
     """
     bsz, c, length = x.data.shape
     dtype = x.data.dtype
@@ -821,10 +862,15 @@ def max_pool1d(x: Tensor, stride: int) -> Tensor:
         np.maximum(phase, head, out=head)
     arg = None
     if _recording((x,)):
-        pad = out_len * stride - length
-        xp = np.pad(x.data, ((0, 0), (0, 0), (0, pad)), constant_values=-np.inf) if pad else x.data
-        arg = xp.reshape(bsz, c, out_len, stride).argmax(axis=3).astype(
-            np.min_scalar_type(stride - 1))
+        # The winner is the count of leading phases that miss the maximum.
+        # A last window cut short has its hit before the phases it lacks.
+        arg = np.zeros(out.shape, np.min_scalar_type(stride - 1))
+        miss = np.ones(out.shape, bool)
+        for j in range(stride - 1):
+            phase = x.data[..., j::stride]
+            miss[..., :phase.shape[-1]] &= ((phase != out[..., :phase.shape[-1]])
+                                            & ~np.isnan(phase))
+            arg += miss
 
     def bwd(g):
         dxp = np.zeros((bsz, c, out_len, stride), dtype)

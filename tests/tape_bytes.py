@@ -1,11 +1,11 @@
 """The bytes of the arrays a recorded forward keeps for its backward.
 
 ``kept_bytes`` walks tapes, their entries, the backward closures' cells
-(and the tapes that ``join_tiles`` entries hold in theirs), containers and
-tensors, and counts every array it reaches by the array that owns its
-memory, so views count once, at their owner's size. Parameters and the
-arrays they own are left out, and so is a gradient node's zero-stride data,
-which owns no memory."""
+(and the tapes that ``join_tiles`` entries hold in theirs), gradient nodes'
+rebuilds and their cells, containers and tensors, and counts every array
+it reaches by the array that owns its memory, so views count once, at
+their owner's size. Parameters and the arrays they own are left out, and
+so is a gradient node's zero-stride data, which owns no memory."""
 
 import numpy as np
 
@@ -36,6 +36,8 @@ def kept_bytes(*roots) -> int:
             params.add(id(_owner(obj.data)))
         elif isinstance(obj, ad.Tensor):
             stack += [obj.data, obj.grad]
+            if isinstance(obj, ad._Node):
+                stack.append(obj.rebuild)
         elif isinstance(obj, ad.Tape):
             stack += obj.entries
         elif isinstance(obj, ad._TapeEntry):

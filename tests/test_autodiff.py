@@ -373,6 +373,104 @@ def test_layer_norm_backward_works_in_two_buffers():
     assert peak < 2.5 * x.nbytes
 
 
+# x's dtype, then the gain's and bias's
+_REBUILD_DTYPES = [(np.float32, np.float32), (np.float64, np.float64),
+                   (np.float32, np.float64)]
+
+
+def _recorded_layer_norm(x_dtype, p_dtype, shape=(3, 7, 33)):
+    """A recorded layer norm of a non-leaf input, with a gain and bias far
+    from 1 and 0, and its leaves."""
+    rng = np.random.default_rng(shape[-1])
+    x = Parameter(rng.standard_normal(shape) * 3 + 1, name="x", dtype=x_dtype)
+    gain = Parameter(rng.standard_normal(shape[-1]) * 2, name="gain", dtype=p_dtype)
+    bias = Parameter(rng.standard_normal(shape[-1]), name="bias", dtype=p_dtype)
+    return ad.layer_norm(ad.scale(x, 1.5), gain, bias), (x, gain, bias)
+
+
+@pytest.mark.parametrize("x_dtype,p_dtype", _REBUILD_DTYPES)
+def test_layer_norm_rebuild_returns_the_outputs_bytes(x_dtype, p_dtype):
+    """A recorded layer norm's rebuild, and that of its leading rows, return
+    arrays of the output's dtype, shape and bytes."""
+    with Tape():
+        y, _ = _recorded_layer_norm(x_dtype, p_dtype)
+        rows = ad.leading_rows(y, 4)
+    for t in (y, rows):
+        rebuilt = t.node.rebuild()
+        assert rebuilt.dtype == t.data.dtype == x_dtype and rebuilt.shape == t.data.shape
+        assert rebuilt.tobytes() == t.data.tobytes()
+
+
+def test_only_a_recorded_layer_norm_and_its_leading_rows_have_a_rebuild():
+    """Other ops' nodes, leading rows of an output without one, and a
+    layer norm under no_grad have none."""
+    with Tape():
+        y, (x, gain, bias) = _recorded_layer_norm(np.float32, np.float32)
+        others = [ad.linear(y, Parameter(np.ones((33, 2)), name="w"),
+                            Parameter(np.zeros(2), name="b")),
+                  ad.leading_rows(ad.scale(x, 2.0), 4), ad.scale(y, 2.0)]
+        with no_grad():
+            unrecorded = ad.layer_norm(x, gain, bias)
+    assert all(t.node.rebuild is None for t in others) and unrecorded.node is None
+
+
+@pytest.mark.parametrize("x_dtype,p_dtype", _REBUILD_DTYPES)
+def test_linear_weight_gradient_through_a_rebuild_is_that_of_the_output(x_dtype, p_dtype):
+    """A linear of a layer norm's output, or of its leading rows, takes the
+    weight gradient of the rebuilt input with the bytes of
+    ``_weight_grad`` of the output itself."""
+    rng = np.random.default_rng(5)
+    w = Parameter(rng.standard_normal((33, 5)), name="w", dtype=x_dtype)
+    b = Parameter(rng.standard_normal(5), name="b", dtype=x_dtype)
+    tape = Tape()
+    with tape:
+        y, _ = _recorded_layer_norm(x_dtype, p_dtype)
+        for x in (y, ad.leading_rows(y, 4)):
+            ad.linear(x, w, b)
+            g = rng.standard_normal(x.shape[:-1] + (5,)).astype(x_dtype)
+            dw = tape.entries[-1].backward_fn(g)[1]
+            want = ad._weight_grad(x.data, g)
+            assert dw.dtype == want.dtype and dw.tobytes() == want.tobytes()
+
+
+def _layer_norm_into_linears(linear):
+    """A layer norm whose output feeds a linear and, through its leading
+    rows, another, under a tape. Whether the output's array is alive once
+    the forward has dropped its names, and the leaves' gradients."""
+    rng = np.random.default_rng(6)
+    tape = Tape()
+    with tape:
+        y, leaves = _recorded_layer_norm(np.float32, np.float32, (2, 6, 8))
+        watched = weakref.ref(y.data)
+        ws = [Parameter(rng.standard_normal(shape), name=f"p{i}", dtype=np.float32)
+              for i, shape in enumerate([(8, 3), (3,), (8, 4), (4,)])]
+        heads = [linear(y, *ws[:2]), linear(ad.leading_rows(y, 3), *ws[2:])]
+        loss = ad.add(*(ad.tsum(ad.mul(h, ad.constant(rng.standard_normal(h.shape))))
+                        for h in heads))
+    del y, heads
+    alive = watched() is not None
+    backward(loss, tape)
+    return alive, [p.grad for p in leaves + tuple(ws)]
+
+
+def test_a_layer_norm_output_that_only_linears_read_is_freed_by_the_forward():
+    """Once the forward drops a recorded layer norm's output, no tape or
+    closure keeps its array, and the gradients have the bytes of those
+    through ``add(matmul(x, w), b)``, which keeps it."""
+    alive, grads = _layer_norm_into_linears(ad.linear)
+    kept_alive, want = _layer_norm_into_linears(lambda x, w, b: ad.add(ad.matmul(x, w), b))
+    assert not alive and kept_alive
+    assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(grads, want))
+
+
+def test_kept_bytes_counts_an_array_only_a_rebuild_holds():
+    """A layer norm's node reaches its xhat only through its rebuild, and
+    ``kept_bytes`` counts it."""
+    with Tape():
+        y, _ = _recorded_layer_norm(np.float32, np.float64)
+    assert kept_bytes(y.node) == y.data.nbytes
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("mode,training", [("2d", True), ("3d", True),
                                            ("2d", False), ("3d", False)],
@@ -630,6 +728,34 @@ def test_max_pool_matches_padded_form(length, stride):
         y = ad.max_pool1d(t, stride)
     assert np.array_equal(y.data, np.take_along_axis(windows, arg, axis=3)[..., 0])
     assert np.array_equal(tape.entries[-1].backward_fn(g)[0], dxp[:, :, :length])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride,extra", [(2, 0), (2, 1), (3, 1), (3, 2), (4, 3)])
+def test_max_pool_routes_the_gradient_as_the_argmax_of_the_padded_windows(dtype, stride, extra):
+    """Windows of ties, -0.0 and 0.0, NaN, -inf and inf, the last one cut
+    to ``extra`` elements when extra > 0: the gradient reaches the element
+    the argmax over the -inf-padded windows picks."""
+    rng = np.random.default_rng(10 * stride + extra)
+    length = 12 * stride + extra
+    x = rng.choice(np.array([-0.0, 0.0, 1.0, -1.0, np.nan, np.inf, -np.inf]),
+                   size=(2, 3, length)).astype(dtype)
+    first = x[0, 0]
+    first[:stride] = -np.inf
+    first[stride:2 * stride] = np.nan
+    first[2 * stride:3 * stride] = [-0.0] + [0.0] * (stride - 1)
+    first[3 * stride:4 * stride] = [0.0] * (stride - 1) + [-0.0]
+    first[4 * stride:5 * stride] = [1.0] * (stride - 1) + [np.nan]
+    out_len = -(-length // stride)
+    g = np.arange(1, 2 * 3 * out_len + 1, dtype=dtype).reshape(2, 3, out_len)
+    xp = np.pad(x, ((0, 0), (0, 0), (0, out_len * stride - length)), constant_values=-np.inf)
+    dxp = np.zeros((2, 3, out_len, stride), dtype)
+    arg = xp.reshape(2, 3, out_len, stride).argmax(axis=3)
+    np.put_along_axis(dxp, arg[..., None], g[..., None], axis=3)
+    tape = Tape()
+    with tape:
+        ad.max_pool1d(Tensor(x, requires_grad=True), stride)
+    assert np.array_equal(tape.entries[-1].backward_fn(g)[0], dxp.reshape(2, 3, -1)[:, :, :length])
 
 
 @pytest.mark.parametrize("seed", range(3))

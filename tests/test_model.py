@@ -1110,10 +1110,11 @@ def test_recorded_eval_forward_records_one_trunk_entry_with_the_gradients_of_one
     assert all(np.array_equal(grads[n], grads2[n]) for n in grads)
 
 
-# What the tape of the tile below keeps, parameters excluded: 37,638,064
-# bytes with masks kept at one bit an element, against 44,262,064 with
-# float32 dropout keeps and bool relu masks. The budget leaves 3%.
-_PAPER_TILE_TAPE_BUDGET = 38_800_000
+# What the tape of the tile below keeps, parameters excluded: 32,006,064
+# bytes with the layer-norm outputs that feed linears rebuilt from xhat in
+# backward, against 37,638,064 with them kept, and 44,262,064 with float32
+# dropout keeps and bool relu masks. The budget leaves 3%.
+_PAPER_TILE_TAPE_BUDGET = 32_970_000
 
 
 def test_a_recorded_paper_size_trunk_tile_keeps_no_more_than_its_budget():
