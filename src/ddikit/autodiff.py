@@ -24,8 +24,16 @@ own backward has run.
 ``join_tiles`` runs one computation in tiles on several threads, each on a
 tape of its own, and records them as one entry.
 
-Only the operations needed by the DDI model are implemented. Training runs in
-float32; float64 is available for gradient checking.
+The DDI model records ``linear``, ``attention``, ``layer_norm``,
+``batch_norm``, ``conv1d``, ``max_pool1d``, ``relu``, ``leaky_relu``,
+``dropout``, ``embedding_lookup``, ``add``, ``reshape``, ``transpose``,
+``concat``, ``leading_rows`` and ``join_tiles``, and its training
+``cross_entropy_loss``; scoring takes ``softmax`` of the logits unrecorded.
+Layer norm and batch norm share one normalization kernel. No model code
+records ``sub``, ``mul``, ``scale``, ``matmul`` or ``tsum``: they are kept
+as the composed ops that the attention reference in the tests, acceptance
+criterion 1 and demo 02 are built from. Training runs in float32; float64
+is available for gradient checking.
 """
 
 from __future__ import annotations
@@ -648,6 +656,42 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _make(out, (table,), bwd)
 
 
+def _normalize(x: np.ndarray, axes):
+    """x normalized over ``axes`` (eps 1e-5) in two arrays of x's size.
+
+    The centred x is scaled in place by ``inv = 1 / sqrt(var + 1e-5)``,
+    where var is the mean of its squares, ``x.var``'s own arithmetic, taken
+    in a buffer the caller may reuse for its output. Returns xhat, inv, the
+    mean, var and that buffer; the statistics keep the reduced axes."""
+    mean = x.mean(axis=axes, keepdims=True)
+    xhat = x - mean
+    buf = np.square(xhat)
+    var = buf.mean(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat *= inv
+    return xhat, inv, mean, var, buf
+
+
+def _normalize_grad(gx: np.ndarray, xhat: np.ndarray, inv: np.ndarray, axes) -> np.ndarray:
+    """Turn ``gx``, the gradient of ``_normalize``'s xhat, into x's in place:
+    ``inv * ((gx - mean(gx)) - xhat * mean(gx * xhat))`` in that order.
+    Returns the one other array of gx's size it worked in, for the caller
+    to reuse."""
+    spare = gx * xhat
+    mean_gx_xhat = spare.mean(axis=axes, keepdims=True)
+    gx -= gx.mean(axis=axes, keepdims=True)
+    gx -= np.multiply(xhat, mean_gx_xhat, out=spare)
+    gx *= inv
+    return spare
+
+
+def _affine(scale, shift, xhat: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A norm's output ``scale * xhat + shift``, written into ``out``."""
+    np.multiply(scale, xhat, out=out)
+    out += shift
+    return out
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis per position (eps 1e-5), then apply
     learnable gain/bias.
@@ -656,33 +700,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     by the forward's own two ops, from the ``xhat`` its backward keeps and
     the gain and bias as they are when it is called, which is the forward's
     bits while the parameters are unchanged."""
-    # The mean of the squared centred values is x.var's own arithmetic.
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    sq = np.square(xhat)
-    inv = 1.0 / np.sqrt(sq.mean(axis=-1, keepdims=True) + 1e-5)
-    xhat *= inv
-
-    def affine(out):
-        np.multiply(gain.data, xhat, out=out)
-        out += bias.data
-        return out
-
-    out = affine(sq)
+    xhat, inv, _, _, buf = _normalize(x.data, -1)
+    out = _affine(gain.data, bias.data, xhat, buf)
 
     def bwd(g):
-        # inv * ((gx - mean(gx)) - xhat * mean(gx * xhat)) in that order, in
-        # two buffers: gx becomes dx, and t the gain's gradient g * xhat
+        # two buffers: gx becomes dx, and the spare the gain's gradient
         gx = g * gain.data
-        t = gx * xhat
-        mean_gx_xhat = t.mean(axis=-1, keepdims=True)
-        gx -= gx.mean(axis=-1, keepdims=True)
-        gx -= np.multiply(xhat, mean_gx_xhat, out=t)
-        gx *= inv
-        return gx, np.multiply(g, xhat, out=t), g
+        spare = _normalize_grad(gx, xhat, inv, -1)
+        return gx, np.multiply(g, xhat, out=spare), g
 
     y = _make(out, (x, gain, bias), bwd)
     if y.node is not None:
-        y.node.rebuild = lambda: affine(np.empty_like(xhat))
+        y.node.rebuild = lambda: _affine(gain.data, bias.data, xhat, np.empty_like(xhat))
     return y
 
 
@@ -690,45 +719,41 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
                running_var: np.ndarray, training: bool) -> Tensor:
     """Batch normalization over all axes except the channel axis (eps 1e-5).
 
-    Channel axis is 1 for 3-d input [batch, channels, length] and the last
-    axis for 2-d input [batch, features]. In training mode the running
-    statistics move 0.1 toward the batch's in place; eval mode is a fixed affine map.
+    Channel axis is 1 for 3-d input [batch, channels, length] and for 2-d
+    input [batch, features]. Training mode normalizes with the batch's
+    statistics through the kernel ``layer_norm`` runs over the last axis,
+    here over the other axes, in two arrays of x's size forward and
+    backward, and its output has x's dtype; the running statistics move
+    0.1 toward the batch's in place. Eval mode is a fixed affine map of the
+    running statistics, written into one buffer.
     """
-    if x.data.ndim == 2:
-        red_axes = (0,)
-        cshape = (1, -1)
-    elif x.data.ndim == 3:
-        red_axes = (0, 2)
-        cshape = (1, -1, 1)
-    else:
+    if x.data.ndim not in (2, 3):
         raise ShapeError(f"batch_norm expects 2-d or 3-d input, got {x.data.shape}")
+    # the statistics are taken over every axis but the channel axis, 1
+    axes, cshape = ((0,), (1, -1)) if x.data.ndim == 2 else ((0, 2), (1, -1, 1))
     gam = gamma.data.reshape(cshape)
-    bet = beta.data.reshape(cshape)
     if training:
-        mu = x.data.mean(axis=red_axes, keepdims=True)
-        var = x.data.var(axis=red_axes, keepdims=True)
-        n = x.data.size // x.data.shape[1 if x.data.ndim == 3 else -1]
+        xhat, inv, mu, var, out = _normalize(x.data, axes)
+        n = x.data.size // x.data.shape[1]
         running_mean *= 0.9
         running_mean += 0.1 * mu.reshape(-1)
         running_var *= 0.9
         # unbiased variance for the running estimate
         running_var += 0.1 * var.reshape(-1) * (n / max(n - 1, 1))
     else:
-        mu = running_mean.reshape(cshape)
-        var = running_var.reshape(cshape)
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = (x.data - mu) * inv
-    out = gam * xhat + bet
+        inv = 1.0 / np.sqrt(running_var.reshape(cshape) + 1e-5)
+        out = x.data - running_mean.reshape(cshape)
+        xhat = out * inv  # out is then the output's buffer
+    out = _affine(gam, beta.data.reshape(cshape), xhat, out)
 
     def bwd(g):
-        dgamma = (g * xhat).sum(axis=red_axes)
-        dbeta = g.sum(axis=red_axes)
         gx = g * gam
         if training:
-            # the batch statistics depend on x; in eval mode they are constants
-            gx = (gx - gx.mean(axis=red_axes, keepdims=True)
-                  - xhat * (gx * xhat).mean(axis=red_axes, keepdims=True))
-        return inv * gx, dgamma, dbeta
+            spare = _normalize_grad(gx, xhat, inv, axes)
+        else:  # the running statistics are constants
+            gx *= inv
+            spare = None
+        return gx, np.multiply(g, xhat, out=spare).sum(axis=axes), g.sum(axis=axes)
 
     return _make(out, (x, gamma, beta), bwd)
 

@@ -380,8 +380,7 @@ def cmd_eval(args, cfg):
     indices = _select_split(bundle, args.split)
     model = _load_scorer(args, vocab, label_map, pair_vecs)
     scores = predict_scores(model, indices, events, drugs, vocab, pair_vecs,
-                            batch_size=cfg["batch_size"],
-                            max_len=model.cfg.max_len)
+                            batch_size=cfg["batch_size"])
     truths = np.array([events[i].label for i in indices])
     report = evaluate(scores, truths, len(label_map))
     outputs = []

@@ -195,17 +195,23 @@ def _encode_events(indices, events: list[DdiEvent], drugs: dict[str, DrugRecord]
 
 def predict_scores(model: DdiModel, indices, events, drugs, vocab,
                    pair_vecs: np.ndarray, batch_size: int = 32,
-                   max_len: int = 500) -> np.ndarray:
+                   max_len: int | None = None) -> np.ndarray:
     """Softmax class probabilities in eval mode; pair_vecs is [n_events, kg_dim]
     aligned with the full event list. FloatingPointError if a score is not
-    finite."""
+    finite.
+
+    Pairs are encoded at the model's ``cfg.max_len``. ``max_len`` need not
+    be given; one that differs from the model's raises ``ValueError``."""
+    if max_len is not None and max_len != model.cfg.max_len:
+        raise ValueError(f"max_len {max_len} differs from the model's max_len "
+                         f"{model.cfg.max_len}")
     was_training = model.training
     model.eval()
     rows = []
     with no_grad():
         for lo in range(0, len(indices), batch_size):
             chunk = list(indices[lo:lo + batch_size])
-            seqs = _encode_events(chunk, events, drugs, vocab, max_len)
+            seqs = _encode_events(chunk, events, drugs, vocab, model.cfg.max_len)
             ids, segs, mask = _stack(seqs)
             rows.append(ad.softmax(model.forward(ids, segs, mask, pair_vecs[chunk])).data)
     if was_training:
@@ -221,8 +227,7 @@ def accuracy(model: DdiModel, indices, events, drugs, vocab, pair_vecs: np.ndarr
              batch_size: int) -> float:
     """Share of the events at ``indices`` whose highest-scoring class is
     their label."""
-    scores = predict_scores(model, indices, events, drugs, vocab, pair_vecs,
-                            batch_size, model.cfg.max_len)
+    scores = predict_scores(model, indices, events, drugs, vocab, pair_vecs, batch_size)
     truth = np.array([events[i].label for i in indices])
     return float((scores.argmax(axis=1) == truth).mean())
 

@@ -325,33 +325,85 @@ def test_layer_norm_normalizes():
     assert np.abs(y.var(axis=-1) - 1.0).max() < 1e-4
 
 
-def _two_pass_layer_norm(x, gain, bias, g, eps=1e-5):
-    """Layer norm with separate mean and variance passes (the reference
-    formulation): the output, then the x, gain and bias gradients."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+def _two_pass_layer_norm(x, gain, bias, g, axes=-1, eps=1e-5):
+    """Normalization over ``axes`` with separate mean and variance passes
+    (the reference formulation): the output, then the x gradient and the
+    unreduced gain and bias gradients."""
+    mu = x.mean(axis=axes, keepdims=True)
+    var = x.var(axis=axes, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x - mu) * inv
     gx = g * gain
-    dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
-                - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+    dx = inv * (gx - gx.mean(axis=axes, keepdims=True)
+                - xhat * (gx * xhat).mean(axis=axes, keepdims=True))
     return gain * xhat + bias, dx, g * xhat, g
 
 
+def _forward_backward(op, arrays, g):
+    """``op`` on leaves holding ``arrays`` under a tape: its output, then
+    its recorded backward of ``g``."""
+    tape = Tape()
+    with tape:
+        y = op(*(Tensor(a, requires_grad=True) for a in arrays))
+    return (y.data,) + tuple(tape.entries[-1].backward_fn(g))
+
+
+def _batch_norm_cases(x, g, rng):
+    """Batch norm of ``x`` in training and eval mode: for each, the output,
+    the gradients of x, gamma and beta, and the running mean and variance
+    after the forward, then the same from the two-pass formula."""
+    dtype, channels = x.dtype, x.shape[1]
+    axes, cshape = ((0,), (1, -1)) if x.ndim == 2 else ((0, 2), (1, -1, 1))
+    gamma, beta, running_mean = (rng.standard_normal(channels).astype(dtype) for _ in range(3))
+    running_var = rng.uniform(0.5, 2.0, channels).astype(dtype)
+    gam, bet = gamma.reshape(cshape), beta.reshape(cshape)
+    cases = {}
+    for training in (True, False):
+        rm, rv = running_mean.copy(), running_var.copy()
+        got = _forward_backward(lambda *t: ad.batch_norm(*t, rm, rv, training=training),
+                                (x, gamma, beta), g) + (rm, rv)
+        if training:
+            y, dx, dgam, dbet = _two_pass_layer_norm(x, gam, bet, g, axes)
+            n = x.size // channels
+            want_rm = 0.9 * running_mean + 0.1 * x.mean(axis=axes)
+            want_rv = 0.9 * running_var + 0.1 * x.var(axis=axes) * (n / (n - 1))
+        else:
+            inv = 1.0 / np.sqrt(running_var.reshape(cshape) + 1e-5)
+            xhat = (x - running_mean.reshape(cshape)) * inv
+            y, dx, dgam, dbet = gam * xhat + bet, inv * (g * gam), g * xhat, g
+            want_rm, want_rv = running_mean, running_var
+        want = (y, dx, dgam.sum(axis=axes), dbet.sum(axis=axes), want_rm, want_rv)
+        cases[f"batch_norm training={training}"] = got, want
+    return cases
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", [(6, 9), (3, 2, 400), (4, 50, 256)])
+@pytest.mark.parametrize("shape", [(6, 9), (3, 2, 400), (4, 50, 256), (4, 512), (32, 512),
+                                   (4, 256, 500), (4, 256, 63), (3, 7, 11)])
 def test_layer_norm_bit_identical_to_two_pass_formula(dtype, shape):
+    """Layer norm, and batch norm in training and eval mode, have the bits
+    of the two-pass formula over their axes: every output, gradient and
+    running statistic."""
     rng = np.random.default_rng(sum(shape))
     x, g = ((rng.standard_normal(shape) * 3 + 1).astype(dtype) for _ in range(2))
     gain, bias = (rng.standard_normal(shape[-1]).astype(dtype) for _ in range(2))
-    tape = Tape()
-    with tape:
-        y = ad.layer_norm(*(Tensor(a, requires_grad=True, dtype=dtype) for a in (x, gain, bias)))
-    got = (y.data,) + tuple(tape.entries[-1].backward_fn(g))
-    want = _two_pass_layer_norm(x, gain, bias, g)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype == dtype
-        assert np.array_equal(a, b)
+    cases = {"layer_norm": (_forward_backward(ad.layer_norm, (x, gain, bias), g),
+                            _two_pass_layer_norm(x, gain, bias, g))}
+    cases.update(_batch_norm_cases(x, g, rng))
+    for name, (got, want) in cases.items():
+        assert len(got) == len(want), name
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == dtype, name
+            assert np.array_equal(a, b), name
+
+
+def _peak_bytes(run):
+    """``run()``'s result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_layer_norm_backward_works_in_two_buffers():
@@ -363,14 +415,28 @@ def test_layer_norm_backward_works_in_two_buffers():
     with tape:
         ad.layer_norm(*(Tensor(a, requires_grad=True) for a in
                         (x, np.ones(256, np.float32), np.zeros(256, np.float32))))
-    tracemalloc.start()
-    try:
-        grads = tape.entries[-1].backward_fn(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    grads, peak = _peak_bytes(lambda: tape.entries[-1].backward_fn(g))
     assert [a.shape for a in grads] == [x.shape] * 3
     assert peak < 2.5 * x.nbytes
+
+
+def test_batch_norm_training_works_in_two_buffers():
+    """Training-mode batch norm at a paper conv block's size: the forward
+    keeps xhat and writes its output into the buffer that held the squares,
+    and the backward's temporaries are dx and the one the gamma gradient
+    is summed from. Each peaks under 2.5 arrays of x's size."""
+    rng = np.random.default_rng(0)
+    x, g = (rng.standard_normal((4, 256, 500)).astype(np.float32) for _ in range(2))
+    leaves = [Tensor(a, requires_grad=True) for a in
+              (x, np.ones(256, np.float32), np.zeros(256, np.float32))]
+    running = np.zeros(256, np.float32), np.ones(256, np.float32)
+    tape = Tape()
+    with tape:
+        y, forward_peak = _peak_bytes(lambda: ad.batch_norm(*leaves, *running, training=True))
+    grads, backward_peak = _peak_bytes(lambda: tape.entries[-1].backward_fn(g))
+    assert y.shape == x.shape and [a.shape for a in grads] == [x.shape, (256,), (256,)]
+    assert forward_peak < 2.5 * x.nbytes
+    assert backward_peak < 2.5 * x.nbytes
 
 
 # x's dtype, then the gain's and bias's

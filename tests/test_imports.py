@@ -1,6 +1,7 @@
-"""Every module-level import in ``src/ddikit`` is used by its module, every
-ddikit name the benchmark tracer patches exists, the tracer can read a tape,
-and every name and keyword the benchmark passes to ddikit exists."""
+"""Every module-level import in ``src/ddikit`` is used by its module, only
+the normalization kernel takes a variance, every ddikit name the benchmark
+tracer patches exists, the tracer can read a tape, and every name and
+keyword the benchmark passes to ddikit exists."""
 
 import ast
 import importlib
@@ -94,6 +95,22 @@ def test_only_blas_loads_native_code_or_starts_threads():
                   and isinstance(node.value, ast.Name) and node.value.id == "threading"):
                 found.append(f"{src.name}:{node.lineno} threading.Thread")
     assert found == [], f"ctypes or threads outside ddikit.blas: {found}"
+
+
+def test_only_the_normalization_kernel_takes_a_variance():
+    """Layer norm and batch norm share one normalization kernel in
+    ``ddikit.autodiff``, which takes the variance as the mean of the
+    squared centred values: no module of ``src/ddikit`` calls ``np.var``,
+    ``np.std`` or an array's ``.var`` or ``.std``, so a second
+    normalization arithmetic cannot come back unseen."""
+    pkg = Path(ddikit.__file__).parent
+    found = []
+    for src in sorted(pkg.glob("*.py")):
+        tree = ast.parse(src.read_text(encoding="utf-8"), filename=str(src))
+        found += [f"{src.name}:{node.lineno} .{node.func.attr}(" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("var", "std")]
+    assert found == [], f"variance taken outside the normalization kernel: {found}"
 
 
 def _tracer_tables() -> dict:

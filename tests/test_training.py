@@ -217,6 +217,20 @@ def test_predict_scores_deterministic(tmp_path):
     assert np.array_equal(a, b)
 
 
+def test_predict_scores_encodes_at_the_models_length(tmp_path):
+    """A call without ``max_len`` scores a model of any length at its own,
+    as one that passes it does; a different one raises, naming both."""
+    drugs, events, label_map, vocab, pair_vecs = tiny_world(tmp_path)
+    cfg = small_config(len(vocab), n_classes=len(label_map))
+    assert cfg.max_len == 32
+    model = DdiModel(cfg, seed=0)
+    args = (model, [0, 1, 2], events, drugs, vocab, pair_vecs)
+    assert np.array_equal(predict_scores(*args, batch_size=2),
+                          predict_scores(*args, batch_size=2, max_len=32))
+    with pytest.raises(ValueError, match="max_len 500 differs from the model's max_len 32"):
+        predict_scores(*args, max_len=500)
+
+
 def test_predict_scores_rows_do_not_depend_on_the_batch():
     """Attention cuts each sample's keys at its own last real token: a pair
     scored alone matches its row in a batch of much shorter and longer pairs."""
