@@ -18,9 +18,10 @@ winners in one byte, and rebuilt with the same values in backward. A
 layer norm's output is not kept for the linears it feeds: its node has a
 ``rebuild`` that runs the forward's ``gain * xhat + bias`` again from the
 ``xhat`` its own backward keeps, and a ``linear`` of that output, or of
-its leading rows, keeps the rebuild instead and calls it in backward. An
-entry's node, its gradient and its closure are released as soon as its
-own backward has run.
+its leading rows, keeps the rebuild instead and calls it in backward; the
+first call builds the output and later calls return it, so it is rebuilt
+once per backward however many linears read it. An entry's node, its
+gradient and its closure are released as soon as its own backward has run.
 ``join_tiles`` runs one computation in tiles on several threads, each on a
 tape of its own, and records them as one entry.
 
@@ -698,8 +699,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
     A recorded op's output has a rebuild: ``gain * xhat + bias`` run again
     by the forward's own two ops, from the ``xhat`` its backward keeps and
-    the gain and bias as they are when it is called, which is the forward's
-    bits while the parameters are unchanged."""
+    the gain and bias as they are when it is first called, which is the
+    forward's bits while the parameters are unchanged. The first call
+    builds the array and every later one returns it, so the linears that
+    read the output share one rebuild, dropped with the node."""
     xhat, inv, _, _, buf = _normalize(x.data, -1)
     out = _affine(gain.data, bias.data, xhat, buf)
 
@@ -711,7 +714,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
     y = _make(out, (x, gain, bias), bwd)
     if y.node is not None:
-        y.node.rebuild = lambda: _affine(gain.data, bias.data, xhat, np.empty_like(xhat))
+        built = [None]
+
+        def rebuild():
+            if built[0] is None:
+                built[0] = _affine(gain.data, bias.data, xhat, np.empty_like(xhat))
+            return built[0]
+
+        y.node.rebuild = rebuild
     return y
 
 
@@ -725,7 +735,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     here over the other axes, in two arrays of x's size forward and
     backward, and its output has x's dtype; the running statistics move
     0.1 toward the batch's in place. Eval mode is a fixed affine map of the
-    running statistics, written into one buffer.
+    running statistics: unrecorded, as under ``no_grad``, it works in one
+    buffer of x's size, the output's; recorded, it writes the output into a
+    second, as backward reads xhat.
     """
     if x.data.ndim not in (2, 3):
         raise ShapeError(f"batch_norm expects 2-d or 3-d input, got {x.data.shape}")
@@ -742,8 +754,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         running_var += 0.1 * var.reshape(-1) * (n / max(n - 1, 1))
     else:
         inv = 1.0 / np.sqrt(running_var.reshape(cshape) + 1e-5)
-        out = x.data - running_mean.reshape(cshape)
-        xhat = out * inv  # out is then the output's buffer
+        xhat = x.data - running_mean.reshape(cshape)
+        xhat *= inv
+        # a recorded op's backward reads xhat, so only an unrecorded one overwrites it
+        out = np.empty_like(xhat) if _recording((x, gamma, beta)) else xhat
     out = _affine(gam, beta.data.reshape(cshape), xhat, out)
 
     def bwd(g):

@@ -14,6 +14,7 @@ are train drugs, U1 when exactly one is a test drug, U2 when both are.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,8 +148,13 @@ def load_dataset(drugs_path, events_path, labels_path):
 def kfold(indices: list[int], k: int, rng: np.random.Generator) -> list[list[int]]:
     """Random partition into k folds with sizes differing by at most 1."""
     order = list(np.asarray(indices)[rng.permutation(len(indices))])
-    folds = [sorted(int(x) for x in order[i::k]) for i in range(k)]
-    return folds
+    return [sorted(int(x) for x in order[i::k]) for i in range(k)]
+
+
+def _test_drug_count(ev: DdiEvent, test_drugs) -> int:
+    """How many of the event's two drugs are test drugs: the split it
+    belongs to, 0 train, 1 U1 and 2 U2."""
+    return (ev.drug_a in test_drugs) + (ev.drug_b in test_drugs)
 
 
 def make_inductive_splits(events: list[DdiEvent], drugs: dict[str, DrugRecord],
@@ -164,8 +170,7 @@ def make_inductive_splits(events: list[DdiEvent], drugs: dict[str, DrugRecord],
     test_drugs = {drug_ids[i] for i in perm[:n_test]}
     train, u1, u2 = [], [], []
     for i, ev in enumerate(events):
-        hits = (ev.drug_a in test_drugs) + (ev.drug_b in test_drugs)
-        (train, u1, u2)[hits].append(i)
+        (train, u1, u2)[_test_drug_count(ev, test_drugs)].append(i)
     if test_drug_fraction > 0 and (not train or not u1):
         raise DataError("a split came out empty; adjust test_drug_fraction")
     folds = kfold(train, n_folds, rng)
@@ -181,18 +186,12 @@ def verify_split(bundle: SplitBundle, events: list[DdiEvent]):
         if i in seen:  # within one split or across two
             raise DataError(f"event index {i} appears twice in train, u1 and u2")
         seen.add(i)
-    for i in bundle.train:
-        ev = events[i]
-        if ev.drug_a in bundle.test_drugs or ev.drug_b in bundle.test_drugs:
-            raise DataError(f"train event {i} touches a test drug")
-    for i in bundle.u1:
-        ev = events[i]
-        if (ev.drug_a in bundle.test_drugs) + (ev.drug_b in bundle.test_drugs) != 1:
-            raise DataError(f"U1 event {i} does not have exactly one test drug")
-    for i in bundle.u2:
-        ev = events[i]
-        if not (ev.drug_a in bundle.test_drugs and ev.drug_b in bundle.test_drugs):
-            raise DataError(f"U2 event {i} has a train drug")
+    for split, n, message in ((bundle.train, 0, "train event {} touches a test drug"),
+                              (bundle.u1, 1, "U1 event {} does not have exactly one test drug"),
+                              (bundle.u2, 2, "U2 event {} has a train drug")):
+        for i in split:
+            if _test_drug_count(events[i], bundle.test_drugs) != n:
+                raise DataError(message.format(i))
     flat = sorted(x for fold in bundle.folds for x in fold)
     if flat != sorted(bundle.train):
         raise DataError("folds do not partition the train pool")
@@ -212,26 +211,18 @@ def stratified_keep(indices: list[int], labels_of, keep_fraction: float,
     by_class: dict[int, list[int]] = {}
     for i in indices:
         by_class.setdefault(labels_of(i), []).append(i)
-    total_keep = int(round(keep_fraction * len(indices)))
-    quotas = {}
-    floors = {}
-    remainders = []
+    quota, remainders = {}, []
     for c, members in by_class.items():
         exact = keep_fraction * len(members)
-        floors[c] = int(exact)
-        remainders.append((-(exact - int(exact)), c))
-    assigned = sum(floors.values())
-    remainders.sort()
-    extra = total_keep - assigned
-    for _, c in remainders:
-        quotas[c] = floors[c]
-    for _, c in remainders[:max(extra, 0)]:
-        quotas[c] += 1
+        quota[c] = int(exact)
+        remainders.append((int(exact) - exact, c))  # largest remainder first, ties by class
+    extra = int(round(keep_fraction * len(indices))) - sum(quota.values())
+    for _, c in sorted(remainders)[:max(extra, 0)]:
+        quota[c] += 1
     kept = []
     for c, members in by_class.items():
-        q = min(max(quotas[c], 1), len(members))  # never drop a class entirely
-        picked = rng.permutation(len(members))[:q]
-        kept.extend(members[j] for j in picked)
+        q = min(max(quota[c], 1), len(members))  # never drop a class entirely
+        kept.extend(members[j] for j in rng.permutation(len(members))[:q])
     return sorted(kept)
 
 
@@ -240,9 +231,7 @@ def sts_series(train_indices: list[int], events: list[DdiEvent],
     """Shrinking training sets: drop classes with < min_class_count samples,
     then repeatedly keep a stratified 90% until 7.5% of the start or less is
     left. Returns the full series including step 0."""
-    counts: dict[int, int] = {}
-    for i in train_indices:
-        counts[events[i].label] = counts.get(events[i].label, 0) + 1
+    counts = Counter(events[i].label for i in train_indices)
     keep_classes = {c for c, n in counts.items() if n >= min_class_count}
     current = [i for i in train_indices if events[i].label in keep_classes]
     if not current:

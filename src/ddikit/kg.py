@@ -99,15 +99,17 @@ def init_table(index: EntityIndex, dim: int, rng: np.random.Generator) -> Embedd
     return EmbeddingTable(ent, rel, index)
 
 
+def _norm(d: np.ndarray, p: int) -> np.ndarray:
+    """||d||_p over the last axis, for p 1 or 2."""
+    return np.abs(d).sum(axis=-1) if p == 1 else np.sqrt((d * d).sum(axis=-1))
+
+
 def transe_score(h: np.ndarray, r: np.ndarray, t: np.ndarray, p: int = 1) -> np.ndarray:
     """Translation distance ||h + r - t||_p; zero iff h + r == t."""
     h, r, t = np.asarray(h), np.asarray(r), np.asarray(t)
     if not (h.shape[-1] == r.shape[-1] == t.shape[-1]):
         raise TripleError(f"dimension mismatch: {h.shape} {r.shape} {t.shape}")
-    d = h + r - t
-    if p == 1:
-        return np.abs(d).sum(axis=-1)
-    return np.sqrt((d * d).sum(axis=-1))
+    return _norm(h + r - t, p)
 
 
 def transe_train_step(batch: np.ndarray, table: EmbeddingTable, config: TransEConfig,
@@ -128,16 +130,11 @@ def transe_train_step(batch: np.ndarray, table: EmbeddingTable, config: TransECo
     neg[~flip_head, 2] = repl[~flip_head]
 
     E, R = table.entities, table.relations
-    dp = E[pos[:, 0]] + R[pos[:, 1]] - E[pos[:, 2]]
-    dn = E[neg[:, 0]] + R[neg[:, 1]] - E[neg[:, 2]]
+    dp, dn = (E[trip[:, 0]] + R[trip[:, 1]] - E[trip[:, 2]] for trip in (pos, neg))
+    sp, sn = _norm(dp, config.norm_p), _norm(dn, config.norm_p)
     if config.norm_p == 1:
-        sp = np.abs(dp).sum(axis=1)
-        sn = np.abs(dn).sum(axis=1)
-        gp = np.sign(dp)
-        gn = np.sign(dn)
+        gp, gn = np.sign(dp), np.sign(dn)
     else:
-        sp = np.sqrt((dp * dp).sum(axis=1))
-        sn = np.sqrt((dn * dn).sum(axis=1))
         gp = dp / np.maximum(sp[:, None], 1e-12)
         gn = dn / np.maximum(sn[:, None], 1e-12)
 

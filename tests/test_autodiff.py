@@ -374,6 +374,10 @@ def _batch_norm_cases(x, g, rng):
             want_rm, want_rv = running_mean, running_var
         want = (y, dx, dgam.sum(axis=axes), dbet.sum(axis=axes), want_rm, want_rv)
         cases[f"batch_norm training={training}"] = got, want
+    with no_grad():  # unrecorded, eval writes its output over xhat
+        unrecorded = ad.batch_norm(*(Tensor(a) for a in (x, gamma, beta)), running_mean,
+                                   running_var, training=False)
+    cases["batch_norm unrecorded eval"] = (unrecorded.data,), (y,)
     return cases
 
 
@@ -383,7 +387,7 @@ def _batch_norm_cases(x, g, rng):
 def test_layer_norm_bit_identical_to_two_pass_formula(dtype, shape):
     """Layer norm, and batch norm in training and eval mode, have the bits
     of the two-pass formula over their axes: every output, gradient and
-    running statistic."""
+    running statistic, and an unrecorded eval batch norm's output."""
     rng = np.random.default_rng(sum(shape))
     x, g = ((rng.standard_normal(shape) * 3 + 1).astype(dtype) for _ in range(2))
     gain, bias = (rng.standard_normal(shape[-1]).astype(dtype) for _ in range(2))
@@ -437,6 +441,21 @@ def test_batch_norm_training_works_in_two_buffers():
     assert y.shape == x.shape and [a.shape for a in grads] == [x.shape, (256,), (256,)]
     assert forward_peak < 2.5 * x.nbytes
     assert backward_peak < 2.5 * x.nbytes
+
+
+def test_batch_norm_eval_under_no_grad_works_in_one_buffer():
+    """An unrecorded eval-mode batch norm at a paper conv block's size
+    writes ``x - running_mean``, its scaling and the affine map into the
+    one array it returns: its peak stays under 1.5 arrays of x's size."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((4, 256, 500)).astype(np.float32)
+    leaves = [Tensor(a, requires_grad=True) for a in
+              (x, np.ones(256, np.float32), np.zeros(256, np.float32))]
+    running = rng.standard_normal(256).astype(np.float32), np.ones(256, np.float32)
+    with no_grad():
+        y, peak = _peak_bytes(lambda: ad.batch_norm(*leaves, *running, training=False))
+    assert y.shape == x.shape and y.node is None
+    assert peak < 1.5 * x.nbytes
 
 
 # x's dtype, then the gain's and bias's

@@ -1,6 +1,8 @@
 """Dataset ingestion, split invariants, shrinking-series arithmetic, and
 sequence-length binning."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,27 @@ def test_verify_split_catches_violations():
     bad = SplitBundle(train=[0, 1], folds=[[0], [1]], u1=[], u2=[],
                       test_drugs={"D"})
     with pytest.raises(DataError, match="test drug"):
+        verify_split(bad, events)
+
+
+@pytest.mark.parametrize("split,index,message", [
+    ("train", 1, "train event 1 touches a test drug"),
+    ("u1", 0, "U1 event 0 does not have exactly one test drug"),  # no test drug
+    ("u1", 2, "U1 event 2 does not have exactly one test drug"),  # two
+    ("u2", 1, "U2 event 1 has a train drug"),
+], ids=["train", "u1-none", "u1-both", "u2"])
+def test_verify_split_names_the_split_it_rejects(split, index, message):
+    """With test drugs D and E, events AB, AD and DE belong to train, U1 and
+    U2; moving one into another split is rejected with that split's
+    message."""
+    events = [DdiEvent("A", "B", 0), DdiEvent("A", "D", 0), DdiEvent("D", "E", 1)]
+    splits = {"train": [0], "u1": [1], "u2": [2]}
+    for members in splits.values():
+        if index in members:
+            members.remove(index)
+    splits[split].append(index)
+    bad = SplitBundle(folds=[sorted(splits["train"])], test_drugs={"D", "E"}, **splits)
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         verify_split(bad, events)
 
 

@@ -1,7 +1,8 @@
 """Every module-level import in ``src/ddikit`` is used by its module, only
 the normalization kernel takes a variance, every ddikit name the benchmark
-tracer patches exists, the tracer can read a tape, and every name and
-keyword the benchmark passes to ddikit exists."""
+tracer patches exists, the tracer can read a tape, every name and keyword
+the benchmark passes to ddikit exists, and ``code_lines`` counts the lines
+that hold code."""
 
 import ast
 import importlib
@@ -16,6 +17,8 @@ import ddikit
 from ddikit import autodiff as ad
 from ddikit import cli, kg, training
 from ddikit.model import ModelConfig
+
+from code_lines import code_lines
 
 
 def _unused_imports(tree: ast.Module):
@@ -111,6 +114,28 @@ def test_only_the_normalization_kernel_takes_a_variance():
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and node.func.attr in ("var", "std")]
     assert found == [], f"variance taken outside the normalization kernel: {found}"
+
+
+def test_code_lines_counts_lines_holding_code():
+    """Comments, blank lines and docstrings count for nothing; every line of
+    a statement or string that is not a docstring counts."""
+    source = ('''"""A module docstring
+over two lines."""
+# a comment
+
+def f(x):  # a trailing comment
+    """A docstring."""
+    s = """not a docstring,
+    over two lines"""
+    return (x +
+            1)
+
+
+class C:
+    'A one-line docstring.'
+    y = 2
+''')
+    assert code_lines(source) == 7
 
 
 def _tracer_tables() -> dict:

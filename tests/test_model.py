@@ -1132,6 +1132,24 @@ def test_a_recorded_paper_size_trunk_tile_keeps_no_more_than_its_budget():
     assert kept_bytes(tape) <= _PAPER_TILE_TAPE_BUDGET
 
 
+def test_a_layer_norm_output_is_rebuilt_once_per_backward(monkeypatch):
+    """In the backward of a recorded 2-layer encoder tile, each layer-norm
+    output that linears read is rebuilt once, however many read it: each
+    layer's norm1 output, read by its fc1, and the first layer's norm2
+    output, read by the second layer's w_q, w_k and w_v. A rebuild is one
+    ``_affine`` call, and no backward makes another."""
+    model = PretrainModel(tiny_config(n_layers=2), seed=0)
+    ids = np.random.default_rng(0).integers(4, 12, size=(2, 8))
+    ids[:, 6:] = 0
+    tape = Tape()
+    with tape:
+        out = model.trunk(ids, np.zeros_like(ids), ids != 0)
+    calls, affine = [], ad._affine
+    monkeypatch.setattr(ad, "_affine", lambda *args: calls.append(1) or affine(*args))
+    backward(out, tape, np.ones_like(out.data))
+    assert len(calls) == 3
+
+
 def test_tiled_training_trunk_draws_the_dropout_masks_of_one_pass(monkeypatch):
     """Each tile draws its own rows of the 2 x n_layers keep masks: the
     hidden states equal those of one pass, and the rng's next draw is the
