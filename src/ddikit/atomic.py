@@ -15,7 +15,14 @@ files. Byte layout (integers little-endian):
 
 The header holds ``meta``, a JSON object the caller chooses, and ``arrays``:
 one {group, name, shape, dtype, offset, nbytes} entry per array, in payload
-order. Each array keeps its dtype, so it reads back bit-identical.
+order. Each array keeps its dtype and shape (a 0-d array too), so it reads
+back bit-identical.
+
+``read_arrays`` never holds the whole file: it reads the preamble and
+header, then each array straight from the file into its own new buffer,
+in payload order. Every array is read and checked, but only those of the
+groups the caller asks to keep stay alive, so a read peaks at the kept
+arrays plus the largest other one.
 """
 
 from __future__ import annotations
@@ -85,7 +92,7 @@ def write_arrays(path, groups: dict[str, dict[str, np.ndarray]], meta: dict):
     entries, chunks, offset = [], [], 0
     for group, arrays in groups.items():
         for name, arr in arrays.items():
-            le = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+            le = np.asarray(arr, dtype=arr.dtype.newbyteorder("<"), order="C")
             entries.append({"group": group, "name": name, "shape": list(le.shape),
                             "dtype": le.dtype.str, "offset": offset, "nbytes": le.nbytes})
             chunks.append(le)
@@ -99,9 +106,12 @@ def write_arrays(path, groups: dict[str, dict[str, np.ndarray]], meta: dict):
             fh.write(le)
 
 
-def _entry_array(path, entry, payload, start: int, error: type[Exception]) -> np.ndarray:
-    """The array a header entry describes: a supported dtype, a shape that
-    takes its ``nbytes``, starting at payload byte ``start``, all finite."""
+def _entry_array(path, entry, fh, payload_len: int, start: int,
+                 error: type[Exception]) -> np.ndarray:
+    """The array a header entry describes, read from ``fh`` (at payload
+    byte ``start``) into a new buffer: a supported dtype, a shape numpy can
+    hold that takes its ``nbytes``, all within the payload's ``payload_len``
+    bytes, all finite."""
     try:
         group, name, dtype = entry["group"], entry["name"], entry["dtype"]
         shape, lo, n = entry["shape"], entry["offset"], entry["nbytes"]
@@ -119,47 +129,61 @@ def _entry_array(path, entry, payload, start: int, error: type[Exception]) -> np
     if math.prod(shape) * np.dtype(dtype).itemsize != n:
         raise error(f"{path}: {name!r} of shape {shape} and dtype {dtype} "
                     f"does not take {n} bytes")
-    if lo + n > len(payload):
+    if lo + n > payload_len:
         raise error(f"{path}: truncated payload at {name!r}")
-    arr = np.frombuffer(payload[lo:lo + n], dtype=dtype).reshape(shape).copy()
-    if not np.isfinite(arr).all():
+    try:
+        arr = np.empty(shape, dtype)
+    except ValueError as exc:  # 0 elements, but a dimension numpy cannot hold
+        raise error(f"{path}: corrupt array entry for {name!r}") from exc
+    # a uint8 view, since memoryview(arr).cast("B") refuses 0-size arrays
+    if fh.readinto(arr.reshape(-1).view(np.uint8)) != n:
+        raise error(f"{path}: truncated payload at {name!r}")
+    # min and max propagate NaN and reach any Inf, with no temporary of arr's size
+    if arr.size and not np.isfinite([arr.min(), arr.max()]).all():
         raise error(f"{path}: {group} {name!r} holds NaN or Inf")
     return arr
 
 
-def read_arrays(path, error: type[Exception]) -> tuple[dict, dict[str, dict[str, np.ndarray]]]:
-    """Read the array file ``path``; returns ``(meta, groups)``. Raises
-    ``error`` unless the preamble and header are intact and the entries tile
-    the payload: each fits ``_entry_array``, no ``(group, name)`` appears
-    twice, and no bytes follow the last array."""
+def read_arrays(path, error: type[Exception],
+                keep=None) -> tuple[dict, dict[str, dict[str, np.ndarray]]]:
+    """Read the array file ``path``; returns ``(meta, groups)``, where
+    ``groups`` holds the groups ``keep`` names (every group if None).
+    Raises ``error`` unless the preamble and header are intact and the
+    entries tile the payload: each fits ``_entry_array``, no ``(group,
+    name)`` appears twice, and no bytes follow the last array. Arrays are
+    read one at a time straight into their own buffers, and every array is
+    checked, kept or not, so memory peaks at the kept arrays plus one."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise error(f"{path}: not a ddikit array file")
-    if len(blob) < 16:
-        raise error(f"{path}: truncated preamble")
-    version, hlen = struct.unpack("<IQ", blob[4:16])
-    if version != VERSION:
-        raise error(f"{path}: unsupported array file version {version}")
-    if len(blob) < 16 + hlen:
-        raise error(f"{path}: truncated header")
-    try:
-        header = json.loads(blob[16:16 + hlen].decode())
-        entries, meta = header["arrays"], header["meta"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise error(f"{path}: corrupt header: {exc}") from exc
-    if not (isinstance(entries, list) and isinstance(meta, dict)):
-        raise error(f"{path}: corrupt header")
-    payload = memoryview(blob)[16 + hlen:]
-    groups: dict[str, dict[str, np.ndarray]] = {}
-    end = 0
-    for entry in entries:
-        arr = _entry_array(path, entry, payload, end, error)
-        group = groups.setdefault(entry["group"], {})
-        if entry["name"] in group:
-            raise error(f"{path}: {entry['group']} {entry['name']!r} appears twice")
-        group[entry["name"]] = arr
-        end += entry["nbytes"]
-    if end != len(payload):
-        raise error(f"{path}: {len(payload) - end} bytes follow the last array")
+        preamble = fh.read(16)
+        if preamble[:4] != MAGIC:
+            raise error(f"{path}: not a ddikit array file")
+        if len(preamble) < 16:
+            raise error(f"{path}: truncated preamble")
+        version, hlen = struct.unpack("<IQ", preamble[4:])
+        if version != VERSION:
+            raise error(f"{path}: unsupported array file version {version}")
+        payload_len = os.fstat(fh.fileno()).st_size - 16 - hlen
+        if payload_len < 0:
+            raise error(f"{path}: truncated header")
+        try:
+            header = json.loads(fh.read(hlen).decode())
+            entries, meta = header["arrays"], header["meta"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise error(f"{path}: corrupt header: {exc}") from exc
+        if not (isinstance(entries, list) and isinstance(meta, dict)):
+            raise error(f"{path}: corrupt header")
+        groups: dict[str, dict[str, np.ndarray]] = {}
+        seen, end = set(), 0
+        for entry in entries:
+            arr = _entry_array(path, entry, fh, payload_len, end, error)
+            group, name = entry["group"], entry["name"]
+            if (group, name) in seen:
+                raise error(f"{path}: {group} {name!r} appears twice")
+            seen.add((group, name))
+            if keep is None or group in keep:
+                groups.setdefault(group, {})[name] = arr
+            del arr  # so an array not kept is freed before the next is read
+            end += entry["nbytes"]
+    if end != payload_len:
+        raise error(f"{path}: {payload_len - end} bytes follow the last array")
     return meta, groups

@@ -73,9 +73,11 @@ def save_checkpoint(path, model, optimizer: AdamState | None = None,
     write_arrays(path, groups, meta)
 
 
-def read_checkpoint(path) -> tuple[dict, dict[str, dict[str, np.ndarray]]]:
-    """Returns (meta, groups) where groups maps group name -> {name: array}."""
-    meta, groups = read_arrays(path, CheckpointError)
+def read_checkpoint(path, keep=None) -> tuple[dict, dict[str, dict[str, np.ndarray]]]:
+    """Returns (meta, groups) where groups maps group name -> {name: array}
+    for the groups ``keep`` names (every group if None). Every array is
+    read and checked, kept or not (see ``ddikit.atomic.read_arrays``)."""
+    meta, groups = read_arrays(path, CheckpointError, keep)
     for key, kind in (("config", dict), ("config_fingerprint", str), ("model_rng", dict)):
         if not isinstance(meta.get(key), kind):
             raise CheckpointError(f"{path}: meta has no {key} {kind.__name__}")
@@ -88,8 +90,10 @@ def load_checkpoint(path, model, optimizer: AdamState | None = None,
     Returns the checkpoint meta dict. The stored config fingerprint must
     match the model's, and a given vocabulary or label list must match the
     one whose digest the checkpoint stores; a checkpoint without a digest
-    accepts any."""
-    meta, groups = read_checkpoint(path)
+    accepts any. Without an optimizer the Adam moments are read and checked
+    but not kept, so loading holds no more than the parameters and buffers
+    plus one array."""
+    meta, groups = read_checkpoint(path, None if optimizer is not None else ("param", "buffer"))
     want = config_fingerprint(model.cfg.to_dict())
     if meta["config_fingerprint"] != want:
         raise CheckpointError(f"{path}: config fingerprint mismatch")

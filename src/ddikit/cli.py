@@ -289,7 +289,7 @@ def _load_model(path, model_cls, seed: int, vocab: Vocabulary, labels=None):
     """Build ``model_cls`` with the architecture stored in the checkpoint at
     ``path`` and load its weights into it. The checkpoint must have been
     trained with ``vocab`` and, if given, ``labels`` (in class-id order)."""
-    meta, _ = read_checkpoint(path)
+    meta, _ = read_checkpoint(path, keep=())
     try:
         model = model_cls(ModelConfig(**meta["config"]), seed=seed)
     except (TypeError, ValueError) as exc:

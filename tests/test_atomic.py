@@ -1,20 +1,24 @@
 """Every file ddikit writes goes through ``ddikit.atomic.atomic_open``: a
 write that fails partway leaves the previous file intact and no tmp file.
 Every text file goes through ``ddikit.atomic.write_lines``, and only
-``ddikit.atomic`` frames binary files."""
+``ddikit.atomic`` frames binary files. ``read_arrays`` reads them array by
+array, keeping only the groups asked for."""
 
 import ast
 import builtins
 import errno
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ddikit
-from ddikit.checkpoint import save_checkpoint
+from ddikit.atomic import read_arrays, write_arrays
+from ddikit.checkpoint import load_checkpoint, save_checkpoint
 from ddikit.model import DdiModel, ModelConfig
+from ddikit.optim import AdamState
 
 TINY = ModelConfig(vocab_size=12, n_classes=3, d_model=8, n_layers=1, n_heads=2,
                    d_ff=8, max_len=16, conv_blocks=2, kg_dim=8, kg_heads=2,
@@ -122,3 +126,102 @@ def test_only_atomic_frames_binary_files():
     """Array files are framed by atomic.write_arrays and atomic.read_arrays."""
     found = _outside_atomic(_binary_framing)
     assert found == [], f"struct or frombuffer outside atomic.py: {found}"
+
+
+class _ReadError(Exception):
+    """Not a ValueError, so a stray numpy or struct error cannot pass for it."""
+
+
+def _odd_shapes():
+    """A 0-d, a zero-size and a 2-d array, in two groups."""
+    rng = np.random.default_rng(0)
+    return {"x": {"scalar": np.array(2.5), "empty": np.empty((0, 3), np.float32)},
+            "y": {"matrix": rng.standard_normal((5, 7)).astype(np.float32)}}
+
+
+def test_a_0d_array_keeps_its_shape(tmp_path):
+    write_arrays(tmp_path / "a.bin", {"g": {"s": np.array(-1.25)}}, {})
+    _, groups = read_arrays(tmp_path / "a.bin", _ReadError)
+    assert groups["g"]["s"].shape == ()
+    assert groups["g"]["s"][()] == -1.25
+
+
+def test_kept_arrays_read_back_into_their_own_buffers(tmp_path):
+    written = _odd_shapes()
+    write_arrays(tmp_path / "a.bin", written, {"k": 1})
+    for keep, names in ((None, {"x", "y"}), (("y",), {"y"}), ((), set())):
+        meta, groups = read_arrays(tmp_path / "a.bin", _ReadError, keep)
+        assert meta == {"k": 1} and set(groups) == names
+        for group in names:
+            assert set(groups[group]) == set(written[group])
+            for name, arr in groups[group].items():
+                want = written[group][name]
+                assert arr.flags.owndata and arr.flags.writeable
+                assert (arr.dtype, arr.shape) == (want.dtype, want.shape)
+                assert arr.tobytes() == want.tobytes()
+
+
+def test_every_truncation_of_an_array_file_raises_the_callers_error(tmp_path):
+    write_arrays(tmp_path / "a.bin", _odd_shapes(), {})
+    blob = (tmp_path / "a.bin").read_bytes()
+    short = tmp_path / "short.bin"
+    for k in range(len(blob)):
+        short.write_bytes(blob[:k])
+        for keep in (None, ()):
+            with pytest.raises(_ReadError):
+                read_arrays(short, _ReadError, keep)
+
+
+def test_an_array_that_is_not_kept_is_still_checked(tmp_path):
+    groups = _odd_shapes()
+    groups["y"]["matrix"][2, 3] = np.nan
+    write_arrays(tmp_path / "a.bin", groups, {})
+    for keep in ((), ("x",)):
+        with pytest.raises(_ReadError, match="y 'matrix' holds NaN or Inf"):
+            read_arrays(tmp_path / "a.bin", _ReadError, keep)
+
+
+def _traced_peak(fn):
+    """Bytes ``fn()`` allocates at its peak, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("keep", [None, ("a",), ("b",), ()])
+def test_reading_an_array_file_holds_the_kept_arrays_and_one_more(tmp_path, keep):
+    """The whole file is 4 MB; before arrays were read one by one into their
+    own buffers, any read peaked at twice that."""
+    rng = np.random.default_rng(0)
+    groups = {"a": {"big": rng.standard_normal(2**17), "small": rng.standard_normal(2**16)},
+              "b": {"bigger": rng.standard_normal(2**18), "small": rng.standard_normal(2**16)}}
+    write_arrays(tmp_path / "a.bin", groups, {})
+    kept = sum(a.nbytes for g, arrays in groups.items() if keep is None or g in keep
+               for a in arrays.values())
+    largest = max(a.nbytes for arrays in groups.values() for a in arrays.values())
+    peak = _traced_peak(lambda: read_arrays(tmp_path / "a.bin", _ReadError, keep))
+    assert peak < 1.1 * (kept + largest)
+
+
+def test_loading_a_checkpoint_without_an_optimizer_leaves_the_moments_behind(tmp_path):
+    """The Adam moments are twice the parameters; loading for inference
+    holds the parameters and buffers plus one array, never the moments. The
+    model is wide enough (15 MB a checkpoint) that the header's parse is
+    well inside the 10%."""
+    cfg = ModelConfig(vocab_size=200, n_classes=3, d_model=256, n_layers=1, n_heads=2,
+                      d_ff=256, max_len=32, conv_blocks=2, kg_dim=16, kg_heads=2,
+                      mlp1_hidden=32, mlp1_out=16, mlp2_hidden=16)
+    model = DdiModel(cfg, seed=0)
+    opt = AdamState(learning_rate=1e-3)
+    opt.m = {n: np.ones_like(p.data) for n, p in model.parameters().items()}
+    opt.v = {n: np.ones_like(p.data) for n, p in model.parameters().items()}
+    save_checkpoint(tmp_path / "m.ckpt", model, opt)
+    del opt
+    params = sum(p.data.nbytes for p in model.parameters().values())
+    kept = params + sum(b.nbytes for b in model.buffers().values())
+    largest = max(p.data.nbytes for p in model.parameters().values())
+    peak = _traced_peak(lambda: load_checkpoint(tmp_path / "m.ckpt", model))
+    assert peak < 1.1 * (kept + largest)

@@ -836,6 +836,40 @@ def test_malformed_checkpoint_meta_exits_3(world, tmp_path, capsys, edit):
     assert _one_error_line(capsys, "data")
 
 
+def _first_entry_of_shape(shape):
+    def edit(header):
+        header["arrays"][0].update(shape=shape, nbytes=0)
+    return edit
+
+
+@pytest.mark.parametrize("shape", [[0, 2**63], [2**40, 0, 2**40]], ids=["huge-dim", "too-big"])
+@pytest.mark.parametrize("sub,file", [("kg-export", "kg-table"), ("eval", "kg-table"),
+                                      ("eval", "checkpoint")])
+def test_an_empty_array_of_a_shape_numpy_cannot_hold_exits_3(world, tmp_path, capsys,
+                                                             shape, sub, file):
+    """An array entry of 0 elements takes 0 bytes whatever its other
+    dimensions, so only numpy can tell that it cannot hold the shape."""
+    table, ckpt = world / "kg/kg_table.bin", trained(world)
+    bad = tmp_path / "bad.bin"
+    _rewrite_header(table if file == "kg-table" else ckpt, bad, _first_entry_of_shape(shape))
+    if file == "kg-table":
+        table = bad
+    else:
+        ckpt = bad
+    capsys.readouterr()
+    if sub == "kg-export":
+        rc = run("kg-export", "--table", table, "--index", world / "kg/kg_table.index",
+                 "--drugs", world / "fix/drugs.tsv", "--out-dir", tmp_path / "o")
+    else:
+        rc = run("eval", "--checkpoint", ckpt, "--split", "u1",
+                 *_replace_arg(dataset_args(world), "--kg-table", table),
+                 "--out-dir", tmp_path / "o")
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 3
+    assert len(err) == 1 and err[0].startswith("ddikit:error:data:")
+    assert "corrupt array entry for" in err[0]
+
+
 def test_checkpoint_with_float64_parameters_of_a_float32_model_exits_3(world, tmp_path,
                                                                          capsys):
     """The trained float32 checkpoint with its parameters rewritten as
