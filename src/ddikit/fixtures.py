@@ -24,7 +24,7 @@ def random_molecule(rng: np.random.Generator, min_atoms: int = 3,
     for _ in range(n):
         el = _ELEMENTS[rng.integers(len(_ELEMENTS))]
         if rng.random() < 0.05 and el in ("N", "O"):
-            atoms.append(Atom(el, charge=int(rng.choice([-1, 1])), h_count=0, bracket=True))
+            atoms.append(Atom(el, charge=int(rng.choice([-1, 1])), h_count=0))
         else:
             atoms.append(Atom(el))
     bonds = []
@@ -41,12 +41,11 @@ def random_molecule(rng: np.random.Generator, min_atoms: int = 3,
             if (a, b) not in present:
                 bonds.append(Bond(a, b, "single"))
                 break
-    g = MolecularGraph(atoms=atoms, bonds=bonds, components=[0] * n)
+    g = MolecularGraph(atoms=atoms, bonds=bonds)
     if rng.random() < 0.35:
         base = len(g.atoms)
         for _ in range(6):
             g.atoms.append(Atom("C", aromatic=True))
-            g.components.append(0)
         for k in range(6):
             g.bonds.append(Bond(base + k, base + (k + 1) % 6, "aromatic"))
         g.bonds.append(Bond(int(rng.integers(base)), base, "single"))

@@ -22,10 +22,6 @@ class ConfusionMatrix:
     counts: np.ndarray  # [n_classes, n_classes] of (true, predicted)
 
     @property
-    def n_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
     def total(self) -> int:
         return int(self.counts.sum())
 
@@ -177,9 +173,7 @@ def _binary_roc(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
 
 
 def _binary_pr(scores: np.ndarray, labels: np.ndarray) -> PrCurve:
-    tps, fps, p, _ = _sweep(scores, labels)
-    if p == 0:
-        return PrCurve(np.array([0.0, 1.0]), np.array([0.0, 0.0]), 0.0)
+    tps, fps, p, _ = _sweep(scores, labels)  # p > 0: aupr keeps classes with a positive
     recall = tps / p
     precision = tps / (tps + fps)
     # step-wise (right-continuous) area = sum of precision * recall increments

@@ -1,9 +1,11 @@
 """SMILES parsing, randomized re-serialization, tokenization and vocabulary.
 
 The parser covers the organic subset plus bracket atoms, ring closures
-(including %nn), branches and dot-separated components. Stereo bond symbols
-(/ and \\) and chirality tags are carried through as annotations without
-geometric semantics.
+(including %nn), branches and dots. A dot only ends the chain; a molecule's
+components are the connected components of its bonds, so a ring closure may
+bond across a dot (``C1.C1`` is ``CC``). Stereo bond symbols (/ and \\) and
+chirality tags are carried through as annotations without geometric
+semantics.
 
 ``canonical_smiles`` is a deterministic canonical serialization used as the
 isomorphism oracle in tests: neighborhood-refinement ranks with
@@ -48,10 +50,9 @@ class Atom:
     element: str
     aromatic: bool = False
     charge: int = 0
-    h_count: Optional[int] = None  # None = implicit (non-bracket atom)
+    h_count: Optional[int] = None  # a bracket atom's count (0 if none); None for the organic subset
     isotope: Optional[int] = None
     chirality: str = ""
-    bracket: bool = False
 
     def label(self):
         # sortable invariant tuple (None fields mapped to -1)
@@ -70,9 +71,11 @@ class Bond:
 
 @dataclass
 class MolecularGraph:
+    """Atoms and the bonds between them, by atom index. Components are not
+    stored: they are the connected components of the bonds."""
+
     atoms: list[Atom] = field(default_factory=list)
     bonds: list[Bond] = field(default_factory=list)
-    components: list[int] = field(default_factory=list)  # per-atom component id
 
     def adjacency(self) -> list[list[tuple[int, int]]]:
         adj: list[list[tuple[int, int]]] = [[] for _ in self.atoms]
@@ -80,9 +83,6 @@ class MolecularGraph:
             adj[bond.a].append((bond.b, i))
             adj[bond.b].append((bond.a, i))
         return adj
-
-    def n_components(self) -> int:
-        return max(self.components) + 1 if self.components else 0
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ def _parse_bracket(tok: str, start: int) -> Atom:
                 # "+2" states its magnitude; a run of signs such as "--" counts it
                 int(charge) if charge.strip("+-") else charge.count("+") - charge.count("-"),
                 int(h[1:] or 1) if h else 0, int(isotope) if isotope else None,
-                chirality or "", bracket=True)
+                chirality or "")
 
 
 def parse_smiles(s: str) -> MolecularGraph:
@@ -148,20 +148,20 @@ def parse_smiles(s: str) -> MolecularGraph:
     g = MolecularGraph()
     adj_seen: set[tuple[int, int]] = set()
 
-    def add_bond(a: int, b: int, order: str, stereo: str, offset: int):
-        if a == b:
-            raise SmilesError("self bond", offset)
+    def add_bond(a: int, b: int, spec: Optional[tuple[str, str]], offset: int):
         key = (min(a, b), max(a, b))
         if key in adj_seen:
             raise SmilesError("duplicate bond", offset)
         adj_seen.add(key)
-        g.bonds.append(Bond(a, b, order, stereo))
+        if spec is None:
+            both_arom = g.atoms[a].aromatic and g.atoms[b].aromatic
+            spec = ("aromatic" if both_arom else "single", "")
+        g.bonds.append(Bond(a, b, *spec))
 
     prev: Optional[int] = None
     pending: Optional[tuple[str, str]] = None  # (order, stereo)
     stack: list[int] = []
     rings: dict[int, tuple[int, Optional[tuple[str, str]], int]] = {}
-    component = 0
     for i, tok in _lex(s):
         atom: Optional[Atom] = None
         if tok[0] == "[":
@@ -186,7 +186,6 @@ def parse_smiles(s: str) -> MolecularGraph:
             if pending is not None:
                 raise SmilesError("bond symbol before dot", i)
             prev = None
-            component += 1
         elif tok[0] in "%0123456789":
             if prev is None:
                 raise SmilesError("ring closure with no preceding atom", i)
@@ -200,10 +199,8 @@ def parse_smiles(s: str) -> MolecularGraph:
                 spec = pending or other_bond
                 if pending and other_bond and pending[0] != other_bond[0]:
                     raise SmilesError("conflicting ring-closure bond symbols", i)
-                if spec is None:
-                    both_arom = g.atoms[prev].aromatic and g.atoms[other].aromatic
-                    spec = ("aromatic" if both_arom else "single", "")
-                add_bond(other, prev, spec[0], "", i)
+                # a ring closure drops the stereo annotation
+                add_bond(other, prev, spec and (spec[0], ""), i)
                 pending = None
             else:
                 rings[num] = (prev, pending, i)
@@ -214,13 +211,8 @@ def parse_smiles(s: str) -> MolecularGraph:
         if atom is not None:
             idx = len(g.atoms)
             g.atoms.append(atom)
-            g.components.append(component)
             if prev is not None:
-                order, stereo = pending if pending is not None else ("", "")
-                if pending is None:
-                    both_arom = g.atoms[prev].aromatic and atom.aromatic
-                    order = "aromatic" if both_arom else "single"
-                add_bond(prev, idx, order, stereo, i)
+                add_bond(prev, idx, pending, i)
                 pending = None
             elif pending is not None:
                 raise SmilesError("dangling bond symbol", i)
@@ -245,7 +237,7 @@ def _atom_token(a: Atom) -> str:
     sym = a.element.lower() if a.aromatic else a.element
     organic = (a.element in ORGANIC_UPPER if not a.aromatic
                else a.element.lower() in ORGANIC_AROMATIC)
-    if not (a.bracket or a.charge or a.isotope is not None or a.chirality
+    if not (a.charge or a.isotope is not None or a.chirality
             or a.h_count is not None or not organic):
         return sym
     h = "" if not a.h_count else ("H" if a.h_count == 1 else f"H{a.h_count}")
@@ -312,27 +304,43 @@ def _serialize_component(g: MolecularGraph, adj, start: int, order_neighbors) ->
         digits[closer].append(_bond_token(g.bonds[bi], g, ring_closure=True) + d)
 
     out: list[str] = []
-    emit_stack: list[tuple[str, Optional[tuple[int, int]]]] = [("atom", (start, -1))]
+    # "(" and ")" strings, and (atom, bond index) pairs; the last child of an
+    # atom continues its chain, every earlier one is a branch
+    emit_stack: list = [(start, -1)]
     while emit_stack:
-        kind, payload = emit_stack.pop()
-        if kind == "text":
-            out.append(payload)
+        item = emit_stack.pop()
+        if isinstance(item, str):
+            out.append(item)
             continue
-        u, bond_idx = payload
+        u, bond_idx = item
         if bond_idx >= 0:
             out.append(_bond_token(g.bonds[bond_idx], g, ring_closure=False))
         out.append(_atom_token(g.atoms[u]))
         out.extend(digits.get(u, ()))
-        kids = children.get(u, [])
-        for i in range(len(kids) - 1, -1, -1):
-            v, bi = kids[i]
-            last = i == len(kids) - 1
-            if not last:
-                emit_stack.append(("text", ")"))
-            emit_stack.append(("atom", (v, bi)))
-            if not last:
-                emit_stack.append(("text", "("))
+        kids = children.get(u)
+        if kids:
+            emit_stack.append(kids[-1])
+            for kid in reversed(kids[:-1]):
+                emit_stack += (")", kid, "(")
     return "".join(out)
+
+
+def _components(adj) -> list[list[int]]:
+    """The connected components of the bonds, each listing its atoms in
+    index order, in order of their first atom."""
+    seen = [False] * len(adj)
+    comps = []
+    for first in range(len(adj)):
+        if not seen[first]:
+            seen[first] = True
+            members = [first]
+            for u in members:  # grows as the search reaches new atoms
+                for v, _ in adj[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        members.append(v)
+            comps.append(sorted(members))
+    return comps
 
 
 def write_smiles(g: MolecularGraph, start_atom: int = 0,
@@ -340,8 +348,10 @@ def write_smiles(g: MolecularGraph, start_atom: int = 0,
     """Serialize a graph to SMILES, starting the DFS at ``start_atom``.
 
     With an rng, neighbor visit order is shuffled per atom; otherwise atoms
-    are visited in index order. The component containing ``start_atom`` is
-    written first, remaining components follow in component order.
+    are visited in index order. The connected component containing
+    ``start_atom`` is written first; the others follow in order of their
+    first atom, each starting at a random member with an rng and at its
+    first atom without one.
     """
     if not g.atoms:
         raise ValueError("cannot serialize an empty graph")
@@ -358,19 +368,11 @@ def write_smiles(g: MolecularGraph, start_atom: int = 0,
             rng.shuffle(items)
             return items
 
-    comp_of_start = g.components[start_atom]
-    pieces = []
-    comp_order = [comp_of_start] + [c for c in range(g.n_components()) if c != comp_of_start]
-    for comp in comp_order:
-        members = [i for i, c in enumerate(g.components) if c == comp]
-        if not members:
+    pieces = [_serialize_component(g, adj, start_atom, order_neighbors)]
+    for members in _components(adj):
+        if start_atom in members:
             continue
-        if comp == comp_of_start:
-            s0 = start_atom
-        elif rng is not None:
-            s0 = members[int(rng.integers(len(members)))]
-        else:
-            s0 = members[0]
+        s0 = members[0] if rng is None else members[int(rng.integers(len(members)))]
         pieces.append(_serialize_component(g, adj, s0, order_neighbors))
     return ".".join(pieces)
 
@@ -445,14 +447,10 @@ def _canon_component(g: MolecularGraph, adj, members: list[int]) -> str:
 def canonical_smiles(g: MolecularGraph) -> str:
     """Deterministic canonical form: equal strings iff label-isomorphic graphs
     (stereo annotations excluded)."""
-    stripped = MolecularGraph(g.atoms, [Bond(b.a, b.b, b.order) for b in g.bonds],
-                              g.components)
+    stripped = MolecularGraph(g.atoms, [Bond(b.a, b.b, b.order) for b in g.bonds])
     adj = stripped.adjacency()
-    comps = defaultdict(list)
-    for i, c in enumerate(g.components):
-        comps[c].append(i)
     return ".".join(sorted(_canon_component(stripped, adj, members)
-                           for members in comps.values()))
+                           for members in _components(adj)))
 
 
 # ---------------------------------------------------------------------------

@@ -271,12 +271,23 @@ def test_unknown_config_key_exits_2(world, capsys):
 
 
 def test_bad_config_file_exits_2(world, tmp_path, capsys):
+    """A config file that is not JSON, and one whose JSON is not an object."""
     bad = tmp_path / "bad.json"
-    bad.write_text("not json")
-    rc = run("vocab", "--corpus", world / "fix/corpus.txt",
-             "--out-dir", world / "x", "--config", bad)
+    for text in ("not json", "[1, 2]"):
+        bad.write_text(text)
+        rc = run("vocab", "--corpus", world / "fix/corpus.txt",
+                 "--out-dir", world / "x", "--config", bad)
+        assert rc == 2
+        assert "ddikit:error:config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["eval", "seqlen"])
+def test_unknown_split_exits_2(world, tmp_path, capsys, sub):
+    _, files, other = _manifest_case(world, sub)
+    capsys.readouterr()
+    rc = run(sub, *files, *_replace_arg(other, "--split", "bogus"), "--out-dir", tmp_path / "o")
     assert rc == 2
-    assert "ddikit:error:config" in capsys.readouterr().err
+    assert _one_error_line(capsys, "config")
 
 
 def test_missing_input_exits_3(tmp_path, capsys):
@@ -424,12 +435,21 @@ def _splits_case(world, case) -> str:
         d["train"][0] = float(d["train"][0])
     elif case == "repeated-index":  # would score one event 51 times
         d["u1"] += [d["u1"][0]] * 50
+    elif case == "folds-not-a-list":
+        d["folds"] = "abc"
+    elif case == "fold-sizes-differ-by-2":
+        # one index moved between two folds of equal size: they still
+        # partition the train pool, but the largest is now 2 above the smallest
+        sizes = [len(fold) for fold in d["folds"]]
+        i = next(i for i, n in enumerate(sizes) if sizes.count(n) > 1)
+        d["folds"][sizes.index(sizes[i], i + 1)].append(d["folds"][i].pop())
     return json.dumps(d)
 
 
 @pytest.mark.parametrize("case", ["not-json", "empty-object", "index-out-of-range",
                                   "negative-index", "u1-not-a-list", "float-index",
-                                  "repeated-index"])
+                                  "repeated-index", "folds-not-a-list",
+                                  "fold-sizes-differ-by-2"])
 def test_bad_splits_file_exits_3(world, tmp_path, capsys, case):
     splits = tmp_path / "splits.json"
     splits.write_text(_splits_case(world, case))
@@ -441,9 +461,31 @@ def test_bad_splits_file_exits_3(world, tmp_path, capsys, case):
     assert _one_error_line(capsys, "data")
 
 
-@pytest.mark.parametrize("case", ["checkpoint", "kg-table", "kg-index"])
+def _rewritten_array_file(src, case, out):
+    """``src`` written to ``out`` with version 2, with its header's
+    ``arrays`` an object, or with its first array entry lacking ``nbytes``."""
+    data = src.read_bytes()
+    version, hlen = struct.unpack("<IQ", data[4:16])
+    header = json.loads(data[16:16 + hlen])
+    if case == "version-2":
+        version = 2
+    elif case == "arrays-not-a-list":
+        header["arrays"] = dict(enumerate(header["arrays"]))
+    else:
+        del header["arrays"][0]["nbytes"]
+    text = json.dumps(header).encode()
+    out.write_bytes(data[:4] + struct.pack("<IQ", version, len(text)) + text
+                    + data[16 + hlen:])
+    return out
+
+
+@pytest.mark.parametrize("case", ["checkpoint", "kg-table", "kg-index",
+                                  "checkpoint-version-2", "checkpoint-arrays-not-a-list",
+                                  "checkpoint-entry-missing-key",
+                                  "kg-table-entry-missing-key"])
 def test_truncated_binary_input_exits_3(world, tmp_path, capsys, case):
-    """A 10-byte checkpoint, a 40-byte KG table and a one-line KG index."""
+    """A 10-byte checkpoint, a 40-byte KG table and a one-line KG index;
+    then a checkpoint or KG table whose preamble or header is rewritten."""
     ckpt, table, index = trained(world), world / "kg/kg_table.bin", world / "kg/kg_table.index"
     short = tmp_path / "short"
     if case == "checkpoint":
@@ -452,9 +494,13 @@ def test_truncated_binary_input_exits_3(world, tmp_path, capsys, case):
     elif case == "kg-table":
         short.write_bytes(table.read_bytes()[:40])
         table = short
-    else:
+    elif case == "kg-index":
         short.write_text(index.read_text().splitlines()[0] + "\n")
         index = short
+    elif case.startswith("checkpoint-"):
+        ckpt = _rewritten_array_file(ckpt, case.removeprefix("checkpoint-"), short)
+    else:
+        table = _rewritten_array_file(table, case.removeprefix("kg-table-"), short)
     argv = _replace_arg(_replace_arg(dataset_args(world), "--kg-table", table),
                         "--kg-index", index)
     capsys.readouterr()
@@ -522,6 +568,17 @@ def test_pretrained_of_another_shape_exits_2(world, tmp_path, capsys, sub, setti
     assert _one_error_line(capsys, "config")
 
 
+@pytest.mark.parametrize("table", ["drugs", "labels", "events"])
+def test_input_table_with_no_rows_exits_3(world, tmp_path, capsys, table):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    capsys.readouterr()
+    rc = run("split", *_replace_arg(dataset_args(world)[:6], f"--{table}", empty),
+             "--out-dir", tmp_path / "o")
+    assert rc == 3
+    assert _one_error_line(capsys, "data")
+
+
 def test_kg_export_validates_drugs_file(world, tmp_path, capsys):
     drugs = tmp_path / "drugs.tsv"
     drugs.write_text("D1\tC(C\n")
@@ -551,6 +608,7 @@ def test_kg_export_validates_drugs_file(world, tmp_path, capsys):
     ("eval", "batch_size=0"),
     ("seqlen", "bin_width=0"),
     ("sts", 'min_class_count="a"'),
+    ("vocab", "min_count"),  # no "="
 ])
 def test_bad_config_value_exits_2(world, tmp_path, capsys, sub, setting):
     _, files, other = _manifest_case(world, sub)

@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, reject, strategies as st
 
 from ddikit.fixtures import random_molecule, random_smiles_corpus
 from ddikit.smiles import (MASK, PAD, RESERVED_TOKENS, SEP, UNK, SmilesError,
@@ -75,8 +75,23 @@ def test_parse_charge_runs():
 
 
 def test_parse_components():
-    g = parse_smiles("CCO.CC.N")
-    assert len(set(g.components)) == 3
+    assert write_smiles(parse_smiles("CCO.CC.N")).count(".") == 2
+    # a ring bond across a dot joins its two sides into one component
+    assert write_smiles(parse_smiles("C1.C1")) == "CC"
+
+
+@pytest.mark.parametrize("s,orders", [
+    ("C=1CCC1", ["single", "single", "single", "double"]),
+    ("C1CCC=1", ["single", "single", "single", "double"]),
+    ("c1ccccc1", ["aromatic"] * 6),
+    ("C1CCCCC1", ["single"] * 6),
+])
+def test_ring_closure_bond_order(s, orders):
+    """A bond symbol on either digit sets the ring bond's order; with none,
+    it is aromatic between two aromatic atoms and single otherwise."""
+    g = parse_smiles(s)
+    assert [b.order for b in g.bonds] == orders
+    assert {g.bonds[-1].a, g.bonds[-1].b} == {0, len(g.atoms) - 1}
 
 
 @pytest.mark.parametrize("bad,offset", [
@@ -105,6 +120,11 @@ def test_parse_components():
     pytest.param("[" + "1" * 5000 + "C]", 4, id="isotope-5000-digits"),
     pytest.param("[CH" + "1" * 5000 + "]", 4, id="hydrogen-count-5000-digits"),
     pytest.param("[C" + "+" * 100 + "]", 101, id="charge-100-signs"),  # written as +100
+    ("C=1CC-1", 6),       # conflicting ring-closure bond symbols
+    ("C=.C", 2),          # bond symbol before a dot
+    ("[]", 0),            # empty bracket atom
+    ("[13]", 3),          # bracket atom without an element
+    ("[C:]", 3),          # atom class without digits
 ])
 def test_parse_errors_carry_offsets(bad, offset):
     with pytest.raises(SmilesError) as exc:
@@ -117,12 +137,26 @@ def test_parse_errors_carry_offsets(bad, offset):
 SMILES_LIKE = st.text(st.sampled_from("CNcn[]()=#%+-@H:.12\u00b2\u0663\u00e9\u00c9"))
 
 
+@example("C1.C1")  # dots that do not separate connected components
+@example("C(.C)C")
+@example("C(C.)C")
 @given(st.text() | SMILES_LIKE)
 def test_any_text_parses_or_raises_a_smiles_error(s):
-    with contextlib.suppress(SmilesError):
-        parse_smiles(s)
+    """Text parses or raises a SmilesError, and a parsed graph writes as
+    SMILES that parses back to the same atoms, bonds and canonical form."""
     with contextlib.suppress(SmilesError):
         assert "".join(tokenize(s)) == s
+    try:
+        g = parse_smiles(s)
+    except SmilesError:
+        return
+    try:
+        h = parse_smiles(write_smiles(g))
+    except ValueError as exc:
+        assert "more than 99 ring bonds" in str(exc)
+        reject()
+    assert (len(h.atoms), len(h.bonds), canonical_smiles(h)) == \
+        (len(g.atoms), len(g.bonds), canonical_smiles(g))
 
 
 def test_write_smiles_deterministic_without_rng():
