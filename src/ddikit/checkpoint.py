@@ -1,12 +1,12 @@
-"""Checkpoints, stored as array files (see ``ddikit.atomic``): groups param,
-buffer, adam_m and adam_v, and a meta holding the epoch counter, optimizer
-scalars, RNG state, the architecture config and its fingerprint, the
-sha256 of the vocabulary and label lists the model was trained with (when
-given), and free-form extras. Arrays keep their training dtype, so save ->
-load -> forward is bit-identical, and a parameter or buffer stored in
-another dtype than the model's is refused. The Adam moments are in their
-parameter's dtype; float64 moments and buffers of older checkpoints are
-cast to the model's dtype on load."""
+"""Checkpoints, stored as array files (see ``ddikit.atomic``): what the
+pipeline reads back to score pairs. Groups param and buffer, and a meta
+holding the epoch counter, the model RNG state, the architecture config and
+its fingerprint, the sha256 of the vocabulary and label lists the model was
+trained with (when given), and free-form extras. Arrays keep their training
+dtype, so save -> load -> forward is bit-identical, and a parameter or
+buffer stored in another dtype than the model's is refused. Older
+checkpoints still load: their float64 buffers are cast to the model's
+dtype, and their Adam moments are read and checked but not kept."""
 
 from __future__ import annotations
 
@@ -16,9 +16,6 @@ import json
 import numpy as np
 
 from .atomic import read_arrays, write_arrays
-from .optim import AdamState
-
-_ADAM_SCALARS = ("learning_rate", "weight_decay", "beta1", "beta2", "epsilon", "step_count")
 
 
 class CheckpointError(ValueError):
@@ -50,10 +47,10 @@ def _restore_rng(state: dict) -> np.random.Generator:
     return rng
 
 
-def save_checkpoint(path, model, optimizer: AdamState | None = None,
-                    epoch: int = 0, extra: dict | None = None, vocab=None, labels=None):
-    """Serialize model parameters/buffers, optimizer moments and RNG state,
-    plus the digests of the vocabulary tokens and class labels if given."""
+def save_checkpoint(path, model, epoch: int = 0, extra: dict | None = None,
+                    vocab=None, labels=None):
+    """Serialize the model's parameters, buffers and RNG state, plus the
+    digests of the vocabulary tokens and class labels if given."""
     groups = {"param": {name: p.data for name, p in model.parameters().items()},
               "buffer": model.buffers()}
     meta = {
@@ -66,10 +63,6 @@ def save_checkpoint(path, model, optimizer: AdamState | None = None,
     for key, items in zip(_DIGESTS, (vocab, labels)):
         if items is not None:
             meta[key] = list_digest(items)
-    if optimizer is not None:
-        groups["adam_m"] = optimizer.m
-        groups["adam_v"] = optimizer.v
-        meta["optimizer"] = {key: getattr(optimizer, key) for key in _ADAM_SCALARS}
     write_arrays(path, groups, meta)
 
 
@@ -84,16 +77,15 @@ def read_checkpoint(path, keep=None) -> tuple[dict, dict[str, dict[str, np.ndarr
     return meta, groups
 
 
-def load_checkpoint(path, model, optimizer: AdamState | None = None,
-                    vocab=None, labels=None) -> dict:
-    """Restore parameters/buffers (and optimizer state if given) in place.
+def load_checkpoint(path, model, vocab=None, labels=None) -> dict:
+    """Restore the model's parameters, buffers and RNG state in place.
     Returns the checkpoint meta dict. The stored config fingerprint must
     match the model's, and a given vocabulary or label list must match the
     one whose digest the checkpoint stores; a checkpoint without a digest
-    accepts any. Without an optimizer the Adam moments are read and checked
-    but not kept, so loading holds no more than the parameters and buffers
-    plus one array."""
-    meta, groups = read_checkpoint(path, None if optimizer is not None else ("param", "buffer"))
+    accepts any. Only the param and buffer groups are kept, so loading holds
+    no more than the parameters and buffers plus one array; an older
+    checkpoint's Adam moments are read and checked but not kept."""
+    meta, groups = read_checkpoint(path, ("param", "buffer"))
     want = config_fingerprint(model.cfg.to_dict())
     if meta["config_fingerprint"] != want:
         raise CheckpointError(f"{path}: config fingerprint mismatch")
@@ -118,30 +110,9 @@ def load_checkpoint(path, model, optimizer: AdamState | None = None,
                                                       and arr.dtype == np.float64):
                 raise CheckpointError(f"{path}: {group} {name!r} is {arr.dtype}, not the "
                                       f"model's {live[name].dtype}")
-    if optimizer is not None:
-        o = meta.get("optimizer")
-        if not (isinstance(o, dict) and all(type(o.get(key)) in (int, float)
-                                            for key in _ADAM_SCALARS)):
-            raise CheckpointError(f"{path}: checkpoint has no optimizer state with "
-                                  f"numeric {', '.join(_ADAM_SCALARS)}")
-        for group in ("adam_m", "adam_v"):
-            for name, arr in groups.get(group, {}).items():
-                if name not in params or arr.shape != params[name].data.shape:
-                    raise CheckpointError(f"{path}: {group} {name!r} is not the moment "
-                                          f"of a parameter of its shape")
-        if set(groups.get("adam_m", {})) != set(groups.get("adam_v", {})):
-            raise CheckpointError(f"{path}: adam_m and adam_v name different parameters")
     for name, arr in groups.get("param", {}).items():
         params[name].data = arr
     for name, arr in groups.get("buffer", {}).items():
         buffers[name][...] = arr
     model.rng = rng
-    if optimizer is not None:
-        for key in _ADAM_SCALARS:
-            setattr(optimizer, key, o[key])
-        optimizer.m, optimizer.v = {}, {}
-        for group, moments in (("adam_m", optimizer.m), ("adam_v", optimizer.v)):
-            for name, arr in groups.get(group, {}).items():
-                # older checkpoints hold float64 moments of float32 parameters
-                moments[name] = arr.astype(params[name].data.dtype, copy=False)
     return meta

@@ -60,7 +60,7 @@ def adam_step(params: dict[str, Parameter], state: AdamState):
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
     named = [(name, p) for name, p in params.items() if p.grad is not None]
-    for name, p in named:  # in dict order, as checkpoints store the moments
+    for name, p in named:
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)

@@ -162,7 +162,11 @@ def parse_smiles(s: str) -> MolecularGraph:
     pending: Optional[tuple[str, str]] = None  # (order, stereo)
     stack: list[int] = []
     rings: dict[int, tuple[int, Optional[tuple[str, str]], int]] = {}
+    dot: Optional[int] = None  # offset of a dot not yet followed by its atom
     for i, tok in _lex(s):
+        if dot is not None and not (tok[0] == "[" or tok in ORGANIC_UPPER
+                                    or tok in ORGANIC_AROMATIC):
+            raise SmilesError("dot not followed by an atom", dot)
         atom: Optional[Atom] = None
         if tok[0] == "[":
             atom = _parse_bracket(tok, i)
@@ -185,7 +189,9 @@ def parse_smiles(s: str) -> MolecularGraph:
         elif tok == ".":
             if pending is not None:
                 raise SmilesError("bond symbol before dot", i)
-            prev = None
+            if prev is None:
+                raise SmilesError("dot with no preceding atom", i)
+            prev, dot = None, i
         elif tok[0] in "%0123456789":
             if prev is None:
                 raise SmilesError("ring closure with no preceding atom", i)
@@ -216,7 +222,9 @@ def parse_smiles(s: str) -> MolecularGraph:
                 pending = None
             elif pending is not None:
                 raise SmilesError("dangling bond symbol", i)
-            prev = idx
+            prev, dot = idx, None
+    if dot is not None:
+        raise SmilesError("dot not followed by an atom", dot)
     if stack:
         raise SmilesError("unbalanced opening parenthesis", len(s))
     if rings:

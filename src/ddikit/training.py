@@ -277,7 +277,7 @@ def finetune(model: DdiModel, train_indices: list[int], eval_indices: list[int],
         if eval_acc > best_acc:
             best_acc = eval_acc
             if checkpoint_path is not None:
-                save_checkpoint(checkpoint_path, model, opt, epoch=epoch,
+                save_checkpoint(checkpoint_path, model, epoch=epoch,
                                 extra={"eval_accuracy": eval_acc},
                                 vocab=vocab.tokens, labels=class_names)
     return history, best_acc

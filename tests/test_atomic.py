@@ -16,9 +16,8 @@ import pytest
 
 import ddikit
 from ddikit.atomic import read_arrays, write_arrays
-from ddikit.checkpoint import load_checkpoint, save_checkpoint
+from ddikit.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from ddikit.model import DdiModel, ModelConfig
-from ddikit.optim import AdamState
 
 TINY = ModelConfig(vocab_size=12, n_classes=3, d_model=8, n_layers=1, n_heads=2,
                    d_ff=8, max_len=16, conv_blocks=2, kg_dim=8, kg_heads=2,
@@ -207,21 +206,28 @@ def test_reading_an_array_file_holds_the_kept_arrays_and_one_more(tmp_path, keep
 
 
 def test_loading_a_checkpoint_without_an_optimizer_leaves_the_moments_behind(tmp_path):
-    """The Adam moments are twice the parameters; loading for inference
-    holds the parameters and buffers plus one array, never the moments. The
-    model is wide enough (15 MB a checkpoint) that the header's parse is
-    well inside the 10%."""
+    """Checkpoints written before they dropped the optimizer hold the Adam
+    moments, twice the parameters; loading one holds the parameters and
+    buffers plus one array, never the moments, and restores the parameters
+    bit for bit. The model is wide enough (15 MB a checkpoint) that the
+    header's parse is well inside the 10%."""
     cfg = ModelConfig(vocab_size=200, n_classes=3, d_model=256, n_layers=1, n_heads=2,
                       d_ff=256, max_len=32, conv_blocks=2, kg_dim=16, kg_heads=2,
                       mlp1_hidden=32, mlp1_out=16, mlp2_hidden=16)
     model = DdiModel(cfg, seed=0)
-    opt = AdamState(learning_rate=1e-3)
-    opt.m = {n: np.ones_like(p.data) for n, p in model.parameters().items()}
-    opt.v = {n: np.ones_like(p.data) for n, p in model.parameters().items()}
-    save_checkpoint(tmp_path / "m.ckpt", model, opt)
-    del opt
-    params = sum(p.data.nbytes for p in model.parameters().values())
-    kept = params + sum(b.nbytes for b in model.buffers().values())
-    largest = max(p.data.nbytes for p in model.parameters().values())
-    peak = _traced_peak(lambda: load_checkpoint(tmp_path / "m.ckpt", model))
+    save_checkpoint(tmp_path / "new.ckpt", model)
+    meta, groups = read_checkpoint(tmp_path / "new.ckpt")
+    for group in ("adam_m", "adam_v"):
+        groups[group] = {n: np.ones_like(p.data) for n, p in model.parameters().items()}
+    meta["optimizer"] = {"learning_rate": 1e-3, "weight_decay": 0.0, "beta1": 0.9,
+                         "beta2": 0.999, "epsilon": 1e-8, "step_count": 1}
+    write_arrays(tmp_path / "m.ckpt", groups, meta)
+    del groups
+    target = DdiModel(cfg, seed=1)
+    params = sum(p.data.nbytes for p in target.parameters().values())
+    kept = params + sum(b.nbytes for b in target.buffers().values())
+    largest = max(p.data.nbytes for p in target.parameters().values())
+    peak = _traced_peak(lambda: load_checkpoint(tmp_path / "m.ckpt", target))
     assert peak < 1.1 * (kept + largest)
+    for name, p in model.parameters().items():
+        assert np.array_equal(target.parameters()[name].data, p.data)

@@ -177,6 +177,25 @@ def test_eval_is_deterministic(world):
     assert a == b
 
 
+def test_a_checkpoint_holds_what_eval_reads_and_older_ones_eval_alike(world, tmp_path):
+    """``train`` writes the parameters and buffers and no optimizer state;
+    a copy that also holds Adam moments, as older versions wrote, evaluates
+    to the same bytes."""
+    ckpt = trained(world)
+    meta, groups = read_checkpoint(ckpt)
+    assert set(groups) == {"param", "buffer"} and "optimizer" not in meta
+    for group in ("adam_m", "adam_v"):
+        groups[group] = {name: np.ones_like(arr) for name, arr in groups["param"].items()}
+    meta["optimizer"] = {"learning_rate": 1e-3, "weight_decay": 0.0, "beta1": 0.9,
+                         "beta2": 0.999, "epsilon": 1e-8, "step_count": 1}
+    write_arrays(tmp_path / "old.ckpt", groups, meta)
+    for path, out in ((ckpt, "new"), (tmp_path / "old.ckpt", "old")):
+        assert run("eval", "--checkpoint", path, "--split", "u1", *dataset_args(world),
+                   "--out-dir", tmp_path / out, "--seed", 0) == 0
+    assert (tmp_path / "new/metrics.json").read_bytes() == \
+        (tmp_path / "old/metrics.json").read_bytes()
+
+
 def test_seqlen_command(world):
     rc = run("seqlen", "--checkpoint", trained(world), "--split",
              "train", *dataset_args(world), "--out-dir", world / "sl",

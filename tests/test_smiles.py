@@ -106,8 +106,12 @@ def test_ring_closure_bond_order(s, orders):
     ("C)C[", 1),         # the first error wins over a later unterminated bracket
     ("C==C[", 2),
     ("CX[", 1),
-    (".", 0),            # no atom
+    (".", 0),            # a dot with no atom before it in its chain
     ("..", 0),
+    (".C", 0),
+    ("C.", 1),           # a dot not followed directly by an atom
+    ("C..C", 1),
+    ("C(C.)C", 3),
     ("C\u00b2", 1),       # a superscript digit is not a ring closure, isotope,
     ("[\u00b2C]", 1),     # %nn closure, hydrogen count or charge
     ("C%\u00b2\u00b3", 1),

@@ -16,7 +16,7 @@ from ddikit.checkpoint import (CheckpointError, config_fingerprint,
 from ddikit.data import DdiEvent, DrugRecord
 from ddikit.fixtures import make_dataset_fixture, random_smiles_corpus
 from ddikit.model import DdiModel, ModelConfig, PretrainModel, transfer_encoder_weights
-from ddikit.optim import AdamState, adam_step, zero_grads
+from ddikit.optim import zero_grads
 from ddikit.smiles import MASK, PAD, SEP, Vocabulary, encode_pair
 from ddikit.training import (FinetuneConfig, PretrainConfig, finetune,
                              make_pretrain_pairs, mask_sequence, mlm_pretrain,
@@ -286,65 +286,6 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
     assert np.array_equal(a, b)
 
 
-def test_checkpoint_restores_optimizer_state(tmp_path):
-    vocab = Vocabulary.build(["CCO"])
-    cfg = small_config(len(vocab), dtype="float64")
-    model = DdiModel(cfg, seed=0)
-    opt = AdamState(learning_rate=1e-3, weight_decay=1e-5)
-    rng = np.random.default_rng(0)
-    ids = rng.integers(4, len(vocab), size=(2, cfg.max_len))
-    segs = np.zeros_like(ids)
-    mask = np.ones_like(ids, dtype=bool)
-    pair = rng.standard_normal((2, cfg.kg_dim))
-    targets = np.array([0, 1])
-
-    def step(m, o):
-        zero_grads(m.parameters())
-        tape = Tape()
-        with tape:
-            loss = ad.cross_entropy_loss(m.forward(ids, segs, mask, pair), targets)
-        backward(loss, tape)
-        adam_step(m.parameters(), o)
-
-    step(model, opt)
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model, optimizer=opt, epoch=1)
-
-    model2 = DdiModel(cfg, seed=7)
-    opt2 = AdamState(learning_rate=0.0)
-    load_checkpoint(path, model2, optimizer=opt2)
-    assert opt2.step_count == 1
-    assert opt2.learning_rate == 1e-3
-
-    # one more identical step from the restored state matches exactly
-    step(model, opt)
-    step(model2, opt2)
-    for name, p in model.parameters().items():
-        assert np.array_equal(p.data, model2.parameters()[name].data)
-
-
-def test_float64_adam_moments_load_into_float32_adam(tmp_path):
-    """A checkpoint written while Adam kept float64 moments loads with each
-    moment cast to its parameter's dtype, and Adam steps on in float32."""
-    model = DdiModel(small_config(8), seed=0)
-    rng = np.random.default_rng(0)
-    params = model.parameters()
-    m = {name: rng.standard_normal(p.data.shape) for name, p in params.items()}
-    v = {name: rng.random(p.data.shape) for name, p in params.items()}
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model, optimizer=AdamState(learning_rate=1e-3, step_count=3, m=m, v=v))
-    assert read_checkpoint(path)[1]["adam_v"]["embed.token"].dtype == np.float64
-    opt = AdamState(learning_rate=0.0)
-    load_checkpoint(path, model, optimizer=opt)
-    for name, p in params.items():
-        assert opt.m[name].dtype == opt.v[name].dtype == p.data.dtype == np.float32
-        assert np.array_equal(opt.v[name], v[name].astype(np.float32))
-        p.grad = np.ones_like(p.data)
-    adam_step(params, opt)
-    assert opt.step_count == 4
-    assert {a.dtype for a in list(opt.m.values()) + list(opt.v.values())} == {np.dtype(np.float32)}
-
-
 def test_checkpoint_fingerprint_mismatch(tmp_path):
     vocab = Vocabulary.build(["CCO"])
     model = DdiModel(small_config(len(vocab)), seed=0)
@@ -470,32 +411,6 @@ def test_checkpoint_rejects_a_nonfinite_array(tmp_path, value):
         read_checkpoint(tmp_path / "m.ckpt")
 
 
-def _moments(header):
-    return [e for e in header["arrays"] if e["group"] == "adam_m"]
-
-
-def _transpose_a_moment(header):
-    entry = next(e for e in _moments(header) if len(set(e["shape"])) == 2)
-    entry["shape"] = entry["shape"][::-1]
-
-
-@pytest.mark.parametrize("edit", [
-    lambda header: header["meta"]["optimizer"].pop("beta1"),
-    lambda header: header["meta"].update(optimizer=3),
-    lambda header: _moments(header)[0].update(name="no.such.param"),
-    _transpose_a_moment,
-], ids=["no-beta1", "not-an-object", "unknown-parameter", "transposed-moment"])
-def test_load_checkpoint_validates_optimizer_state(tmp_path, edit):
-    model = DdiModel(small_config(8), seed=0)
-    zeros = {name: np.zeros(p.data.shape) for name, p in model.parameters().items()}
-    opt = AdamState(learning_rate=1e-3, step_count=1, m=zeros, v=dict(zeros))
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model, optimizer=opt)
-    _edit_header(path, edit)
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path, model, optimizer=AdamState(learning_rate=0.0))
-
-
 def _rewritten(src, dst, group, cast):
     """``src`` written again at ``dst`` with the arrays of ``group`` cast
     to ``cast`` and the same meta."""
@@ -524,14 +439,3 @@ def test_load_checkpoint_refuses_arrays_of_another_dtype(tmp_path, dtype, group,
         load_checkpoint(path, target)
     assert all(p.data is before[name] and p.data.dtype == dtype
                for name, p in target.parameters().items())
-
-
-def test_load_checkpoint_requires_both_moments_of_each_parameter(tmp_path):
-    model = DdiModel(small_config(8), seed=0)
-    zeros = {name: np.zeros(p.data.shape) for name, p in model.parameters().items()}
-    v = {name: z for name, z in zeros.items() if name != "embed.token"}
-    opt = AdamState(learning_rate=1e-3, step_count=1, m=zeros, v=v)
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model, optimizer=opt)
-    with pytest.raises(CheckpointError, match="adam_m and adam_v"):
-        load_checkpoint(path, model, optimizer=AdamState(learning_rate=0.0))
